@@ -3,11 +3,12 @@
     python3 perfbench/record.py reference
         Runs every recorded battery seed and deep-timeline scenario once and
         writes their digests to perfbench/reference.json.  Every one must pass.
-    python3 perfbench/record.py baseline [--seeds N] [--seconds S]
-        Runs each workload once per seed (1..N) untraced and once traced, and
-        writes per-workload medians, quartiles and spreads of the end-to-end
-        metrics, the per-layer metrics and each layer's share of the traced
-        wall time to perfbench/baseline.json.
+    python3 perfbench/record.py baseline
+        Runs each workload once per seed (1..10) untraced, for BENCHMARK.json's
+        run_seconds, and once traced, and writes per-workload medians,
+        quartiles and spreads of the end-to-end metrics, the per-layer metrics
+        and each layer's share of the traced wall time to
+        perfbench/baseline.json.
 
 Both write only under perfbench/; run them from a checkout of the repository.
 """
@@ -22,13 +23,15 @@ import sys
 import run
 
 BASELINE = run.BENCH / "baseline.json"
+SEEDS = range(1, 11)
 
 
 def record_reference() -> None:
     import workloads as w
 
     reference = {"battery": {}, "deep-timeline": {}}
-    for argv in w.battery_inputs(0):
+    for pool_seed in w.BATTERY_POOL:
+        argv = w.battery_argv(pool_seed)
         code, text = w.run_cli(argv)
         if code != 0:
             sys.exit(f"error: paper-checks {argv} exited {code}")
@@ -57,8 +60,9 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr_over_median": (q3 - q1) / median, "values": values}
 
 
-def record_baseline(seeds: int, seconds: float) -> None:
-    baseline = {"seeds": list(range(1, seeds + 1)), "seconds": seconds, "workloads": {}}
+def record_baseline() -> None:
+    seconds = json.loads((run.ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    baseline = {"seeds": list(SEEDS), "seconds": seconds, "workloads": {}}
     for workload in run.WORKLOAD_NAMES:
         records = [_run(workload, seed, seconds, 0) for seed in baseline["seeds"]]
         end_to_end = {
@@ -76,6 +80,7 @@ def record_baseline(seeds: int, seconds: float) -> None:
             "end_to_end": end_to_end,
             "per_layer": {k: m["value"] for k, m in traced["result"]["metrics"].items()},
             "layer_shares": traced["extra"]["layer_shares"],
+            "trace_pairs": traced["extra"]["trace_pairs"],
         }
         for name, s in end_to_end.items():
             print(f"{workload:14} {name:12} median {s['median']:12.6g}  iqr/median {s['iqr_over_median']:.4f}",
@@ -87,15 +92,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="record the benchmark's references and baseline")
     sub = parser.add_subparsers(dest="what", required=True)
     sub.add_parser("reference")
-    p = sub.add_parser("baseline")
-    p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=20.0)
+    sub.add_parser("baseline")
     args = parser.parse_args()
     run._use_checkout()
     if args.what == "reference":
         record_reference()
     else:
-        record_baseline(args.seeds, args.seconds)
+        record_baseline()
     return 0
 
 

@@ -34,8 +34,9 @@ OUT = BENCH / "out"
 REFERENCE = BENCH / "reference.json"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WORKLOAD_NAMES = ("battery", "deep-timeline", "pointer", "queries")
-SETUP_PROBES = 9  # fresh processes whose median set-up time is reported
+SETUP_PROBES = 15  # fresh processes whose median set-up time is reported
 P90_MIN_OPS = 100  # a 90th percentile needs at least ten samples beyond it
+TRACE_MIN_BLOCKS = 2  # a traced run pairs at least this many blocks, even past --seconds
 
 
 def _use_checkout() -> None:
@@ -159,36 +160,42 @@ def measure(runner: Runner, seconds: float, probe: Callable[[], float]) -> dict:
 
 
 def trace(runner: Runner, seconds: float, out_stem: Path) -> tuple[dict, dict]:
-    """Alternate untraced and traced passes over one block of ops; per-op layer metrics.
+    """Each operation run untraced and traced, over whole blocks for ``seconds``; per-op layer metrics.
 
-    The tracing overhead compares the fastest traced and untraced passes.
+    The two runs of an operation are back to back, so a slow phase of the
+    machine falls on both, and which runs first alternates between blocks, so
+    that neither gains from the other having warmed the caches.
+    ``trace.overhead_pct`` is the median over these pairs of the traced run's
+    time against the untraced one's.
     """
     from spans import Tracer, install, layer_shares, per_layer_metrics
 
-    first = runner.warm_up()
-    items = [runner.item(first + k) for k in range(runner.workload.block)]
+    index = runner.warm_up()
+    block = runner.workload.block
     tracer = Tracer()
     walls = {False: [], True: []}
     start = time.perf_counter()
-    while not walls[True] or time.perf_counter() - start < seconds:
-        for traced in (False, True):
+    while (time.perf_counter() - start < seconds or len(walls[True]) < TRACE_MIN_BLOCKS * block
+           or len(walls[True]) % block):
+        item = runner.item(index)
+        order = (False, True) if len(walls[True]) // block % 2 == 0 else (True, False)
+        index += 1
+        for traced in order:
             restore = install(tracer) if traced else None
-            outputs = []
+            tracer.op += traced
             t0 = time.perf_counter_ns()
             try:
-                for item in items:
-                    tracer.op += traced
-                    outputs.append(runner.run(item))
+                output, raised = runner.run(item)
             finally:
                 walls[traced].append(time.perf_counter_ns() - t0)
                 if restore:
                     restore()
-            for item, (output, raised) in zip(items, outputs):
-                runner.check(item, output, raised)
-    ops = len(walls[True]) * len(items)
-    metrics = per_layer_metrics(tracer, ops, 100.0 * (min(walls[True]) / min(walls[False]) - 1.0))
+            runner.check(item, output, raised)
+    ratio = statistics.median(t / u for u, t in zip(walls[False], walls[True]))
+    ops = len(walls[True])
+    metrics = per_layer_metrics(tracer, ops, 100.0 * (ratio - 1.0))
     tracer.write_jsonl(out_stem.with_suffix(".spans.jsonl"))
-    return metrics, layer_shares(tracer, sum(walls[True]))
+    return metrics, {"layer_shares": layer_shares(tracer, sum(walls[True])), "trace_pairs": ops}
 
 
 def run_one(args) -> int:
@@ -206,7 +213,8 @@ def run_one(args) -> int:
     stem = OUT / f"{args.workload}-seed{args.seed}-trace{args.trace}"
     extra = {}
     if args.trace:
-        layer, extra["layer_shares"] = trace(runner, args.seconds, stem)
+        layer, traced = trace(runner, args.seconds, stem)
+        extra.update(traced)
         units = per_layer_units()
         metrics = {name: {"value": value, "unit": units[name]} for name, value in layer.items()}
     else:

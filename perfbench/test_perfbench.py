@@ -50,17 +50,20 @@ def test_a_tampered_report_digest_fails_the_operation():
     assert runner.failed == 1
 
 
-def test_a_tampered_pointer_shift_fails_the_operation():
+@pytest.mark.parametrize("row, delta", [(0, 1e-9), (-1, 1e-11)])  # the last row is the shift at coupling 10
+def test_a_tampered_pointer_shift_fails_the_operation(row, delta):
     runner = _runner("pointer")
     item = runner.inputs[0]
     assert item[0] == "sweep" and item[1][item[1].index("--n") + 1] == "4096"
     (code, text), raised = runner.run(item)
     runner.check(item, (code, text), raised)
     assert runner.failed == 0
-    header, first, *rest = text.splitlines()
-    cells = first.split(",")
-    cells[1] = repr(float(cells[1]) + 1e-9)
-    tampered = "\n".join([header, ",".join(cells), *rest]) + "\n"
+    header, *rows = text.splitlines()
+    cells = rows[row].split(",")
+    assert header.split(",")[1] == "shift"
+    cells[1] = repr(float(cells[1]) + delta)
+    rows[row] = ",".join(cells)
+    tampered = "\n".join([header, *rows]) + "\n"
     runner.check(item, (code, tampered), raised=False)
     assert runner.failed == 1
 
