@@ -1,5 +1,8 @@
 """Monte-Carlo oracle: determinism, collapse sampling, agreement tests."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,7 @@ from twostate.montecarlo import (
     symmetry_experiment,
 )
 from twostate.rules import TwoStateVector, abl_probabilities, born_probabilities
+from twostate.scenarios import builtin
 
 UP_Z = basis_state(2, 0)
 
@@ -42,6 +46,46 @@ def random_state(rng, dim):
 def random_observable(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return SpectralObservable.from_hermitian((m + m.conj().T) / 2)
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def basis_observable(rng, dim, ranks):
+    """Eigenvalues 1, 2, ... on consecutive blocks of a random basis, one block per rank."""
+    basis = random_unitary(rng, dim)
+    projs, start = [], 0
+    for rank in ranks:
+        block = basis[:, start:start + rank]
+        start += rank
+        projs.append(block @ block.conj().T)
+    return SpectralObservable(np.arange(1.0, len(ranks) + 1), np.array(projs))
+
+
+def random_timeline(seed, dim, n_stages, ranks):
+    """pre, stages, post: random unitaries alternating with measurements, rank-1 post-selection."""
+    rng = np.random.default_rng(seed)
+    stages = []
+    for k in range(n_stages):
+        stages.append(UnitaryStage(Unitary(random_unitary(rng, dim))))
+        stages.append(MeasureStage(basis_observable(rng, dim, ranks), f"m{k}"))
+    pre = random_state(rng, dim)
+    return pre, stages, (basis_observable(rng, dim, (1,) * dim), 1.0)
+
+
+def ensemble_digest(stats):
+    """sha256 over every EnsembleStats field, joint tallies in their reported order."""
+    doc = [
+        stats.trials, stats.accepted, stats.seed,
+        [[st.label, [round(e, 9) for e in st.eigenvalues], list(st.counts_all), list(st.counts_accepted)]
+         for st in stats.stages],
+        [[[round(e, 9) for e in outcome], count] for outcome, count in stats.joint_accepted],
+        [round(e, 9) for e in stats.post_eigenvalues], list(stats.post_counts),
+        round(stats.selected_eigenvalue, 9),
+    ]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
 class TestRngDerivation:
@@ -149,6 +193,45 @@ class TestSimulate:
         for branch in (1.0, 2.0, 3.0, 4.0):
             for stat in stats.conditional_given("sy", {"bell": branch}):
                 assert abs(stat.frequency - 0.5) <= 4 * stat.std_error
+
+
+class TestGoldenEnsembles:
+    """Complete tallies of four fixed runs, pinned so that any change to the
+    sampler's use of the random stream or to its collapse bookkeeping shows."""
+
+    def test_qubit_single_stage(self):
+        stats = simulate(
+            spin_state(1.1, 0.3), [MeasureStage(spin_observable(0.9, 0.2), "probe")],
+            (pauli("x"), 1.0), 20_000, 101,
+        )
+        assert stats.accepted == 17461
+        assert stats.stages[0].counts_all == (19754, 246)
+        assert stats.post_counts == (2539, 17461)
+        assert ensemble_digest(stats) == "2160ad3d3415224cc26e14d1333301574f7a49afc5e99ab9b23f994b41274148"
+
+    def test_erasure_degenerate_stage(self):
+        spec = builtin("erasure")
+        stats = simulate(
+            spec.pre, list(spec.timeline), (spec.post_observable, spec.post_select), 20_000, 102
+        )
+        assert stats.accepted == 10113
+        assert stats.stages[1].counts_accepted == (5055, 5058)
+        assert len(stats.joint_accepted) == 8
+        assert ensemble_digest(stats) == "5d31d543ed8390d17542ecdf495110b0ae1fa30ae9f74866ec771fec1a5ec8ce"
+
+    def test_rank_one_d4_seven_stages(self):
+        stats = simulate(*random_timeline(7, 4, 7, (1,) * 4), 20_000, 103)
+        assert stats.accepted == 4991
+        assert stats.post_counts == (4991, 4974, 5005, 5030)
+        assert len(stats.joint_accepted) == 2092
+        assert ensemble_digest(stats) == "b428fa94d106182fe81b7f1bf4c0c93c23d4356690a39e189173eb51fb39147c"
+
+    def test_rank_four_d8_four_stages(self):
+        stats = simulate(*random_timeline(8, 8, 4, (4, 4)), 20_000, 104)
+        assert stats.accepted == 2113
+        assert stats.stages[0].counts_all == (11350, 8650)
+        assert len(stats.joint_accepted) == 15
+        assert ensemble_digest(stats) == "e35b5e25a7608cf99d9c55da4c5737603eb23312a3613f7abebbac367b892ccf"
 
 
 class TestCompareToAbl:
