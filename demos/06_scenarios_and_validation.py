@@ -3,8 +3,9 @@
 
 A scenario document names a preparation, a timeline of unitaries and
 measurements, and one post-selection outcome.  The same description drives
-two independent engines: the analytic conditional rules (branch-path
-enumeration) and the seeded Monte-Carlo sampler.  'both' mode runs the two
+two independent engines: the analytic conditional rules (a forward pass of
+the prepared state and a backward pass of the post-selection) and the seeded
+Monte-Carlo sampler.  'both' mode runs the two
 against each other and attaches a per-outcome verdict.
 """
 

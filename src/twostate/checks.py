@@ -53,7 +53,7 @@ from .rules import (
     total_probability_check,
     weak_value,
 )
-from .scenarios import builtin, run_scenario
+from .scenarios import builtin, builtin_names, run_scenario
 
 SEED_STREAM_CHUNK = 2**48  # far above any simulate() chunk index
 
@@ -460,7 +460,7 @@ def check_pointer_weak_convergence() -> CheckResult:
 def check_builtin_scenarios(seed: int, trials: int, z: float = 4.0) -> CheckResult:
     """Every catalog scenario passes oracle-vs-analytic at the z threshold."""
     failures, starved = [], []
-    names = ("spin-zz-xi", "sharp-shanks", "mach-zehnder", "tandem-mz", "erasure", "reality-pair")
+    names = builtin_names()
     for i, name in enumerate(names):
         try:
             report = run_scenario(builtin(name), mode="both", trials=trials, seed=seed + 100 + i, z=z)

@@ -35,7 +35,7 @@ from .errors import (
 from .montecarlo import MeasureStage, simulate
 from .pointer import CouplingSpec, make_gaussian_pointer, post_selected_mean_shift
 from .rules import TwoStateVector, abl_probabilities, born_probabilities, weak_value
-from .scenarios import builtin, builtin_names, load_scenario, run_scenario
+from .scenarios import builtin, builtin_names, builtin_parameters, load_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -194,16 +194,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_BUILTIN_PARAM_FLAGS = {
-    "theta": "theta",
-    "phi": "phi",
-    "theta_ab": "theta_ab",
-    "theta_bc": "theta_bc",
-    "theta_1a": "theta_1a",
-    "theta_1b": "theta_1b",
-    "theta_2a": "theta_2a",
-    "theta_2b": "theta_2b",
-}
+# catalog parameters become --flags of the same name; which_path_stage is --no-which-path
+_BUILTIN_PARAMS = tuple(dict.fromkeys(
+    p for name in builtin_names() for p in builtin_parameters(name) if p != "which_path_stage"
+))
 
 
 def cmd_scenario(args) -> int:
@@ -211,9 +205,7 @@ def cmd_scenario(args) -> int:
         raise CliError("give exactly one of --builtin NAME or --file PATH")
     if args.builtin:
         params = {
-            name: getattr(args, flag)
-            for flag, name in _BUILTIN_PARAM_FLAGS.items()
-            if getattr(args, flag) is not None
+            name: getattr(args, name) for name in _BUILTIN_PARAMS if getattr(args, name) is not None
         }
         if args.no_which_path:
             params["which_path_stage"] = False
@@ -375,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builtin", help=f"one of: {', '.join(builtin_names())}")
     p.add_argument("--file", help="scenario JSON document")
     p.add_argument("--mode", choices=("analytic", "oracle", "both"), default="both")
-    for flag in _BUILTIN_PARAM_FLAGS:
-        p.add_argument(f"--{flag.replace('_', '-')}", type=float, default=None)
+    for name in _BUILTIN_PARAMS:
+        p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
     p.add_argument("--no-which-path", action="store_true",
                    help="drop the intermediate path detector from interferometer builtins")
     p.set_defaults(func=cmd_scenario)

@@ -9,18 +9,28 @@ analytic conditional probabilities, with binomial standard errors.
 Determinism contract
 --------------------
 Trials are partitioned into fixed chunks of 4096.  Chunk ``k`` of a run with
-seed ``s`` draws from ``numpy.random.Generator(Philox(key=[s mod 2**64, k]))``
-(Philox is counter-based with a 128-bit key, so substreams are independent by
-construction).  Within a chunk, one uniform array is consumed per measurement
-stage and one for the final measurement, in timeline order.  Tallies are
-plain integer sums, so the result for a given ``(seed, trials)`` pair is
-identical no matter how chunks are scheduled.  A golden test pins the
-derivation.
+seed ``s``, 0 ≤ s < 2**64, draws from
+``numpy.random.Generator(Philox(key=[s, k]))`` (Philox is counter-based with a
+128-bit key, so substreams are independent by construction); other seeds are
+rejected rather than reduced.  Within a chunk, one uniform array is consumed
+per measurement stage and one for the final measurement, in timeline order.
+Tallies are plain integer sums, so the result for a given ``(seed, trials)``
+pair is identical no matter how chunks are scheduled.  Golden tests pin the
+derivation and complete tallies of fixed runs.
 
 Branch sampling is inverse-CDF over branches in observable order, with the
 cumulative weights renormalized so the last entry is exactly 1.  Branches of
 Born weight below 1e-15 get exact weight 0, so a null vector is never
 normalized.
+
+Each trial carries an index into a table of distinct states.  A collapse
+onto a rank-1 branch forgets the history, so every parent maps to one child;
+a higher-rank branch keeps one child per (parent, branch).  While all
+reachable states fit in one chunk, the table and its CDFs are built once per
+call; from the first stage where they would not, each chunk keeps a live
+table of the states its trials reach, never more than min(chunk, reached).
+Cost grows with the number of stages, not of collapse paths, and there is no
+cap on paths.
 """
 
 from __future__ import annotations
@@ -47,7 +57,6 @@ from .rules import OutcomeDistribution, TwoStateVector, abl_probabilities, born_
 
 CHUNK_SIZE = 4096
 ZERO_WEIGHT = 1e-15
-MAX_PATHS = 10**6
 DEFAULT_MIN_ACCEPTED = 100
 
 
@@ -75,9 +84,9 @@ Stage = Union[UnitaryStage, MeasureStage]
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """The documented substream derivation: (seed, chunk) → Philox key."""
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    key = np.array([seed % 2**64, chunk_index], dtype=np.uint64)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be an integer in [0, 2**64)")
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -166,75 +175,82 @@ class EnsembleStats:
         return _freq_stats(st.eigenvalues, counts, total)
 
 
-def _build_tree(pre: StateVector, stages: Sequence[Stage], post: SpectralObservable):
-    """Precompute all collapse paths: per measurement stage, the branch CDF and
-    child index for every reachable node, plus final-stage CDFs per leaf."""
-    dim = pre.dim
-    for stage in stages:
-        if stage.dim != dim:
-            raise DimensionMismatchError(f"stage dim {stage.dim} vs system dim {dim}")
-    if post.dim != dim:
-        raise DimensionMismatchError(f"post observable dim {post.dim} vs system dim {dim}")
+def _born_cdf(weights: np.ndarray) -> np.ndarray:
+    """Inverse-CDF rows over branches, one per state: weights below
+    ZERO_WEIGHT count as 0 and the last entry is exactly 1."""
+    weights = np.where(weights < ZERO_WEIGHT, 0.0, weights)
+    cum = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    cum[:, -1] = 1.0
+    return cum
 
-    labels = [s.label for s in stages if isinstance(s, MeasureStage)]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"measurement stage labels must be unique, got {labels}")
 
-    states: list[np.ndarray] = [pre.amps.copy()]
-    paths: list[tuple[int, ...]] = [()]
-    tables = []  # one (cum, child) pair per MeasureStage, in timeline order
-    for stage in stages:
+def _collapse(states: np.ndarray, observable: SpectralObservable):
+    """Unnormalized collapsed states P_j|s⟩ indexed [branch, state] and Born
+    weights indexed [state, branch], for a table of states (one per row)."""
+    collapsed = states @ observable.projectors.transpose(0, 2, 1)
+    weights = (collapsed.real**2 + collapsed.imag**2).sum(axis=2).T
+    return collapsed, weights
+
+
+def _sample(cum: np.ndarray, node: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per trial, the number of CDF entries of its state at or below its
+    uniform; the last entry is 1 and never counts."""
+    branch = np.zeros(u.size, dtype=np.intp)
+    for column in cum.T[:-1]:
+        branch += u >= column[node]
+    return branch
+
+
+def _children(collapsed, weights, observable, parent, branch):
+    """Distinct post-collapse states for (parent, branch) pairs, and each
+    pair's index among them.
+
+    A rank-1 branch forgets the history, so all its pairs share one child;
+    a higher-rank branch keeps one child per (parent, branch).
+    """
+    n_states, n_branch = weights.shape
+    rank_one = np.rint(np.trace(observable.projectors, axis1=1, axis2=2).real) == 1
+    key = np.where(rank_one[branch], n_states, parent) * n_branch + branch
+    _, first, index = np.unique(key, return_index=True, return_inverse=True)
+    p, b = parent[first], branch[first]
+    return collapsed[b, p] / np.sqrt(weights[p, b])[:, None], index
+
+
+def _tally_paths(paths: np.ndarray, counts: np.ndarray):
+    """Sum ``counts`` over equal columns of ``paths`` (one row per stage);
+    the distinct columns come back in lexicographic order."""
+    order = np.lexsort(paths[::-1]) if len(paths) else np.arange(paths.shape[1])
+    paths, counts = paths[:, order], counts[order]
+    first = np.ones(paths.shape[1], dtype=bool)
+    first[1:] = (paths[:, 1:] != paths[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(first)
+    return paths[:, starts], np.add.reduceat(counts, starts)
+
+
+def _static_tables(pre: StateVector, stages: Sequence[Stage], bound: int):
+    """Branch tables shared by every chunk.
+
+    Walks the timeline over all reachable states while their number stays
+    within ``bound``; rank-1 stages keep it at most the branch count.  Returns
+    one (cum, child) pair per measurement stage covered, the state table
+    where the walk stopped, and the stages left for per-chunk tables.
+    """
+    states = pre.amps[None, :]
+    tables = []
+    for i, stage in enumerate(stages):
         if isinstance(stage, UnitaryStage):
-            states = [stage.unitary.matrix @ s for s in states]
+            states = states @ stage.unitary.matrix.T
             continue
-        if not isinstance(stage, MeasureStage):
-            raise TypeError(f"unsupported stage type {type(stage).__name__}")
-        n_branch = stage.observable.num_branches
-        if len(states) * n_branch > MAX_PATHS:
-            raise ValueError(f"collapse path count exceeds {MAX_PATHS}")
-        cum = np.zeros((len(states), n_branch))
-        child = np.zeros((len(states), n_branch), dtype=np.int64)
-        new_states: list[np.ndarray] = []
-        new_paths: list[tuple[int, ...]] = []
-        for ni, s in enumerate(states):
-            weights = np.empty(n_branch)
-            collapsed = []
-            for j, proj in enumerate(stage.observable.projectors):
-                v = proj @ s
-                w = float(np.vdot(v, v).real)
-                if w < ZERO_WEIGHT:
-                    w, v = 0.0, np.zeros_like(v)
-                else:
-                    v = v / np.sqrt(w)
-                weights[j] = w
-                collapsed.append(v)
-            total = weights.sum()
-            if total < ZERO_WEIGHT:  # dead-end node below a zero-weight branch
-                cum[ni] = 1.0
-            else:
-                cum[ni] = np.cumsum(weights / total)
-                cum[ni, -1] = 1.0
-            for j, v in enumerate(collapsed):
-                child[ni, j] = len(new_states)
-                new_states.append(v)
-                new_paths.append(paths[ni] + (j,))
-        tables.append((cum, child))
-        states, paths = new_states, new_paths
-
-    n_post = post.num_branches
-    post_cum = np.zeros((len(states), n_post))
-    for ni, s in enumerate(states):
-        weights = np.array(
-            [max(float(np.vdot(s, proj @ s).real), 0.0) for proj in post.projectors]
-        )
-        weights[weights < ZERO_WEIGHT] = 0.0
-        total = weights.sum()
-        if total < ZERO_WEIGHT:  # dead-end path (zero-weight ancestor); never sampled
-            post_cum[ni] = 1.0
-        else:
-            post_cum[ni] = np.cumsum(weights / total)
-            post_cum[ni, -1] = 1.0
-    return tables, post_cum, paths
+        collapsed, weights = _collapse(states, stage.observable)
+        parent, branch = np.nonzero(weights >= ZERO_WEIGHT)
+        children, index = _children(collapsed, weights, stage.observable, parent, branch)
+        if len(children) > bound:
+            return tables, states, stages[i:]
+        child = np.zeros(weights.shape, dtype=np.intp)
+        child[parent, branch] = index
+        tables.append((_born_cdf(weights), child))
+        states = children
+    return tables, states, []
 
 
 def simulate(
@@ -256,41 +272,64 @@ def simulate(
         raise ValueError("trials must be >= 1")
     post_obs, selected = post
     sel_idx = post_obs.branch_index(selected)
-    tables, post_cum, paths = _build_tree(pre, stages, post_obs)
+    dim = pre.dim
+    for stage in stages:
+        if not isinstance(stage, (UnitaryStage, MeasureStage)):
+            raise TypeError(f"unsupported stage type {type(stage).__name__}")
+        if stage.dim != dim:
+            raise DimensionMismatchError(f"stage dim {stage.dim} vs system dim {dim}")
+    if post_obs.dim != dim:
+        raise DimensionMismatchError(f"post observable dim {post_obs.dim} vs system dim {dim}")
     measure_stages = [s for s in stages if isinstance(s, MeasureStage)]
-    n_leaves = len(paths)
+    labels = [s.label for s in measure_stages]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"measurement stage labels must be unique, got {labels}")
 
-    stage_counts_all = [np.zeros(st.observable.num_branches, dtype=np.int64) for st in measure_stages]
-    stage_counts_acc = [np.zeros(st.observable.num_branches, dtype=np.int64) for st in measure_stages]
-    joint_counts = np.zeros(n_leaves, dtype=np.int64)
+    # the final measurement is sampled like the others, as one more stage
+    walk = [*stages, MeasureStage(post_obs, "post")]
+    tables, static_states, tail = _static_tables(pre, walk, min(trials, chunk_size))
+    n_branches = [st.observable.num_branches for st in measure_stages]
+    path_dtype = np.min_scalar_type(max(n_branches + [post_obs.num_branches]))
+
+    stage_counts_all = [np.zeros(k, dtype=np.int64) for k in n_branches]
+    stage_counts_acc = [np.zeros(k, dtype=np.int64) for k in n_branches]
     post_counts = np.zeros(post_obs.num_branches, dtype=np.int64)
+    joint = []
 
     n_chunks = (trials + chunk_size - 1) // chunk_size
     for k in range(n_chunks):
         m = min(chunk_size, trials - k * chunk_size)
         rng = chunk_rng(seed, k)
-        node = np.zeros(m, dtype=np.int64)
-        branches = []
-        for cum, child in tables:
-            u = rng.random(m)
-            br = (u[:, None] >= cum[node]).sum(axis=1)
-            branches.append(br)
+        node = np.zeros(m, dtype=np.intp)
+        paths = np.empty((len(measure_stages) + 1, m), dtype=path_dtype)
+        for i, (cum, child) in enumerate(tables):
+            paths[i] = br = _sample(cum, node, rng.random(m))
             node = child[node, br]
-        u = rng.random(m)
-        br_post = (u[:, None] >= post_cum[node]).sum(axis=1)
-        accepted_mask = br_post == sel_idx
+        # live-state table: one row per distinct state some trial of this chunk holds
+        states, i = static_states, len(tables)
+        for stage in tail:
+            if isinstance(stage, UnitaryStage):
+                states = states @ stage.unitary.matrix.T
+                continue
+            collapsed, weights = _collapse(states, stage.observable)
+            paths[i] = br = _sample(_born_cdf(weights), node, rng.random(m))
+            states, node = _children(collapsed, weights, stage.observable, node, br)
+            i += 1
+        accepted = paths[:-1, paths[-1] == sel_idx]
 
-        for i, br in enumerate(branches):
-            stage_counts_all[i] += np.bincount(br, minlength=stage_counts_all[i].size)
-            stage_counts_acc[i] += np.bincount(
-                br[accepted_mask], minlength=stage_counts_acc[i].size
-            )
-        joint_counts += np.bincount(node[accepted_mask], minlength=n_leaves)
-        post_counts += np.bincount(br_post, minlength=post_counts.size)
+        for i, n in enumerate(n_branches):
+            stage_counts_all[i] += np.bincount(paths[i], minlength=n)
+            stage_counts_acc[i] += np.bincount(accepted[i], minlength=n)
+        post_counts += np.bincount(paths[-1], minlength=post_counts.size)
+        joint.append(_tally_paths(accepted, np.ones(accepted.shape[1], dtype=np.int64)))
 
-    accepted = int(joint_counts.sum())
-    if accepted == 0:
+    accepted_total = int(post_counts[sel_idx])
+    if accepted_total == 0:
         raise AllRejectedError("zero accepted trials; conditional frequencies undefined")
+    joint_paths, joint_counts = zip(*joint)
+    joint_paths, joint_counts = _tally_paths(
+        np.concatenate(joint_paths, axis=1), np.concatenate(joint_counts)
+    )
 
     tallies = tuple(
         StageTally(
@@ -301,23 +340,16 @@ def simulate(
         )
         for i, st in enumerate(measure_stages)
     )
-    joint = tuple(
-        (
-            tuple(
-                float(measure_stages[d].observable.eigenvalues[j])
-                for d, j in enumerate(paths[leaf])
-            ),
-            int(count),
-        )
-        for leaf, count in enumerate(joint_counts)
-        if count > 0
+    joint_accepted = tuple(
+        (tuple(tallies[d].eigenvalues[j] for d, j in enumerate(path)), count)
+        for path, count in zip(joint_paths.T.tolist(), joint_counts.tolist())
     )
     return EnsembleStats(
         trials=trials,
-        accepted=accepted,
+        accepted=accepted_total,
         seed=seed,
         stages=tallies,
-        joint_accepted=joint,
+        joint_accepted=joint_accepted,
         post_eigenvalues=tuple(float(e) for e in post_obs.eigenvalues),
         post_counts=tuple(int(c) for c in post_counts),
         selected_eigenvalue=float(selected),

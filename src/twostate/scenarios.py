@@ -2,9 +2,10 @@
 
 A scenario names a preparation, an ordered timeline of unitary segments and
 measurement stages, and a single post-selection outcome.  Each scenario can
-run in analytic mode (conditional probabilities by exhaustive branch-path
-enumeration), oracle mode (the seeded Monte-Carlo sampler), or both, in which
-case the report carries per-outcome agreement verdicts.
+run in analytic mode (conditional probabilities from one forward pass of the
+prepared state and one backward pass of the post-selection, every other
+measurement dephased), oracle mode (the seeded Monte-Carlo sampler), or
+both, in which case the report carries per-outcome agreement verdicts.
 
 Document format (JSON object)::
 
@@ -41,6 +42,7 @@ The 50/50 beamsplitter convention used by the interferometer builtins is
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Union
@@ -73,7 +75,6 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .montecarlo import (
-    MAX_PATHS,
     EnsembleStats,
     MeasureStage,
     OutcomeStat,
@@ -86,6 +87,7 @@ from .rules import (
     ProductRuleReport,
     RealityReport,
     TwoStateVector,
+    _rank_one_vector,
     abl_probabilities,
     elements_of_reality,
     product_rule_audit,
@@ -200,6 +202,12 @@ def _mapping_from(value, path: str) -> Mapping:
     return value
 
 
+def _list_from(value, path: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioFormatError(f"{path}: expected a list, got {value!r}")
+    return value
+
+
 def resolve_observable(spec, dim: int | None, path: str) -> SpectralObservable:
     """Expand an observable document node into a SpectralObservable."""
     if not isinstance(spec, Mapping) or len(spec) != 1:
@@ -276,10 +284,7 @@ def load_scenario(document) -> ScenarioSpec:
         raise ScenarioFormatError(f"pre: {exc}") from exc
 
     timeline: list[TimelineEntry] = []
-    entries = document.get("timeline", [])
-    if not isinstance(entries, (list, tuple)):
-        raise ScenarioFormatError("timeline: expected a list")
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_list_from(document.get("timeline", []), "timeline")):
         path = f"timeline[{i}]"
         if not isinstance(entry, Mapping) or len(entry) != 1:
             raise ScenarioFormatError(f"{path}: expected a single-key stage object")
@@ -324,7 +329,7 @@ def load_scenario(document) -> ScenarioSpec:
         raise ScenarioFormatError("params: expected an object")
     params = {str(k): _number_from(v, f"params.{k}") for k, v in params.items()}
     counterfactuals = []
-    for i, entry in enumerate(document.get("counterfactuals", [])):
+    for i, entry in enumerate(_list_from(document.get("counterfactuals", []), "counterfactuals")):
         path = f"counterfactuals[{i}]"
         if not isinstance(entry, Mapping):
             raise ScenarioFormatError(f"{path}: expected an object")
@@ -333,7 +338,7 @@ def load_scenario(document) -> ScenarioSpec:
             raise ScenarioFormatError(f"{path}.label: expected a nonempty string")
         counterfactuals.append((label, resolve_observable(entry.get("observable"), dim, f"{path}.observable")))
     products = []
-    for i, entry in enumerate(document.get("products", [])):
+    for i, entry in enumerate(_list_from(document.get("products", []), "products")):
         path = f"products[{i}]"
         if not isinstance(entry, Mapping):
             raise ScenarioFormatError(f"{path}: expected an object")
@@ -350,8 +355,8 @@ def load_scenario(document) -> ScenarioSpec:
     seed = document.get("seed", DEFAULT_SEED)
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ScenarioFormatError("trials: expected a positive integer")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ScenarioFormatError("seed: expected a nonnegative integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        raise ScenarioFormatError("seed: expected an integer in [0, 2**64)")
     return ScenarioSpec(
         name=str(document.get("name", "unnamed")),
         dim=dim,
@@ -587,20 +592,22 @@ def _builtin_reality_pair() -> ScenarioSpec:
 
 
 _BUILTINS = {
-    "spin-zz-xi": (_builtin_spin_zz_xi, ("theta",)),
-    "sharp-shanks": (_builtin_sharp_shanks, ("theta_ab", "theta_bc")),
-    "mach-zehnder": (_builtin_mach_zehnder, ("which_path_stage",)),
-    "tandem-mz": (
-        _builtin_tandem_mz,
-        ("theta_1a", "theta_1b", "theta_2a", "theta_2b", "which_path_stage"),
-    ),
-    "erasure": (_builtin_erasure, ("theta", "phi")),
-    "reality-pair": (_builtin_reality_pair, ()),
+    "spin-zz-xi": _builtin_spin_zz_xi,
+    "sharp-shanks": _builtin_sharp_shanks,
+    "mach-zehnder": _builtin_mach_zehnder,
+    "tandem-mz": _builtin_tandem_mz,
+    "erasure": _builtin_erasure,
+    "reality-pair": _builtin_reality_pair,
 }
 
 
 def builtin_names() -> tuple[str, ...]:
     return tuple(_BUILTINS)
+
+
+def builtin_parameters(name: str) -> tuple[str, ...]:
+    """The keyword parameters of a named catalog scenario, in order."""
+    return tuple(inspect.signature(_BUILTINS[name]).parameters)
 
 
 def builtin(name: str, **params) -> ScenarioSpec:
@@ -609,11 +616,11 @@ def builtin(name: str, **params) -> ScenarioSpec:
         raise ValueError(
             f"unknown builtin {name!r}; available: {', '.join(sorted(_BUILTINS))}"
         )
-    factory, allowed = _BUILTINS[name]
+    allowed = builtin_parameters(name)
     for key in params:
         if key not in allowed:
             raise ValueError(f"builtin {name!r} takes no parameter {key!r}; allowed: {allowed}")
-    return factory(**params)
+    return _BUILTINS[name](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -741,66 +748,60 @@ class ScenarioReport:
         return rows
 
 
-def _analytic_paths(spec: ScenarioSpec):
-    """Enumerate collapse paths: unnormalized path vectors and branch tuples."""
-    vectors = [spec.pre.amps]
-    paths: list[tuple[int, ...]] = [()]
-    measure_stages: list[MeasureStage] = []
-    for entry in spec.timeline:
-        if isinstance(entry, UnitaryStage):
-            vectors = [entry.unitary.matrix @ v for v in vectors]
-        elif isinstance(entry, MeasureStage):
-            measure_stages.append(entry)
-            n_branch = entry.observable.num_branches
-            if len(vectors) * n_branch > MAX_PATHS:
-                raise ValueError(f"collapse path count exceeds {MAX_PATHS}")
-            new_vectors, new_paths = [], []
-            for v, p in zip(vectors, paths):
-                for j, proj in enumerate(entry.observable.projectors):
-                    w = proj @ v
-                    if np.vdot(w, w).real < 1e-30:
-                        continue
-                    new_vectors.append(w)
-                    new_paths.append(p + (j,))
-            vectors, paths = new_vectors, new_paths
-    return vectors, paths, measure_stages
-
-
 def analytic_predictions(spec: ScenarioSpec):
     """Conditional outcome distributions per measurement stage + acceptance probability.
 
-    With one measurement stage this reduces exactly to the two-state
-    conditional rule; with several, every intermediate-outcome path amplitude
-    is enumerated, squared, and conditioned on the post-selection.
+    One forward and one backward pass (the two-state, or past-quantum-state,
+    form): the prepared ρ is carried forward through the unitaries with every
+    measurement dephased, ρ → Σ_j P_j ρ P_j, and the selected post projector
+    Q backward the same way as an effect E.  At a stage, with ρ from the
+    stages before it and E from those after it,
+
+        Prob(a_j | post) = Tr(P_j ρ P_j E) / Σ_k Tr(P_k ρ P_k E),
+
+    the two-state conditional rule when the stage is the only one.  The
+    acceptance probability is Tr(Q ρ) at the end.
     """
-    vectors, paths, measure_stages = _analytic_paths(spec)
+    entries = [e for e in spec.timeline if isinstance(e, (UnitaryStage, MeasureStage))]
     q_sel = spec.post_observable.projectors[
         spec.post_observable.branch_index(spec.post_select)
     ]
-    weights = np.array([max(np.vdot(q_sel @ v, q_sel @ v).real, 0.0) for v in vectors])
-    total = float(weights.sum())
-    if total <= 1e-14:
+    rho = np.outer(spec.pre.amps, spec.pre.amps.conj())
+    branch_states = []  # P_j ρ P_j at each measurement stage, in timeline order
+    for entry in entries:
+        if isinstance(entry, UnitaryStage):
+            rho = entry.unitary.matrix @ rho @ entry.unitary.matrix.conj().T
+        else:
+            projs = entry.observable.projectors
+            branch_states.append(projs @ rho @ projs)
+            rho = branch_states[-1].sum(axis=0)
+    acceptance = float(np.trace(q_sel @ rho).real)
+    if acceptance <= 1e-14:
         raise ZeroDenominatorError(
             f"scenario {spec.name!r}: post-selection unreachable through every branch"
         )
+    effect = q_sel
     distributions = []
-    for d, stage in enumerate(measure_stages):
-        probs = np.zeros(stage.observable.num_branches)
-        for w, p in zip(weights, paths):
-            probs[p[d]] += w
+    for entry in reversed(entries):
+        if isinstance(entry, UnitaryStage):
+            effect = entry.unitary.matrix.conj().T @ effect @ entry.unitary.matrix
+            continue
+        weights = np.einsum("kab,ba->k", branch_states.pop(), effect).real
         distributions.append(
-            OutcomeDistribution(tuple(stage.observable.eigenvalues), tuple(probs / total))
+            OutcomeDistribution(tuple(entry.observable.eigenvalues), tuple(weights / weights.sum()))
         )
-    return distributions, total
+        projs = entry.observable.projectors
+        effect = (projs @ effect @ projs).sum(axis=0)
+    return distributions[::-1], acceptance
 
 
-def _weak_reports(spec: ScenarioSpec, validate: bool) -> tuple[WeakValueReport, ...]:
-    weak_stages = [e for e in spec.timeline if isinstance(e, WeakStage)]
-    if not weak_stages:
-        return ()
+def _two_state_vector(spec: ScenarioSpec, position: int, user: str) -> TwoStateVector:
+    """The two-state vector just before ``spec.timeline[position]``: the pure
+    case of the two passes, so no strong stages and a rank-1 post-selection
+    branch; ``user`` names the feature in the error raised otherwise."""
     if any(isinstance(e, MeasureStage) for e in spec.timeline):
         raise ScenarioFormatError(
-            f"scenario {spec.name!r}: weak stages require a timeline free of "
+            f"scenario {spec.name!r}: {user} require a timeline free of "
             "strong measurement stages"
         )
     q_sel = spec.post_observable.projectors[
@@ -808,34 +809,27 @@ def _weak_reports(spec: ScenarioSpec, validate: bool) -> tuple[WeakValueReport, 
     ]
     if round(np.trace(q_sel).real) != 1:
         raise ScenarioFormatError(
-            f"scenario {spec.name!r}: weak stages require a rank-1 post-selection branch"
+            f"scenario {spec.name!r}: {user} require a rank-1 post-selection branch"
         )
-    post_end = _rank_one_state(q_sel)
+    before = [e.unitary for e in spec.timeline[:position] if isinstance(e, UnitaryStage)]
+    after = [e.unitary for e in spec.timeline[position:] if isinstance(e, UnitaryStage)]
+    return TwoStateVector(
+        transport_forward(spec.pre, before), transport_backward(_rank_one_vector(q_sel), after)
+    )
 
+
+def _weak_reports(spec: ScenarioSpec, validate: bool) -> tuple[WeakValueReport, ...]:
     reports = []
-    for stage in weak_stages:
-        before: list[Unitary] = []
-        after: list[Unitary] = []
-        seen = False
-        for entry in spec.timeline:
-            if entry is stage:
-                seen = True
-            elif isinstance(entry, UnitaryStage):
-                (after if seen else before).append(entry.unitary)
-        pre_t = transport_forward(spec.pre, before)
-        post_t = transport_backward(post_end, after)
-        tsv = TwoStateVector(pre_t, post_t)
+    for position, stage in enumerate(spec.timeline):
+        if not isinstance(stage, WeakStage):
+            continue
+        tsv = _two_state_vector(spec, position, "weak stages")
         value = weak_value(tsv, stage.operator)
         if not validate:
             reports.append(WeakValueReport(stage.label, stage.strength, value))
             continue
         reports.append(_validate_weak(stage, tsv, value))
     return tuple(reports)
-
-
-def _rank_one_state(projector: np.ndarray) -> StateVector:
-    vals, vecs = np.linalg.eigh(projector)
-    return StateVector(vecs[:, int(np.argmax(vals))])
 
 
 def _validate_weak(stage: WeakStage, tsv: TwoStateVector, value: complex) -> WeakValueReport:
@@ -876,30 +870,6 @@ def _validate_weak(stage: WeakStage, tsv: TwoStateVector, value: complex) -> Wea
     )
 
 
-def _counterfactual_reports(spec: ScenarioSpec):
-    if not (spec.counterfactuals or spec.products):
-        return None, ()
-    if any(isinstance(e, MeasureStage) for e in spec.timeline):
-        raise ScenarioFormatError(
-            f"scenario {spec.name!r}: counterfactuals require a timeline free of "
-            "strong measurement stages"
-        )
-    q_sel = spec.post_observable.projectors[
-        spec.post_observable.branch_index(spec.post_select)
-    ]
-    if round(np.trace(q_sel).real) != 1:
-        raise ScenarioFormatError(
-            f"scenario {spec.name!r}: counterfactuals require a rank-1 post-selection branch"
-        )
-    unitaries = [e.unitary for e in spec.timeline if isinstance(e, UnitaryStage)]
-    tsv = TwoStateVector(transport_forward(spec.pre, unitaries), _rank_one_state(q_sel))
-    reality = elements_of_reality(tsv, spec.counterfactuals) if spec.counterfactuals else None
-    audits = tuple(
-        (label, product_rule_audit(tsv, left, right)) for label, left, right in spec.products
-    )
-    return reality, audits
-
-
 def run_scenario(
     spec: ScenarioSpec,
     mode: str = "both",
@@ -920,7 +890,15 @@ def run_scenario(
     if want_analytic:
         distributions, acceptance_analytic = analytic_predictions(spec)
     weak = _weak_reports(spec, validate=want_oracle)
-    reality, audits = _counterfactual_reports(spec)
+    reality, audits = None, ()
+    if spec.counterfactuals or spec.products:
+        tsv_end = _two_state_vector(spec, len(spec.timeline), "counterfactuals")
+        if spec.counterfactuals:
+            reality = elements_of_reality(tsv_end, spec.counterfactuals)
+        audits = tuple(
+            (label, product_rule_audit(tsv_end, left, right))
+            for label, left, right in spec.products
+        )
 
     stats: EnsembleStats | None = None
     mc_stages = [e for e in spec.timeline if isinstance(e, (UnitaryStage, MeasureStage))]
@@ -972,14 +950,7 @@ def run_scenario(
             analytic = zs = None
             passed = None
             if want_analytic:
-                unitaries = [e.unitary for e in spec.timeline if isinstance(e, UnitaryStage)]
-                q_sel = spec.post_observable.projectors[
-                    spec.post_observable.branch_index(spec.post_select)
-                ]
-                tsv = TwoStateVector(
-                    transport_forward(spec.pre, unitaries), _rank_one_state(q_sel)
-                )
-                dist = abl_probabilities(tsv, obs)
+                dist = abl_probabilities(tsv_end, obs)
                 analytic = tuple(dist.probabilities)
                 comparison = compare_to_abl(alt_stats, dist, z=z, stage_label=label)
                 zs = tuple(o.z_score for o in comparison.outcomes)

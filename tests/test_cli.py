@@ -109,6 +109,24 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_seed_beyond_64_bits_exit_code(self, capsys):
+        # 2**64 must not alias seed 0
+        code, _, err = run(
+            capsys, "simulate", "--pre", "up-z", "--post", "pauli-z",
+            "--trials", "100", "--seed", str(2**64),
+        )
+        assert code == 2
+        assert "seed" in err
+
+    def test_twenty_alternating_stages(self, capsys):
+        measures = ["--measure", "spin:1.0:0.5", "--measure", "pauli-x"] * 10
+        code, out, _ = run(
+            capsys, "simulate", "--pre", "up-z", *measures, "--post", "pauli-x",
+            "--trials", "4000", "--seed", "3", "--format", "json",
+        )
+        assert code == 0
+        assert {r["stage"] for r in json.loads(out)} == {"acceptance"} | {f"m{i}" for i in range(20)}
+
 
 class TestScenario:
     def test_builtin_with_params(self, capsys):
@@ -120,6 +138,13 @@ class TestScenario:
         assert code == 0
         assert "analytic 0.75" in out
         assert "verdict: pass" in out
+
+    def test_non_list_counterfactuals_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(MZ_DOC, counterfactuals=5)))
+        code, _, err = run(capsys, "scenario", "--file", str(path))
+        assert code == 2
+        assert "counterfactuals" in err
 
     def test_unknown_builtin_lists_catalog(self, capsys):
         code, _, err = run(capsys, "scenario", "--builtin", "nope")

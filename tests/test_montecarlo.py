@@ -111,6 +111,11 @@ class TestRngDerivation:
         with pytest.raises(ValueError):
             chunk_rng(-1, 0)
 
+    def test_rejects_seed_beyond_64_bits(self):
+        with pytest.raises(ValueError):
+            chunk_rng(2**64, 0)
+        assert np.array_equal(chunk_rng(2**64 - 1, 0).random(4), chunk_rng(2**64 - 1, 0).random(4))
+
 
 class TestSimulate:
     def test_eigenstate_rechecked_every_trial(self):

@@ -46,6 +46,13 @@ def random_unitary(rng, dim):
     return Unitary(q)
 
 
+def block_observable(basis: Unitary, ranks):
+    """Eigenvalues 1, 2, ... on consecutive blocks of basis columns, one block per rank."""
+    cols = np.split(basis.matrix, np.cumsum(ranks)[:-1], axis=1)
+    projs = np.array([c @ c.conj().T for c in cols])
+    return SpectralObservable(np.arange(1.0, len(ranks) + 1), projs)
+
+
 class TestLoader:
     def test_minimal_document(self):
         spec = load_scenario(MINIMAL)
@@ -74,6 +81,17 @@ class TestLoader:
     def test_unknown_field_rejected(self):
         with pytest.raises(ScenarioFormatError, match="bogus"):
             load_scenario(dict(MINIMAL, bogus=1))
+
+    @pytest.mark.parametrize("field", ["timeline", "counterfactuals", "products"])
+    def test_non_list_entries_rejected(self, field):
+        with pytest.raises(ScenarioFormatError, match=f"{field}: expected a list"):
+            load_scenario(dict(MINIMAL, **{field: 5}))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ScenarioFormatError, match="seed"):
+            load_scenario(dict(MINIMAL, seed=seed))
+        assert load_scenario(dict(MINIMAL, seed=2**64 - 1)).seed == 2**64 - 1
 
     def test_unnormalized_pre_rejected(self):
         with pytest.raises(ScenarioFormatError, match="pre"):
@@ -304,6 +322,30 @@ class TestRunScenario:
         for i, name in enumerate(builtin_names()):
             report = run_scenario(builtin(name), mode="both", trials=30_000, seed=50 + i)
             assert report.passed is True, name
+
+    @pytest.mark.parametrize(
+        "dim, ranks", [(2, (1, 1)), (8, (1,) * 8), (8, (4, 4))], ids=["qubit", "rank1-d8", "rank4-d8"]
+    )
+    def test_twenty_stage_timeline(self, dim, ranks):
+        # 2**20 to 8**20 collapse paths: cost must grow with the stage count, not the path count
+        rng = np.random.default_rng([20, dim, len(ranks)])
+        timeline = []
+        for k in range(20):
+            timeline.append(UnitaryStage(random_unitary(rng, dim)))
+            timeline.append(MeasureStage(block_observable(random_unitary(rng, dim), ranks), f"m{k}"))
+        spec = ScenarioSpec(
+            name=f"deep-{dim}-{len(ranks)}",
+            dim=dim,
+            pre=random_state(rng, dim),
+            timeline=tuple(timeline),
+            post_observable=block_observable(random_unitary(rng, dim), (1,) * dim),
+            post_select=1.0,
+        )
+        report = run_scenario(spec, mode="both", trials=8192, seed=5)
+        assert report.passed is True
+        assert len(report.stages) == 20
+        for st in report.stages:
+            assert sum(st.analytic) == pytest.approx(1.0, abs=1e-12)
 
     def test_erasure_branch_conditionals(self):
         spec = builtin("erasure", theta=0.8, phi=0.3)
