@@ -1,5 +1,7 @@
 """Validation battery: statuses, low-power degradation, determinism."""
 
+import hashlib
+
 from twostate.checks import (
     check_builtin_scenarios,
     check_conditional_counterexample,
@@ -44,3 +46,12 @@ def test_report_text_is_stable():
     b = run_paper_checks(trials=5_000, seed=11).to_text()
     assert a == b
     assert a.endswith("overall: PASS\n")
+
+
+def test_report_text_digest_is_pinned():
+    # byte-level pin of the whole battery report; any change to a number,
+    # a verdict or the rendering moves it
+    text = run_paper_checks(trials=20_000, seed=7).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "584f608a5154ffa82158ce7e9c65f210dc4c5e34dbae1b897a6ae061da680bed"
+    )
