@@ -8,12 +8,14 @@ so all representations are dense ``complex128`` arrays.
 Tolerances follow one convention throughout: structural validation at 1e-10,
 post-construction normalization at 1e-12.  Inputs that violate an invariant
 raise; nothing is silently renormalized except the explicit
-:meth:`StateVector.normalized` path.
+:meth:`StateVector.normalized` path.  The constant observables (:func:`pauli`,
+:func:`which_path`, :func:`bell_basis`) are shared immutable instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -35,7 +37,7 @@ def _as_complex_vector(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{what} must be a nonempty 1-d amplitude array")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite amplitudes")
     return arr
 
@@ -44,7 +46,7 @@ def _as_complex_matrix(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError(f"{what} must be a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
 
@@ -156,23 +158,26 @@ class SpectralObservable:
             raise ObservableError("need at least one (eigenvalue, projector) branch")
         if projs.ndim != 3 or projs.shape[0] != eigs.size or projs.shape[1] != projs.shape[2]:
             raise ObservableError(f"projector stack has shape {projs.shape}, expected (k, d, d)")
-        if not np.all(np.isfinite(eigs)) or not np.all(np.isfinite(projs.real)) or not np.all(
-            np.isfinite(projs.imag)
-        ):
+        if not np.isfinite(eigs).all() or not np.isfinite(projs).all():
             raise ObservableError("non-finite eigenvalue or projector entry")
-        dim = projs.shape[1]
-        for j, p in enumerate(projs):
-            if np.max(np.abs(p @ p - p)) > VALIDATE_TOL:
+        dim, branches = projs.shape[1], range(eigs.size)
+        # one batched max |P_j P_l - δ_jl P_j|: idempotence on the diagonal, orthogonality off it
+        products = projs[:, None] @ projs[None, :]
+        products.reshape(-1, dim, dim)[:: eigs.size + 1] -= projs
+        defective = (np.abs(products).max(axis=(2, 3)) > VALIDATE_TOL).tolist()
+        skewed = (np.abs(projs - projs.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > VALIDATE_TOL).tolist()
+        for j in branches:
+            if defective[j][j]:
                 raise ObservableError(f"branch {j}: projector is not idempotent")
-            if np.max(np.abs(p - p.conj().T)) > VALIDATE_TOL:
+            if skewed[j]:
                 raise ObservableError(f"branch {j}: projector is not Hermitian")
-        for j in range(len(eigs)):
-            for k in range(j + 1, len(eigs)):
-                if np.max(np.abs(projs[j] @ projs[k])) > VALIDATE_TOL:
+        for j in branches:
+            for k in range(j + 1, eigs.size):
+                if defective[j][k]:
                     raise ObservableError(f"branches {j} and {k}: projectors are not orthogonal")
                 if abs(eigs[j] - eigs[k]) <= VALIDATE_TOL:
                     raise ObservableError(f"branches {j} and {k}: eigenvalues coincide")
-        if np.max(np.abs(projs.sum(axis=0) - np.eye(dim))) > VALIDATE_TOL:
+        if np.abs(projs.sum(axis=0) - np.eye(dim)).max() > VALIDATE_TOL:
             raise ObservableError("projectors do not resolve the identity")
         object.__setattr__(self, "eigenvalues", _frozen(eigs))
         object.__setattr__(self, "projectors", _frozen(projs))
@@ -189,7 +194,7 @@ class SpectralObservable:
         for eig, proj in zip(self.eigenvalues, self.projectors):
             yield float(eig), proj
 
-    @property
+    @cached_property
     def operator(self) -> LinearOperator:
         """The Hermitian operator Σ a_j P_j."""
         return LinearOperator(np.einsum("j,jkl->kl", self.eigenvalues, self.projectors))
@@ -204,8 +209,9 @@ class SpectralObservable:
     def from_hermitian(cls, matrix, degeneracy_tol: float = DEGENERACY_TOL) -> "SpectralObservable":
         """Eigendecompose a Hermitian matrix, merging near-equal eigenvalues.
 
-        Eigenvalues within ``degeneracy_tol`` of each other are fused into one
-        degenerate branch so that conditional rules see whole eigenspaces.
+        Eigenvalues within ``degeneracy_tol`` of a branch's smallest one are fused
+        into that degenerate branch, so conditional rules see whole eigenspaces
+        and no branch spans more than ``degeneracy_tol``.
         """
         mat = _as_complex_matrix(matrix, "observable matrix")
         if np.max(np.abs(mat - mat.conj().T)) > VALIDATE_TOL:
@@ -213,7 +219,7 @@ class SpectralObservable:
         vals, vecs = np.linalg.eigh(mat)
         groups: list[list[int]] = [[0]]
         for i in range(1, vals.size):
-            if vals[i] - vals[groups[-1][-1]] <= degeneracy_tol:
+            if vals[i] - vals[groups[-1][0]] <= degeneracy_tol:
                 groups[-1].append(i)
             else:
                 groups.append([i])
@@ -300,13 +306,10 @@ def spin_observable(theta: float, phi: float = 0.0) -> SpectralObservable:
     return SpectralObservable.from_eigenbasis([1.0, -1.0], [up, down])
 
 
+@cache
 def pauli(axis: str) -> SpectralObservable:
-    """One of the Pauli observables 'x', 'y', 'z' as spectral branches."""
-    try:
-        mat = _PAULI[axis]
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}; expected one of x, y, z") from None
-    return SpectralObservable.from_hermitian(mat)
+    """One of the Pauli observables 'x', 'y', 'z' as spectral branches (shared)."""
+    return SpectralObservable.from_hermitian(pauli_operator(axis).matrix)
 
 
 def pauli_operator(axis: str) -> LinearOperator:
@@ -322,20 +325,17 @@ def state_projector_observable(psi: StateVector) -> SpectralObservable:
     return SpectralObservable(np.array([1.0, 0.0]), np.array([p, np.eye(psi.dim) - p]))
 
 
+@cache
 def bell_basis() -> SpectralObservable:
-    """The four Bell states of two qubits as rank-1 branches, eigenvalues 1..4."""
+    """The four Bell states of two qubits as rank-1 branches, eigenvalues 1..4 (shared)."""
     s = 1 / np.sqrt(2)
-    vectors = [
-        StateVector(s * np.array([1, 0, 0, 1], dtype=complex)),
-        StateVector(s * np.array([1, 0, 0, -1], dtype=complex)),
-        StateVector(s * np.array([0, 1, 1, 0], dtype=complex)),
-        StateVector(s * np.array([0, 1, -1, 0], dtype=complex)),
-    ]
+    rows = ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0])
+    vectors = [StateVector(s * np.array(row, dtype=complex)) for row in rows]
     return SpectralObservable.from_eigenbasis([1.0, 2.0, 3.0, 4.0], vectors)
 
 
 def which_path() -> SpectralObservable:
-    """Path observable on a 2-mode space: +1 for port u (index 0), -1 for port d."""
+    """Path observable on a 2-mode space: +1 for port u (index 0), -1 for port d (shared)."""
     return pauli("z")
 
 
@@ -345,12 +345,8 @@ def detector_basis(unitary: Unitary) -> SpectralObservable:
     Branch k (eigenvalue k+1) projects onto U†|k⟩⟨k|U: the states that will
     reach detector k after the network ``unitary`` is applied.
     """
-    dim = unitary.dim
-    projs = []
-    for k in range(dim):
-        col = unitary.matrix.conj().T[:, k]
-        projs.append(np.outer(col, col.conj()))
-    return SpectralObservable(np.arange(1, dim + 1, dtype=float), np.array(projs))
+    projs = [np.outer(col, col.conj()) for col in unitary.matrix.conj()]  # columns of U†
+    return SpectralObservable(np.arange(1, unitary.dim + 1, dtype=float), np.array(projs))
 
 
 def beamsplitter(angle: float = np.pi / 4) -> Unitary:

@@ -43,6 +43,7 @@ from .montecarlo import (
     MeasureStage,
     chunk_rng,
     compare_to_abl,
+    derive_seed,
     interpretation_b_experiment,
     simulate,
 )
@@ -87,13 +88,9 @@ def _random_state(rng: np.random.Generator, dim: int) -> StateVector:
     return StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
 
 
-def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (m + m.conj().T) / 2
-
-
 def _random_observable(rng: np.random.Generator, dim: int) -> SpectralObservable:
-    return SpectralObservable.from_hermitian(_random_hermitian(rng, dim))
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return SpectralObservable.from_hermitian((m + m.conj().T) / 2)
 
 
 def check_spin_chain_recombination(seed: int, samples: int = 200) -> CheckResult:
@@ -411,7 +408,7 @@ def check_pointer_strong(seed: int, samples: int = 10_000, z: float = 4.0) -> Ch
     coupling = CouplingSpec(10.0, obs)
     pointer = make_gaussian_pointer()
     positions, probs = post_selected_pointer(couple(pre, pointer, coupling), post)
-    rng = _seed_stream(seed + 1)
+    rng = _seed_stream(derive_seed(seed, 1))
     cum = np.cumsum(probs)
     cum[-1] = 1.0
     idx = np.searchsorted(cum, rng.random(samples), side="right")
@@ -463,7 +460,7 @@ def check_builtin_scenarios(seed: int, trials: int, z: float = 4.0) -> CheckResu
     names = builtin_names()
     for i, name in enumerate(names):
         try:
-            report = run_scenario(builtin(name), mode="both", trials=trials, seed=seed + 100 + i, z=z)
+            report = run_scenario(builtin(name), mode="both", trials=trials, seed=derive_seed(seed, 100 + i), z=z)
         except InsufficientAcceptedTrialsError:
             starved.append(name)
             continue
@@ -530,16 +527,16 @@ def run_paper_checks(trials: int = 100_000, seed: int = 7, z: float = 4.0) -> Ch
     """Run the whole battery with one master seed; deterministic output."""
     results = (
         check_spin_chain_recombination(seed),
-        check_recombination_random(seed + 1),
+        check_recombination_random(derive_seed(seed, 1)),
         check_recombination_interferometer(),
-        check_conditional_counterexample(seed + 2, trials, z),
-        check_swap_symmetry(seed + 3),
-        check_certain_outcome_weak_value(seed + 4),
+        check_conditional_counterexample(derive_seed(seed, 2), trials, z),
+        check_swap_symmetry(derive_seed(seed, 3)),
+        check_certain_outcome_weak_value(derive_seed(seed, 4)),
         check_product_rule_failure(),
-        check_oracle_agreement(seed + 5, trials, z=z),
-        check_erasure_retrodiction(seed + 6, trials, z=z),
-        check_pointer_strong(seed + 7, z=z),
+        check_oracle_agreement(derive_seed(seed, 5), trials, z=z),
+        check_erasure_retrodiction(derive_seed(seed, 6), trials, z=z),
+        check_pointer_strong(derive_seed(seed, 7), z=z),
         check_pointer_weak_convergence(),
-        check_builtin_scenarios(seed + 8, trials, z=z),
+        check_builtin_scenarios(derive_seed(seed, 8), trials, z=z),
     )
     return ChecksReport(trials=trials, seed=seed, z=z, results=results)

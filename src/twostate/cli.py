@@ -27,7 +27,6 @@ from .checks import run_paper_checks
 from .errors import (
     AllRejectedError,
     InsufficientAcceptedTrialsError,
-    ScenarioFormatError,
     TwoStateError,
     ZeroDenominatorError,
     ZeroOverlapError,
@@ -398,19 +397,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.z <= 0:
             raise CliError("--z must be positive")
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ScenarioFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ZeroDenominatorError, ZeroOverlapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
     except (AllRejectedError, InsufficientAcceptedTrialsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except (TwoStateError, ValueError) as exc:
+    except (CliError, TwoStateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

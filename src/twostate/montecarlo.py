@@ -12,8 +12,9 @@ Trials are partitioned into fixed chunks of 4096.  Chunk ``k`` of a run with
 seed ``s``, 0 ≤ s < 2**64, draws from
 ``numpy.random.Generator(Philox(key=[s, k]))`` (Philox is counter-based with a
 128-bit key, so substreams are independent by construction); other seeds are
-rejected rather than reduced.  Within a chunk, one uniform array is consumed
-per measurement stage and one for the final measurement, in timeline order.
+rejected rather than reduced.  A sub-run's seed, ``derive_seed(s, offset)``, is
+``s + offset`` mod 2**64.  Within a chunk, one uniform array is consumed per
+measurement stage and one for the final measurement, in timeline order.
 Tallies are plain integer sums, so the result for a given ``(seed, trials)``
 pair is identical no matter how chunks are scheduled.  Golden tests pin the
 derivation and complete tallies of fixed runs.
@@ -52,6 +53,7 @@ from .errors import (
     AllRejectedError,
     DimensionMismatchError,
     InsufficientAcceptedTrialsError,
+    TwoStateError,
 )
 from .rules import OutcomeDistribution, TwoStateVector, abl_probabilities, born_probabilities
 
@@ -80,6 +82,11 @@ class MeasureStage:
 
 
 Stage = Union[UnitaryStage, MeasureStage]
+
+
+def derive_seed(seed: int, offset: int) -> int:
+    """The seed of a sub-run: ``seed + offset`` reduced mod 2**64."""
+    return (seed + offset) % 2**64
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -439,20 +446,23 @@ def interpretation_b_experiment(theta: float, trials: int, seed: int) -> Interpr
     accepted, and the unconditioned single-measurement prediction for a
     hypothetical probe is cos²(θ/2).  Ensemble (ii): the probe measurement is
     actually performed; its conditional frequency follows the conditional
-    rule, not the unconditioned one.  Sub-ensembles use seed and seed+1.
+    rule, not the unconditioned one.  Sub-ensembles use seed and
+    ``derive_seed(seed, 1)``.
     """
     up_z = StateVector(np.array([1.0, 0.0], dtype=complex))
     probe = spin_observable(theta)
     post = (pauli("z"), 1.0)
 
     baseline = simulate(up_z, [], post, trials, seed)
-    assert baseline.accepted == baseline.trials
+    if baseline.accepted != baseline.trials:
+        raise TwoStateError(f"pre = post, no stage: accepted {baseline.accepted} of {trials} trials")
     born = born_probabilities(up_z, probe).probability(1.0)
 
-    stats = simulate(up_z, [MeasureStage(probe, "probe")], post, trials, seed + 1)
+    stats = simulate(up_z, [MeasureStage(probe, "probe")], post, trials, derive_seed(seed, 1))
     abl = abl_probabilities(TwoStateVector(up_z, up_z), probe).probability(1.0)
     stat = stats.conditional("probe")[0]
-    assert abs(stat.eigenvalue - 1.0) <= 1e-12
+    if abs(stat.eigenvalue - 1.0) > 1e-12:
+        raise TwoStateError(f"probe's first outcome is {stat.eigenvalue!r}, expected +1")
     se = stat.std_error
 
     def z_against(target: float) -> float:
@@ -503,7 +513,7 @@ def symmetry_experiment(
         psi, [MeasureStage(probe, "probe"), MeasureStage(middle, "middle")], post, trials, seed
     ).conditional("probe")
     late = simulate(
-        psi, [MeasureStage(middle, "middle"), MeasureStage(probe, "probe")], post, trials, seed + 1
+        psi, [MeasureStage(middle, "middle"), MeasureStage(probe, "probe")], post, trials, derive_seed(seed, 1)
     ).conditional("probe")
     max_z = 0.0
     for a, b in zip(early, late):

@@ -66,12 +66,12 @@ class OutcomeDistribution:
     probabilities: tuple[float, ...]
 
     def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=float)
-        if probs.min() < -PROBABILITY_SLACK or probs.max() > 1 + PROBABILITY_SLACK:
-            raise ValueError(f"probability outside [0,1] beyond float noise: {probs}")
-        if abs(probs.sum() - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-        clipped = tuple(float(p) for p in np.clip(probs, 0.0, 1.0))
+        probs = [float(p) for p in self.probabilities]
+        if not all(-PROBABILITY_SLACK <= p <= 1 + PROBABILITY_SLACK for p in probs):
+            raise ValueError(f"probability outside [0,1] beyond float noise: {np.array(probs)}")
+        if abs(sum(probs) - 1.0) > 1e-10:
+            raise ValueError(f"probabilities sum to {sum(probs)!r}, not 1")
+        clipped = tuple(min(max(p, 0.0), 1.0) for p in probs)  # keeps -0.0, as np.clip does
         object.__setattr__(self, "eigenvalues", tuple(float(e) for e in self.eigenvalues))
         object.__setattr__(self, "probabilities", clipped)
 
@@ -158,8 +158,8 @@ def elements_of_reality(
         except ZeroDenominatorError as exc:
             entries.append(RealityEntry(label, None, None, False, error=str(exc)))
             continue
-        idx = int(np.argmax(dist.probabilities))
-        prob = dist.probabilities[idx]
+        prob = max(dist.probabilities)
+        idx = dist.probabilities.index(prob)  # first maximum, as np.argmax
         entries.append(
             RealityEntry(label, dist.eigenvalues[idx], prob, certain=prob >= 1 - tol)
         )

@@ -17,7 +17,7 @@ Document format (JSON object)::
         {"unitary": [[amp, ...], ...]},
         {"measure": {"observable": <obs>, "label": str}},
         {"weak_measure": {"operator": <obs> | {"matrix": [[amp,...],...]},
-                          "strength": float, "label": str}}
+                          "strength": float > 0, "label": str}}
       ],
       "post": {"observable": <obs>, "select": eigenvalue},
       "params": {str: float},      # optional
@@ -80,6 +80,7 @@ from .montecarlo import (
     OutcomeStat,
     UnitaryStage,
     compare_to_abl,
+    derive_seed,
     simulate,
 )
 from .rules import (
@@ -139,6 +140,8 @@ class ScenarioSpec:
                 raise ScenarioFormatError(
                     f"timeline[{i}]: dimension {entry.dim} != dim {self.dim}"
                 )
+            if isinstance(entry, WeakStage) and not (entry.strength > 0 and np.isfinite(entry.strength)):
+                raise ScenarioFormatError(f"timeline[{i}].weak_measure.strength: expected a finite number > 0")
         if self.post_observable.dim != self.dim:
             raise ScenarioFormatError(
                 f"post.observable: dimension {self.post_observable.dim} != dim {self.dim}"
@@ -846,7 +849,7 @@ def _validate_weak(stage: WeakStage, tsv: TwoStateVector, value: complex) -> Wea
         # pointer validation is only meaningful for Hermitian couplings
         return WeakValueReport(stage.label, stage.strength, value)
     obs = SpectralObservable.from_hermitian(stage.operator.matrix)
-    lam = min(stage.strength if stage.strength > 0 else 0.05, 0.1, 0.05 / max(1.0, abs(value)))
+    lam = min(stage.strength, 0.1, 0.05 / max(1.0, abs(value)))
     pointer = pointer_model.make_gaussian_pointer()
     shifts = []
     for li in (lam, lam / 2):
@@ -944,7 +947,7 @@ def run_scenario(
                 mc_stages + [MeasureStage(obs, label)],
                 (spec.post_observable, spec.post_select),
                 trials,
-                seed + 1 + j,
+                derive_seed(seed, 1 + j),
             )
             cond = alt_stats.conditional(label)
             analytic = zs = None

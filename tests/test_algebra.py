@@ -23,6 +23,7 @@ from twostate.algebra import (
     spin_state,
     state_projector_observable,
     tensor,
+    which_path,
 )
 from twostate.errors import DimensionMismatchError, NormalizationError, ObservableError
 
@@ -203,6 +204,14 @@ class TestSpectralObservable:
         ranks = sorted(round(np.trace(p).real) for p in obs.projectors)
         assert ranks == [1, 2]
 
+    def test_from_hermitian_does_not_chain_degeneracies(self):
+        # each step is within the 1e-8 tolerance of the last, but the whole
+        # staircase spans 1.8e-8: branches are anchored at their first eigenvalue
+        obs = SpectralObservable.from_hermitian(np.diag([0.0, 0.6e-8, 1.2e-8, 1.8e-8]))
+        assert obs.num_branches == 2
+        assert [round(np.trace(p).real) for p in obs.projectors] == [2, 2]
+        np.testing.assert_allclose(obs.eigenvalues, [0.3e-8, 1.5e-8], rtol=1e-12)
+
     def test_operator_reconstruction(self):
         rng = np.random.default_rng(4)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -230,6 +239,110 @@ class TestSpectralObservable:
         np.testing.assert_array_equal(obs.projectors[0], np.eye(3))
 
 
+def reference_validate(eigenvalues, projectors) -> None:
+    """The per-branch / per-pair validation loop that the batched check replaced."""
+    eigs = np.asarray(eigenvalues, dtype=float)
+    projs = np.asarray(projectors, dtype=complex)
+    if eigs.ndim != 1 or eigs.size == 0:
+        raise ObservableError("need at least one (eigenvalue, projector) branch")
+    if projs.ndim != 3 or projs.shape[0] != eigs.size or projs.shape[1] != projs.shape[2]:
+        raise ObservableError(f"projector stack has shape {projs.shape}, expected (k, d, d)")
+    if not np.all(np.isfinite(eigs)) or not np.all(np.isfinite(projs.real)) or not np.all(
+        np.isfinite(projs.imag)
+    ):
+        raise ObservableError("non-finite eigenvalue or projector entry")
+    dim = projs.shape[1]
+    for j, p in enumerate(projs):
+        if np.max(np.abs(p @ p - p)) > 1e-10:
+            raise ObservableError(f"branch {j}: projector is not idempotent")
+        if np.max(np.abs(p - p.conj().T)) > 1e-10:
+            raise ObservableError(f"branch {j}: projector is not Hermitian")
+    for j in range(len(eigs)):
+        for k in range(j + 1, len(eigs)):
+            if np.max(np.abs(projs[j] @ projs[k])) > 1e-10:
+                raise ObservableError(f"branches {j} and {k}: projectors are not orthogonal")
+            if abs(eigs[j] - eigs[k]) <= 1e-10:
+                raise ObservableError(f"branches {j} and {k}: eigenvalues coincide")
+    if np.max(np.abs(projs.sum(axis=0) - np.eye(dim))) > 1e-10:
+        raise ObservableError("projectors do not resolve the identity")
+
+
+DEFECTS = ("none", "scale", "skew", "tilt", "coincide", "drop", "duplicate", "non-finite", "noise")
+
+
+@st.composite
+def projector_stacks(draw):
+    """A valid (eigenvalues, projectors) stack, optionally broken in one way.
+
+    Perturbation sizes straddle the 1e-10 tolerance, so both sides of every
+    threshold are drawn.
+    """
+    dim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, dim))
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=k - 1, replace=False)) if k > 1 else []
+    cols = np.split(random_unitary(rng, dim).matrix, cuts, axis=1)
+    projs = np.array([c @ c.conj().T for c in cols])
+    eigs = rng.normal(size=k)
+    defect = draw(st.sampled_from(DEFECTS))
+    eps = draw(st.sampled_from([1e-13, 3e-11, 1e-10, 3e-10, 1e-6, 0.3]))
+    j, l = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    if defect == "scale":  # breaks idempotence, then resolution
+        projs[j] *= 1 + eps
+    elif defect == "skew":  # breaks Hermiticity
+        a, b = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        projs[j, a, b] += eps * 1j if a == b else eps
+    elif defect == "tilt":  # still a projector, no longer orthogonal to the others
+        v = cols[j][:, 0] + eps * rng.normal(size=dim)
+        v = v / np.linalg.norm(v)
+        projs[j] += np.outer(v, v.conj()) - np.outer(cols[j][:, 0], cols[j][:, 0].conj())
+    elif defect == "coincide" and j != l:  # from 0, so 1e-10 is an exact difference
+        eigs[j], eigs[l] = 0.0, draw(st.sampled_from([0.0, 1e-11, 1e-10, 2e-10]))
+    elif defect == "drop" and k > 1:
+        eigs, projs = np.delete(eigs, j), np.delete(projs, j, axis=0)
+    elif defect == "duplicate":
+        eigs, projs = np.append(eigs, eigs[j] + 1.0), np.concatenate([projs, projs[j:j + 1]])
+    elif defect == "non-finite":
+        projs[j, 0, 0] = draw(st.sampled_from([np.nan, np.inf, complex(0, np.inf)]))
+    elif defect == "noise":  # a generic matrix stack, invalid in several ways at once
+        projs = projs + eps * (rng.normal(size=projs.shape) + 1j * rng.normal(size=projs.shape))
+    return eigs, projs
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestBatchedValidation:
+    @given(stack=projector_stacks())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_loop(self, stack):
+        eigs, projs = stack
+        assert _outcome(SpectralObservable, eigs, projs) == _outcome(reference_validate, eigs, projs)
+
+    def test_each_message_in_order(self):
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        oblique = np.array([[1.0, 0.5], [0.0, 0.0]])  # idempotent, not Hermitian
+        cases = [
+            ([1.0, -1.0], [p0, p1], None),
+            ([1.0], [p0, p1], "projector stack has shape (2, 2, 2), expected (k, d, d)"),
+            ([np.nan, -1.0], [p0, p1], "non-finite eigenvalue or projector entry"),
+            ([1.0, -1.0], [p0, 1.5 * p1], "branch 1: projector is not idempotent"),
+            ([1.0, -1.0], [oblique, np.eye(2) - oblique], "branch 0: projector is not Hermitian"),
+            ([1.0, -1.0], [p0, p0], "branches 0 and 1: projectors are not orthogonal"),
+            ([0.0, 1e-10], [p0, p1], "branches 0 and 1: eigenvalues coincide"),
+            ([1.0], [p0], "projectors do not resolve the identity"),
+        ]
+        for eigs, projs, message in cases:
+            expected = None if message is None else (ObservableError, message)
+            assert _outcome(SpectralObservable, np.array(eigs), np.array(projs)) == expected
+            assert _outcome(reference_validate, np.array(eigs), np.array(projs)) == expected
+
+
 class TestUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(NormalizationError):
@@ -250,6 +363,19 @@ class TestNamedConstructors:
         obs = bell_basis()
         assert obs.dim == 4 and obs.num_branches == 4
         assert all(round(np.trace(p).real) == 1 for p in obs.projectors)
+
+    def test_constants_are_shared_read_only_instances(self):
+        assert pauli("x") is pauli("x")
+        assert which_path() is pauli("z")
+        assert bell_basis() is bell_basis()
+        for obs in (pauli("x"), pauli("y"), pauli("z"), bell_basis()):
+            assert obs.operator is obs.operator
+            for arr in (obs.eigenvalues, obs.projectors, obs.operator.matrix):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 0
+        with pytest.raises(ValueError, match="unknown Pauli axis 'w'"):
+            pauli("w")
 
     def test_state_projector_observable(self):
         psi = spin_state(0.8, 0.3)

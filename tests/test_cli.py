@@ -146,6 +146,26 @@ class TestScenario:
         assert code == 2
         assert "counterfactuals" in err
 
+    def test_top_seed_derives_wrapped_sub_seeds(self, capsys):
+        # the counterfactual oracle runs use seed + 1 + j, reduced mod 2**64
+        code, out, _ = run(
+            capsys, "scenario", "--builtin", "reality-pair", "--trials", "2000",
+            "--seed", str(2**64 - 1),
+        )
+        assert code == 0
+        assert "verdict: pass" in out
+
+    @pytest.mark.parametrize("strength", [0, -0.1, float("nan")])
+    def test_bad_weak_strength_exit_code(self, capsys, tmp_path, strength):
+        doc = dict(MZ_DOC, timeline=[
+            {"weak_measure": {"operator": {"pauli": "z"}, "strength": strength, "label": "wz"}}
+        ])
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "scenario", "--file", str(path))
+        assert code == 2
+        assert "timeline[0].weak_measure.strength" in err
+
     def test_unknown_builtin_lists_catalog(self, capsys):
         code, _, err = run(capsys, "scenario", "--builtin", "nope")
         assert code == 2
@@ -183,6 +203,14 @@ class TestPaperChecks:
         capsys.readouterr()
         assert code1 == code2 == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_top_seed_derives_wrapped_sub_seeds(self, capsys):
+        # rows use seed + 1 ... seed + 8 and deeper offsets, reduced mod 2**64
+        code, out, _ = run(
+            capsys, "paper-checks", "--trials", "2000", "--seed", str(2**64 - 1)
+        )
+        assert code == 0
+        assert out.endswith("overall: PASS\n")
 
     def test_json_format(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,6 @@
 """Monte-Carlo oracle: determinism, collapse sampling, agreement tests."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -20,15 +21,18 @@ from twostate.algebra import (
     state_projector_observable,
     tensor,
 )
+from twostate import montecarlo
 from twostate.errors import (
     AllRejectedError,
     InsufficientAcceptedTrialsError,
+    TwoStateError,
 )
 from twostate.montecarlo import (
     MeasureStage,
     UnitaryStage,
     chunk_rng,
     compare_to_abl,
+    derive_seed,
     interpretation_b_experiment,
     simulate,
     symmetry_experiment,
@@ -115,6 +119,11 @@ class TestRngDerivation:
         with pytest.raises(ValueError):
             chunk_rng(2**64, 0)
         assert np.array_equal(chunk_rng(2**64 - 1, 0).random(4), chunk_rng(2**64 - 1, 0).random(4))
+
+    def test_sub_seeds_wrap_at_64_bits(self):
+        assert derive_seed(7, 100) == 107  # below 2**64 a sub-seed is the plain sum
+        assert derive_seed(2**64 - 1, 1) == 0
+        assert derive_seed(2**64 - 1, 108) == 107
 
 
 class TestSimulate:
@@ -284,6 +293,30 @@ class TestInterpretationB:
         assert report.born_value == pytest.approx(0.0, abs=1e-12)
         assert report.abl_value == pytest.approx(0.0, abs=1e-12)
         assert report.frequency == 0.0
+
+
+    @staticmethod
+    def _patch_simulate(monkeypatch, edit):
+        real = montecarlo.simulate
+        monkeypatch.setattr(montecarlo, "simulate", lambda *args, **kwargs: edit(real(*args, **kwargs)))
+
+    def test_rejected_baseline_trial_raises(self, monkeypatch):
+        # with pre = post and no stage every trial is accepted; a tally that
+        # says otherwise must raise, not pass silently (asserts vanish under -O)
+        self._patch_simulate(monkeypatch, lambda stats: dataclasses.replace(stats, accepted=stats.accepted - 1))
+        with pytest.raises(TwoStateError, match="accepted 1999 of 2000 trials"):
+            interpretation_b_experiment(np.pi / 3, 2000, 22)
+
+    def test_misordered_probe_outcomes_raise(self, monkeypatch):
+        def reverse_probe(stats):
+            stages = tuple(
+                dataclasses.replace(st, eigenvalues=st.eigenvalues[::-1]) for st in stats.stages
+            )
+            return dataclasses.replace(stats, stages=stages)
+
+        self._patch_simulate(monkeypatch, reverse_probe)
+        with pytest.raises(TwoStateError, match="probe's first outcome is -1.0"):
+            interpretation_b_experiment(np.pi / 3, 2000, 22)
 
 
 class TestSymmetryExperiment:

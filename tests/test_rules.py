@@ -340,3 +340,13 @@ class TestOutcomeDistribution:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
             OutcomeDistribution((1.0, -1.0), (0.6, 0.5))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="beyond float noise"):
+            OutcomeDistribution((1.0, -1.0), (float("nan"), 1.0))
+
+    def test_clip_matches_numpy_bit_for_bit(self):
+        for probs in [(1.0, -0.0), (-0.0, 1.0), (1.0 + 5e-13, -5e-13), (0.25, 0.75), (0.0, 0.5, 0.5)]:
+            clipped = OutcomeDistribution(tuple(range(len(probs))), probs).probabilities
+            expected = np.clip(np.array(probs), 0.0, 1.0)
+            assert [(p, np.signbit(p)) for p in clipped] == [(p, np.signbit(p)) for p in expected]

@@ -1,6 +1,7 @@
 """Scenario schema, builtin catalog, and the analytic/oracle runner."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -159,6 +160,19 @@ class TestLoader:
         )
         spec = load_scenario(doc)
         assert isinstance(spec.timeline[0], WeakStage)
+
+    @pytest.mark.parametrize("strength", [0, -0.1, float("nan")])
+    def test_non_positive_or_nan_strength_rejected(self, strength):
+        doc = dict(
+            MINIMAL,
+            timeline=[
+                {"unitary": [[1, 0], [0, 1]]},
+                {"weak_measure": {"operator": {"pauli": "z"}, "strength": strength, "label": "wz"}},
+            ],
+        )
+        text = json.dumps(doc)  # a NaN strength travels as the JSON token NaN
+        with pytest.raises(ScenarioFormatError, match=r"timeline\[1\]\.weak_measure\.strength"):
+            load_scenario(text)
 
     def test_round_trip_builtin(self):
         for name in builtin_names():
