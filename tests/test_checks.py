@@ -1,6 +1,7 @@
 """Validation battery: statuses, low-power degradation, determinism."""
 
 import hashlib
+import json
 
 from twostate.checks import (
     check_builtin_scenarios,
@@ -54,4 +55,12 @@ def test_report_text_digest_is_pinned():
     text = run_paper_checks(trials=20_000, seed=7).to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "584f608a5154ffa82158ce7e9c65f210dc4c5e34dbae1b897a6ae061da680bed"
+    )
+
+
+def test_report_json_digest_is_pinned():
+    # the same pin for the structured report that --format json prints
+    doc = run_paper_checks(trials=20_000, seed=7).to_dict()
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
+        "6db2d69ecf7bca3b87fdfd839b741934a52ffab4dd6dafa0909471661fc5c4a2"
     )

@@ -1,6 +1,7 @@
 """Scenario schema, builtin catalog, and the analytic/oracle runner."""
 
 import copy
+import hashlib
 import json
 
 import numpy as np
@@ -459,3 +460,62 @@ class TestRunScenario:
                 post_observable=pauli("z"),
                 post_select=1.0,
             )
+
+
+def _type_skeleton(value):
+    """The Python type of every node, so a digest also pins list vs tuple
+    and float vs numpy scalar."""
+    if isinstance(value, dict):
+        return {k: _type_skeleton(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [type(value).__name__, [_type_skeleton(v) for v in value]]
+    return type(value).__name__
+
+
+def _report_digest(reports) -> str:
+    payload = []
+    for report in reports:
+        doc, rows = report.to_dict(), report.csv_rows()
+        payload += [doc, _type_skeleton(doc), rows, _type_skeleton(rows)]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+class TestReportDigests:
+    """Byte-level pins of ``to_dict`` and ``csv_rows``, values and types;
+    any change to a number, a field or a container type moves them."""
+
+    PINNED = {
+        "spin-zz-xi": "a03365f27fd1b505b494c82826767d9d7eb3517e6a68678cf478e3f769005534",
+        "sharp-shanks": "723027ac948679ad31dd80179868d0a5db1daad20e6f0fac9c96effe92ecc81c",
+        "mach-zehnder": "5e851e187292dea71b0272367b257f3ad83848cb6ea203737bf6ae28e98de238",
+        "tandem-mz": "613c36eadcdda1ceb00703cefe1617186960f8e2b993ea10294673be7c0ebb91",
+        "erasure": "9a478e1cd5bf0dc5a4a30fbcef5cad62996be726200083f074344d657a5a1067",
+        "reality-pair": "0cf117d0c726d6e452663ebbe6b353b892967c0858f7e9bee2d83da901838ce8",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_builtin_in_every_mode(self, name):
+        reports = [
+            run_scenario(builtin(name), mode=mode, trials=20_000, seed=3)
+            for mode in ("analytic", "oracle", "both")
+        ]
+        assert _report_digest(reports) == self.PINNED[name]
+
+    def test_weak_stage(self):
+        spec = ScenarioSpec(
+            name="weak-probe",
+            dim=2,
+            pre=spin_state(2 * np.pi / 3, 0.4),
+            timeline=(
+                UnitaryStage(Unitary(pauli("x").operator.matrix)),
+                WeakStage(pauli("y").operator, 0.05, "wy"),
+            ),
+            post_observable=pauli("x"),
+            post_select=1.0,
+            counterfactuals=(("sz", pauli("z")),),
+            products=(("sz*sy", pauli("z").operator, pauli("y").operator),),
+        )
+        reports = [run_scenario(spec, mode=mode, trials=5_000, seed=3) for mode in ("analytic", "both")]
+        assert _report_digest(reports) == (
+            "65b17c9112681a278f65c77f1a617fe63ea9f034d185ffc35fd50bec9d2a68e8"
+        )
