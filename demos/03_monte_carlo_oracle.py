@@ -13,16 +13,18 @@ import numpy as np
 
 from twostate import (
     MeasureStage,
+    ScenarioSpec,
     TwoStateVector,
     abl_probabilities,
+    born_probabilities,
     builtin,
     compare_to_abl,
-    interpretation_b_experiment,
     pauli,
+    run_scenario,
     simulate,
     spin_observable,
     spin_state,
-    symmetry_experiment,
+    state_projector_observable,
 )
 
 up_z = spin_state(0)
@@ -48,15 +50,18 @@ print()
 print("=" * 70)
 print("2. The two regimes of the tilted-probe experiment, side by side")
 print("=" * 70)
-report = interpretation_b_experiment(np.pi / 3, TRIALS, seed=13)
+spec = builtin("spin-zz-xi", theta=np.pi / 3)
+born = born_probabilities(spec.pre, spec.timeline[0].observable).probability(1.0)
+probe = run_scenario(spec, trials=TRIALS, seed=14).stages[0]
+up = probe.eigenvalues.index(1.0)
 print("Nothing measured in between -> the unconditioned prediction applies:")
-print(f"   hypothetical probe would show up with p = {report.born_value:.6f}")
-print("Probe actually measured -> the conditional rule applies:")
-print(f"   sampled frequency {report.frequency:.5f} ± {report.std_error:.5f}")
-print(f"   conditional prediction {report.abl_value:.6f} "
-      f"(|z| = {abs(report.z_vs_abl):.2f})")
-print(f"   distance from the unconditioned 0.75: {abs(report.z_vs_born):.0f} "
-      "standard errors")
+print(f"   hypothetical probe would show up with p = {born:.6f}")
+print("Probe actually measured (builtin spin-zz-xi) -> the conditional rule applies:")
+print(f"   sampled frequency {probe.frequencies[up]:.5f} ± {probe.std_errors[up]:.5f}")
+print(f"   conditional prediction {probe.analytic[up]:.6f} "
+      f"(|z| = {abs(probe.z_scores[up]):.2f})")
+print(f"   distance from the unconditioned 0.75: "
+      f"{abs(probe.frequencies[up] - born) / probe.std_errors[up]:.0f} standard errors")
 
 print()
 print("=" * 70)
@@ -64,13 +69,27 @@ print("3. Probing before vs after an intermediate measurement")
 print("=" * 70)
 print("With identical preparation and post-selection (both up-z), a probe of")
 print("sy before an sx measurement behaves exactly like a probe after it:")
-sym = symmetry_experiment(up_z, pauli("x"), pauli("y"), trials=TRIALS, seed=17)
-for early, late in zip(sym.early, sym.late):
-    print(
-        f"   sy = {early.eigenvalue:+.0f}: before {early.frequency:.5f} ± "
-        f"{early.std_error:.5f}, after {late.frequency:.5f} ± {late.std_error:.5f}"
+sy, sx = MeasureStage(pauli("y"), "probe"), MeasureStage(pauli("x"), "middle")
+probes = []
+for when, timeline, seed in (("before", (sy, sx), 17), ("after", (sx, sy), 18)):
+    spec = ScenarioSpec(
+        name=f"probe-{when}", dim=2, pre=up_z, timeline=timeline,
+        post_observable=state_projector_observable(up_z), post_select=1.0,
     )
-print(f"   largest discrepancy: {sym.max_z:.2f} combined standard errors")
+    report = run_scenario(spec, trials=TRIALS, seed=seed)
+    probes.append(next(st for st in report.stages if st.label == "probe"))
+    cells = ", ".join(
+        f"sy={e:+.0f}: {f:.5f}±{se:.5f} (analytic {p:.2f})"
+        for e, f, se, p in zip(probes[-1].eigenvalues, probes[-1].frequencies,
+                               probes[-1].std_errors, probes[-1].analytic)
+    )
+    print(f"   {when:>6} sx:  {cells}; verdict {'pass' if report.passed else 'FAIL'}")
+early, late = probes
+gap = max(
+    abs(fe - fl) / np.hypot(se, sl)
+    for fe, fl, se, sl in zip(early.frequencies, late.frequencies, early.std_errors, late.std_errors)
+)
+print(f"   largest discrepancy: {gap:.2f} combined standard errors")
 
 print()
 print("=" * 70)

@@ -46,9 +46,7 @@ from .montecarlo import (
     MeasureStage,
     UnitaryStage,
     compare_to_abl,
-    interpretation_b_experiment,
     simulate,
-    symmetry_experiment,
 )
 from .pointer import (
     CouplingSpec,

@@ -44,17 +44,17 @@ from .montecarlo import (
     chunk_rng,
     compare_to_abl,
     derive_seed,
-    interpretation_b_experiment,
     simulate,
 )
 from .pointer import CouplingSpec, make_gaussian_pointer, post_selected_mean_shift, couple, post_selected_pointer
 from .rules import (
     TwoStateVector,
     abl_probabilities,
+    born_probabilities,
     total_probability_check,
     weak_value,
 )
-from .scenarios import builtin, builtin_names, run_scenario
+from .scenarios import _record, builtin, builtin_names, run_scenario
 
 SEED_STREAM_CHUNK = 2**48  # far above any simulate() chunk index
 
@@ -177,18 +177,37 @@ def check_recombination_interferometer() -> CheckResult:
 
 
 def check_conditional_counterexample(seed: int, trials: int, z: float = 4.0) -> CheckResult:
-    """Conditioning on the later outcome changes the prediction: 0.9 vs 0.75."""
-    report = interpretation_b_experiment(np.pi / 3, trials, seed)
-    exact_ok = abs(report.born_value - 0.75) <= 1e-12 and abs(report.abl_value - 0.9) <= 1e-12
-    agree_ok = abs(report.z_vs_abl) <= z
-    separated = abs(report.z_vs_born) >= 50
-    summary = (
-        f"unconditioned {_fmt(report.born_value)} vs conditional {_fmt(report.abl_value)}; "
-        f"sampled {report.frequency:.6f}±{report.std_error:.6f} "
-        f"({report.accepted} accepted), |z| vs conditional {abs(report.z_vs_abl):.2f}, "
-        f"vs unconditioned {abs(report.z_vs_born):.1f}"
+    """Conditioning on the later outcome changes the prediction: 0.9 vs 0.75.
+
+    Runs the ``spin-zz-xi`` scenario at θ = π/3 with seed
+    ``derive_seed(seed, 1)`` and reads the probe's +1 row by eigenvalue.
+    """
+    spec = builtin("spin-zz-xi", theta=np.pi / 3)
+    probe = spec.timeline[0].observable
+    born = born_probabilities(spec.pre, probe).probability(1.0)
+    abl = abl_probabilities(TwoStateVector(spec.pre, spec.pre), probe).probability(1.0)
+    stats = simulate(
+        spec.pre, spec.timeline, (spec.post_observable, spec.post_select), trials, derive_seed(seed, 1)
     )
-    if exact_ok and agree_ok and not separated and report.accepted < 20_000:
+    stat = next(s for s in stats.conditional("probe") if abs(s.eigenvalue - 1.0) <= 1e-12)
+    se = stat.std_error
+
+    def z_against(target: float) -> float:
+        if se == 0.0:
+            return 0.0 if abs(stat.frequency - target) <= 1e-12 else float("inf")
+        return (stat.frequency - target) / se
+
+    z_abl, z_born = z_against(abl), z_against(born)
+    exact_ok = abs(born - 0.75) <= 1e-12 and abs(abl - 0.9) <= 1e-12
+    agree_ok = abs(z_abl) <= z
+    separated = abs(z_born) >= 50
+    summary = (
+        f"unconditioned {_fmt(born)} vs conditional {_fmt(abl)}; "
+        f"sampled {stat.frequency:.6f}±{se:.6f} "
+        f"({stats.accepted} accepted), |z| vs conditional {abs(z_abl):.2f}, "
+        f"vs unconditioned {abs(z_born):.1f}"
+    )
+    if exact_ok and agree_ok and not separated and stats.accepted < 20_000:
         # the 50-SE separation needs ~1e4 accepted trials of statistical power
         return CheckResult(
             "conditional-vs-unconditioned", "warn", summary + "; low power for 50-SE separation"
@@ -505,22 +524,10 @@ class ChecksReport:
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "z": self.z,
-            "results": [
-                {"name": r.name, "status": r.status, "summary": r.summary}
-                for r in self.results
-            ],
-            "passed": self.passed,
-        }
+        return {**_record(self), "results": self.csv_rows(), "passed": self.passed}
 
     def csv_rows(self) -> list[dict]:
-        return [
-            {"name": r.name, "status": r.status, "summary": r.summary}
-            for r in self.results
-        ]
+        return [_record(r) for r in self.results]
 
 
 def run_paper_checks(trials: int = 100_000, seed: int = 7, z: float = 4.0) -> ChecksReport:

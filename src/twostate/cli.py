@@ -306,10 +306,12 @@ def cmd_pointer_sweep(args) -> int:
         raise CliError(f"bad --couplings: {exc}") from None
     if not couplings:
         raise CliError("--couplings must list at least one value")
+    if not all(np.isfinite(lam) and lam > 0 for lam in couplings):
+        raise CliError(f"--couplings must be finite numbers > 0, got {args.couplings}")
     rows = []
     for lam in couplings:
         shift = post_selected_mean_shift(pre, post, CouplingSpec(lam, obs), pointer)
-        per = shift / lam if lam else 0.0
+        per = shift / lam
         rows.append(
             {
                 "coupling": lam,
@@ -394,8 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.trials < 1:
             raise CliError("--trials must be >= 1")
-        if args.z <= 0:
-            raise CliError("--z must be positive")
+        if not (np.isfinite(args.z) and args.z > 0):
+            raise CliError(f"--z must be a finite number > 0, got {args.z}")
         return args.func(args)
     except (ZeroDenominatorError, ZeroOverlapError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,17 +45,13 @@ from .algebra import (
     SpectralObservable,
     StateVector,
     Unitary,
-    pauli,
-    spin_observable,
-    state_projector_observable,
 )
 from .errors import (
     AllRejectedError,
     DimensionMismatchError,
     InsufficientAcceptedTrialsError,
-    TwoStateError,
 )
-from .rules import OutcomeDistribution, TwoStateVector, abl_probabilities, born_probabilities
+from .rules import OutcomeDistribution
 
 CHUNK_SIZE = 4096
 ZERO_WEIGHT = 1e-15
@@ -422,105 +418,3 @@ def compare_to_abl(
         all_pass &= ok
     stage = stage_label if stage_label is not None else stats.stages[0].label
     return ComparisonReport(stage, stats.accepted, z, tuple(outcomes), all_pass)
-
-
-@dataclass(frozen=True)
-class InterpretationBReport:
-    """Unconditioned prediction vs conditional frequency for the same angle."""
-
-    theta: float
-    born_value: float  # what a measurement would show with no conditioning on the later result
-    abl_value: float  # the conditional prediction with the measurement actually performed
-    frequency: float
-    std_error: float
-    accepted: int
-    trials: int
-    z_vs_abl: float
-    z_vs_born: float
-
-
-def interpretation_b_experiment(theta: float, trials: int, seed: int) -> InterpretationBReport:
-    """Pre- and post-select spin-up along z; probe spin along an axis at ``theta``.
-
-    Ensemble (i): nothing happens between the selections, every trial is
-    accepted, and the unconditioned single-measurement prediction for a
-    hypothetical probe is cos²(θ/2).  Ensemble (ii): the probe measurement is
-    actually performed; its conditional frequency follows the conditional
-    rule, not the unconditioned one.  Sub-ensembles use seed and
-    ``derive_seed(seed, 1)``.
-    """
-    up_z = StateVector(np.array([1.0, 0.0], dtype=complex))
-    probe = spin_observable(theta)
-    post = (pauli("z"), 1.0)
-
-    baseline = simulate(up_z, [], post, trials, seed)
-    if baseline.accepted != baseline.trials:
-        raise TwoStateError(f"pre = post, no stage: accepted {baseline.accepted} of {trials} trials")
-    born = born_probabilities(up_z, probe).probability(1.0)
-
-    stats = simulate(up_z, [MeasureStage(probe, "probe")], post, trials, derive_seed(seed, 1))
-    abl = abl_probabilities(TwoStateVector(up_z, up_z), probe).probability(1.0)
-    stat = stats.conditional("probe")[0]
-    if abs(stat.eigenvalue - 1.0) > 1e-12:
-        raise TwoStateError(f"probe's first outcome is {stat.eigenvalue!r}, expected +1")
-    se = stat.std_error
-
-    def z_against(target: float) -> float:
-        if se == 0.0:
-            return 0.0 if abs(stat.frequency - target) <= 1e-12 else float("inf")
-        return (stat.frequency - target) / se
-
-    return InterpretationBReport(
-        theta=theta,
-        born_value=born,
-        abl_value=abl,
-        frequency=stat.frequency,
-        std_error=se,
-        accepted=stats.accepted,
-        trials=trials,
-        z_vs_abl=z_against(abl),
-        z_vs_born=z_against(born),
-    )
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Distribution of an early probe vs the same probe run late, boundary states equal."""
-
-    probe_label: str
-    early: tuple[OutcomeStat, ...]
-    late: tuple[OutcomeStat, ...]
-    max_z: float
-    passed: bool
-
-
-def symmetry_experiment(
-    psi: StateVector,
-    middle: SpectralObservable,
-    probe: SpectralObservable,
-    trials: int,
-    seed: int,
-    z: float = 4.0,
-) -> SymmetryReport:
-    """With pre = post = psi, probing before the middle measurement must match
-    probing after it.
-
-    Runs [probe, middle] and [middle, probe], both post-selected on finding
-    ``psi`` again, and compares the probe's conditional distributions.
-    """
-    post = (state_projector_observable(psi), 1.0)
-    early = simulate(
-        psi, [MeasureStage(probe, "probe"), MeasureStage(middle, "middle")], post, trials, seed
-    ).conditional("probe")
-    late = simulate(
-        psi, [MeasureStage(middle, "middle"), MeasureStage(probe, "probe")], post, trials, derive_seed(seed, 1)
-    ).conditional("probe")
-    max_z = 0.0
-    for a, b in zip(early, late):
-        se = float(np.hypot(a.std_error, b.std_error))
-        if se == 0.0:
-            if abs(a.frequency - b.frequency) > 1e-12:
-                max_z = float("inf")
-            continue
-        max_z = max(max_z, abs(a.frequency - b.frequency) / se)
-    return SymmetryReport("probe", early, late, max_z, passed=max_z <= z)

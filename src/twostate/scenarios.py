@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Union
 
 import numpy as np
@@ -149,6 +149,10 @@ class ScenarioSpec:
         labels = [e.label for e in self.timeline if isinstance(e, (MeasureStage, WeakStage))]
         if len(set(labels)) != len(labels):
             raise ScenarioFormatError(f"stage labels must be unique, got {labels}")
+        for what, entries in (("counterfactuals", self.counterfactuals), ("products", self.products)):
+            labels = [entry[0] for entry in entries]
+            if len(set(labels)) != len(labels):
+                raise ScenarioFormatError(f"{what}: labels must be unique, got {labels}")
         self.post_observable.branch_index(self.post_select)  # must exist
         for label, obs in self.counterfactuals:
             if obs.dim != self.dim:
@@ -158,10 +162,6 @@ class ScenarioSpec:
                 raise ScenarioFormatError(f"product {label!r}: dimension mismatch")
         if self.trials < 1:
             raise ScenarioFormatError("trials must be >= 1")
-
-    @property
-    def measure_labels(self) -> tuple[str, ...]:
-        return tuple(e.label for e in self.timeline if isinstance(e, MeasureStage))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +278,9 @@ def load_scenario(document) -> ScenarioSpec:
         if key not in known:
             raise ScenarioFormatError(f"{key}: unknown field")
 
+    name = document.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise ScenarioFormatError(f"name: expected a string, got {name!r}")
     dim = document.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ScenarioFormatError("dim: expected a positive integer")
@@ -361,7 +364,7 @@ def load_scenario(document) -> ScenarioSpec:
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ScenarioFormatError("seed: expected an integer in [0, 2**64)")
     return ScenarioSpec(
-        name=str(document.get("name", "unnamed")),
+        name=name,
         dim=dim,
         pre=pre,
         timeline=tuple(timeline),
@@ -630,6 +633,20 @@ def builtin(name: str, **params) -> ScenarioSpec:
 # runner
 
 
+def _record(report) -> dict[str, Any]:
+    """A flat report dataclass as a JSON-ready dict, field by field: tuples
+    become lists and complex values [re, im]."""
+    out = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, complex):
+            value = [value.real, value.imag]
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
+
+
 @dataclass(frozen=True)
 class StageReport:
     label: str
@@ -668,67 +685,17 @@ class ScenarioReport:
     passed: bool | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        def stat(s: OutcomeStat | None):
-            if s is None:
-                return None
-            return {"frequency": s.frequency, "std_error": s.std_error, "count": s.count}
-
+        """Every field in declaration order; nested reports as dicts too."""
+        a = self.acceptance
         return {
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "trials": self.trials,
-            "seed": self.seed,
-            "acceptance_analytic": self.acceptance_analytic,
-            "acceptance": stat(self.acceptance),
-            "stages": [
-                {
-                    "label": st.label,
-                    "eigenvalues": list(st.eigenvalues),
-                    "analytic": None if st.analytic is None else list(st.analytic),
-                    "frequencies": None if st.frequencies is None else list(st.frequencies),
-                    "std_errors": None if st.std_errors is None else list(st.std_errors),
-                    "z_scores": None if st.z_scores is None else list(st.z_scores),
-                    "passed": st.passed,
-                }
-                for st in self.stages
-            ],
-            "weak": [
-                {
-                    "label": w.label,
-                    "strength": w.strength,
-                    "value": [w.value.real, w.value.imag],
-                    "shift_per_strength": w.shift_per_strength,
-                    "extrapolated": w.extrapolated,
-                    "momentum_sign_ok": w.momentum_sign_ok,
-                    "passed": w.passed,
-                }
-                for w in self.weak
-            ],
-            "reality": None
-            if self.reality is None
-            else [
-                {
-                    "label": e.label,
-                    "eigenvalue": e.eigenvalue,
-                    "probability": e.probability,
-                    "certain": e.certain,
-                    "error": e.error,
-                }
-                for e in self.reality.entries
-            ],
-            "product_audits": [
-                {
-                    "label": label,
-                    "a_weak": [r.a_weak.real, r.a_weak.imag],
-                    "b_weak": [r.b_weak.real, r.b_weak.imag],
-                    "ab_weak": [r.ab_weak.real, r.ab_weak.imag],
-                    "discrepancy": [r.discrepancy.real, r.discrepancy.imag],
-                    "failed": r.failed,
-                }
-                for label, r in self.product_audits
-            ],
-            "notes": list(self.notes),
-            "passed": self.passed,
+            **_record(self),
+            "acceptance": None if a is None else {
+                "frequency": a.frequency, "std_error": a.std_error, "count": a.count
+            },
+            "stages": [_record(st) for st in self.stages],
+            "weak": [_record(w) for w in self.weak],
+            "reality": None if self.reality is None else [_record(e) for e in self.reality.entries],
+            "product_audits": [{"label": label, **_record(r)} for label, r in self.product_audits],
         }
 
     def csv_rows(self) -> list[dict[str, Any]]:
@@ -873,6 +840,31 @@ def _validate_weak(stage: WeakStage, tsv: TwoStateVector, value: complex) -> Wea
     )
 
 
+def _stage_report(
+    label: str,
+    stage: MeasureStage,
+    predicted: OutcomeDistribution | None,
+    stats: EnsembleStats | None,
+    z: float,
+) -> StageReport:
+    """The report of one measurement: its analytic distribution, its sampled
+    conditional frequencies in ``stats``, and their comparison at ``z``,
+    each when there is something to report."""
+    analytic = freqs = errs = zs = passed = None
+    if predicted is not None:
+        analytic = tuple(predicted.probabilities)
+    if stats is not None:
+        cond = stats.conditional(stage.label)
+        freqs = tuple(s.frequency for s in cond)
+        errs = tuple(s.std_error for s in cond)
+        if predicted is not None:
+            comparison = compare_to_abl(stats, predicted, z=z, stage_label=stage.label)
+            zs = tuple(o.z_score for o in comparison.outcomes)
+            passed = comparison.passed
+    eigenvalues = tuple(float(e) for e in stage.observable.eigenvalues)
+    return StageReport(label, eigenvalues, analytic, freqs, errs, zs, passed)
+
+
 def run_scenario(
     spec: ScenarioSpec,
     mode: str = "both",
@@ -913,68 +905,26 @@ def run_scenario(
         except AllRejectedError as exc:
             raise AllRejectedError(f"scenario {spec.name!r}: {exc}") from exc
 
-    stage_reports: list[StageReport] = []
-    labels = spec.measure_labels
-    overall: bool | None = None
-    for i, label in enumerate(labels):
-        analytic = tuple(distributions[i].probabilities) if want_analytic else None
-        eigenvalues = (
-            tuple(distributions[i].eigenvalues)
-            if want_analytic
-            else stats.stages[i].eigenvalues  # type: ignore[union-attr]
-        )
-        freqs = errs = zs = None
-        passed = None
-        if stats is not None:
-            cond = stats.conditional(label)
-            freqs = tuple(s.frequency for s in cond)
-            errs = tuple(s.std_error for s in cond)
-            if want_analytic:
-                comparison = compare_to_abl(stats, distributions[i], z=z, stage_label=label)
-                zs = tuple(o.z_score for o in comparison.outcomes)
-                passed = comparison.passed
-                overall = passed if overall is None else (overall and passed)
-        stage_reports.append(
-            StageReport(label, eigenvalues, analytic, freqs, errs, zs, passed)
-        )
-
+    stage_reports = [
+        _stage_report(stage.label, stage, distributions[i] if want_analytic else None, stats, z)
+        for i, stage in enumerate(e for e in mc_stages if isinstance(e, MeasureStage))
+    ]
     # counterfactual observables are validated one at a time by appending the
     # alternative measurement at the end of the (unitary-only) timeline
-    if want_oracle and spec.counterfactuals:
+    if want_oracle:
         for j, (label, obs) in enumerate(spec.counterfactuals):
+            stage = MeasureStage(obs, label)
             alt_stats = simulate(
                 spec.pre,
-                mc_stages + [MeasureStage(obs, label)],
+                mc_stages + [stage],
                 (spec.post_observable, spec.post_select),
                 trials,
                 derive_seed(seed, 1 + j),
             )
-            cond = alt_stats.conditional(label)
-            analytic = zs = None
-            passed = None
-            if want_analytic:
-                dist = abl_probabilities(tsv_end, obs)
-                analytic = tuple(dist.probabilities)
-                comparison = compare_to_abl(alt_stats, dist, z=z, stage_label=label)
-                zs = tuple(o.z_score for o in comparison.outcomes)
-                passed = comparison.passed
-                overall = passed if overall is None else (overall and passed)
-            stage_reports.append(
-                StageReport(
-                    f"counterfactual:{label}",
-                    tuple(s.eigenvalue for s in cond),
-                    analytic,
-                    tuple(s.frequency for s in cond),
-                    tuple(s.std_error for s in cond),
-                    zs,
-                    passed,
-                )
-            )
+            predicted = abl_probabilities(tsv_end, obs) if want_analytic else None
+            stage_reports.append(_stage_report(f"counterfactual:{label}", stage, predicted, alt_stats, z))
 
-    for w in weak:
-        if w.passed is not None:
-            overall = w.passed if overall is None else (overall and w.passed)
-
+    verdicts = [r.passed for r in (*stage_reports, *weak) if r.passed is not None]
     return ScenarioReport(
         scenario=spec.name,
         mode=mode,
@@ -987,5 +937,5 @@ def run_scenario(
         reality=reality,
         product_audits=audits,
         notes=spec.notes,
-        passed=overall,
+        passed=all(verdicts) if verdicts else None,
     )

@@ -21,8 +21,8 @@ from twostate.checks import (
     check_swap_symmetry,
 )
 from twostate.cli import main
-from twostate.montecarlo import chunk_rng, interpretation_b_experiment
-from twostate.rules import total_probability_check
+from twostate.montecarlo import chunk_rng, derive_seed
+from twostate.rules import born_probabilities, total_probability_check
 from twostate.scenarios import builtin, run_scenario
 
 TRIALS = 100_000
@@ -88,20 +88,25 @@ def test_criterion_2_generalized_consistency():
 
 def test_criterion_3_conditional_counterexample():
     start = time.perf_counter()
-    rep = interpretation_b_experiment(np.pi / 3, TRIALS, SEED + 2)
+    spec = builtin("spin-zz-xi", theta=np.pi / 3)
+    born = born_probabilities(spec.pre, spec.timeline[0].observable).probability(1.0)
+    probe = run_scenario(spec, mode="both", trials=TRIALS, seed=derive_seed(SEED + 2, 1)).stages[0]
+    up = probe.eigenvalues.index(1.0)
+    frequency, se = probe.frequencies[up], probe.std_errors[up]
+    z_born = (frequency - born) / se
     elapsed = time.perf_counter() - start
     ok = (
-        abs(rep.born_value - 0.75) <= 1e-12
-        and abs(rep.abl_value - 0.9) <= 1e-12
-        and abs(rep.z_vs_abl) <= 4
-        and abs(rep.z_vs_born) >= 50
+        abs(born - 0.75) <= 1e-12
+        and abs(probe.analytic[up] - 0.9) <= 1e-12
+        and abs(probe.z_scores[up]) <= 4
+        and abs(z_born) >= 50
         and elapsed < 10.0
     )
     report(
         "3 conditional vs unconditioned counterexample",
         ok,
-        f"0.75 vs 0.9; sampled {rep.frequency:.5f}, |z| {abs(rep.z_vs_abl):.2f} / "
-        f"{abs(rep.z_vs_born):.1f}, {elapsed:.2f}s",
+        f"0.75 vs 0.9; sampled {frequency:.5f}, |z| {abs(probe.z_scores[up]):.2f} / "
+        f"{abs(z_born):.1f}, {elapsed:.2f}s",
     )
 
 

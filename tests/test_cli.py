@@ -166,6 +166,24 @@ class TestScenario:
         assert code == 2
         assert "timeline[0].weak_measure.strength" in err
 
+    @pytest.mark.parametrize("field, entry", [
+        ("counterfactuals", {"label": "p", "observable": {"pauli": "x"}}),
+        ("products", {"label": "p", "left": {"pauli": "x"}, "right": {"pauli": "z"}}),
+    ])
+    def test_duplicate_labels_exit_code(self, capsys, tmp_path, field, entry):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(dict(MZ_DOC, timeline=[], **{field: [entry, entry]})))
+        code, _, err = run(capsys, "scenario", "--file", str(path))
+        assert code == 2
+        assert f"{field}: labels must be unique" in err
+
+    def test_non_string_name_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "nameless.json"
+        path.write_text(json.dumps(dict(MZ_DOC, name=None)))
+        code, _, err = run(capsys, "scenario", "--file", str(path))
+        assert code == 2
+        assert "name: expected a string" in err
+
     def test_unknown_builtin_lists_catalog(self, capsys):
         code, _, err = run(capsys, "scenario", "--builtin", "nope")
         assert code == 2
@@ -212,6 +230,15 @@ class TestPaperChecks:
         assert code == 0
         assert out.endswith("overall: PASS\n")
 
+    @pytest.mark.parametrize("z", ["nan", "inf", "-inf", "0"])
+    def test_z_must_be_finite_and_positive(self, capsys, z):
+        # rejected before any check runs: nan used to run the battery and
+        # exit 1, inf let every comparison pass
+        code, out, err = run(capsys, "paper-checks", "--trials", "100", f"--z={z}")
+        assert code == 2
+        assert out == ""
+        assert "--z must be a finite number > 0" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, "paper-checks", "--trials", "20000", "--seed", "9", "--format", "json"
@@ -234,3 +261,13 @@ class TestPointerSweep:
         assert len(lines) == 4
         last = lines[-1].split(",")
         assert float(last[4]) < 1e-3
+
+    @pytest.mark.parametrize("couplings", ["0", "-0.1", "0.1,nan", "inf"])
+    def test_couplings_must_be_finite_and_positive(self, capsys, couplings):
+        code, out, err = run(
+            capsys, "pointer-sweep", "--pre", "up-z", "--post", "up-x", "--obs", "pauli-z",
+            f"--couplings={couplings}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--couplings must be finite numbers > 0" in err

@@ -21,11 +21,9 @@ from twostate.algebra import (
     state_projector_observable,
     tensor,
 )
-from twostate import montecarlo
 from twostate.errors import (
     AllRejectedError,
     InsufficientAcceptedTrialsError,
-    TwoStateError,
 )
 from twostate.montecarlo import (
     MeasureStage,
@@ -33,12 +31,12 @@ from twostate.montecarlo import (
     chunk_rng,
     compare_to_abl,
     derive_seed,
-    interpretation_b_experiment,
     simulate,
-    symmetry_experiment,
 )
+from twostate import checks
+from twostate.checks import check_conditional_counterexample
 from twostate.rules import TwoStateVector, abl_probabilities, born_probabilities
-from twostate.scenarios import builtin
+from twostate.scenarios import ScenarioSpec, builtin, run_scenario
 
 UP_Z = basis_state(2, 0)
 
@@ -275,69 +273,111 @@ class TestCompareToAbl:
 
 
 class TestInterpretationB:
-    def test_sixty_degrees(self):
-        report = interpretation_b_experiment(np.pi / 3, 100_000, 21)
-        assert report.born_value == pytest.approx(0.75, abs=1e-12)
-        assert report.abl_value == pytest.approx(0.9, abs=1e-12)
-        assert abs(report.z_vs_abl) <= 4
-        assert abs(report.z_vs_born) >= 50
-
-    def test_aligned(self):
-        report = interpretation_b_experiment(0.0, 2000, 22)
-        assert report.born_value == pytest.approx(1.0, abs=1e-12)
-        assert report.abl_value == pytest.approx(1.0, abs=1e-12)
-        assert report.frequency == 1.0
-
-    def test_anti_aligned(self):
-        report = interpretation_b_experiment(np.pi, 2000, 23)
-        assert report.born_value == pytest.approx(0.0, abs=1e-12)
-        assert report.abl_value == pytest.approx(0.0, abs=1e-12)
-        assert report.frequency == 0.0
-
+    """The tilted probe between equal selections, the ``spin-zz-xi``
+    scenario: the conditional rule, not the unconditioned single-measurement
+    prediction, describes the probe that is actually measured."""
 
     @staticmethod
-    def _patch_simulate(monkeypatch, edit):
-        real = montecarlo.simulate
-        monkeypatch.setattr(montecarlo, "simulate", lambda *args, **kwargs: edit(real(*args, **kwargs)))
+    def _probe(theta, trials, seed):
+        spec = builtin("spin-zz-xi", theta=theta)
+        born = born_probabilities(spec.pre, spec.timeline[0].observable).probability(1.0)
+        stage = run_scenario(spec, mode="both", trials=trials, seed=seed).stages[0]
+        up = stage.eigenvalues.index(1.0)
+        return born, stage.analytic[up], stage.frequencies[up], stage.std_errors[up], stage.z_scores[up]
 
-    def test_rejected_baseline_trial_raises(self, monkeypatch):
-        # with pre = post and no stage every trial is accepted; a tally that
-        # says otherwise must raise, not pass silently (asserts vanish under -O)
-        self._patch_simulate(monkeypatch, lambda stats: dataclasses.replace(stats, accepted=stats.accepted - 1))
-        with pytest.raises(TwoStateError, match="accepted 1999 of 2000 trials"):
-            interpretation_b_experiment(np.pi / 3, 2000, 22)
+    def test_sixty_degrees(self):
+        born, abl, frequency, se, z_abl = self._probe(np.pi / 3, 100_000, 22)
+        assert born == pytest.approx(0.75, abs=1e-12)
+        assert abl == pytest.approx(0.9, abs=1e-12)
+        assert abs(z_abl) <= 4
+        assert abs(frequency - born) / se >= 50
+        assert frequency == 0.8989558232931727  # 55960 of 62250 accepted, simulate seed 22
 
-    def test_misordered_probe_outcomes_raise(self, monkeypatch):
-        def reverse_probe(stats):
+    def test_aligned(self):
+        born, abl, frequency, _, _ = self._probe(0.0, 2000, 23)
+        assert born == pytest.approx(1.0, abs=1e-12)
+        assert abl == pytest.approx(1.0, abs=1e-12)
+        assert frequency == 1.0
+
+    def test_anti_aligned(self):
+        born, abl, frequency, _, _ = self._probe(np.pi, 2000, 24)
+        assert born == pytest.approx(0.0, abs=1e-12)
+        assert abl == pytest.approx(0.0, abs=1e-12)
+        assert frequency == 0.0
+
+    def test_misordered_probe_outcomes_select_by_eigenvalue(self, monkeypatch):
+        # the battery row reads the probe's +1 row by eigenvalue, so a tally
+        # listing the branches in the other order reports the same numbers
+        expected = check_conditional_counterexample(21, 20_000)
+        real = checks.simulate
+
+        def reversed_branches(*args, **kwargs):
+            stats = real(*args, **kwargs)
             stages = tuple(
-                dataclasses.replace(st, eigenvalues=st.eigenvalues[::-1]) for st in stats.stages
+                dataclasses.replace(
+                    st,
+                    eigenvalues=st.eigenvalues[::-1],
+                    counts_all=st.counts_all[::-1],
+                    counts_accepted=st.counts_accepted[::-1],
+                )
+                for st in stats.stages
             )
             return dataclasses.replace(stats, stages=stages)
 
-        self._patch_simulate(monkeypatch, reverse_probe)
-        with pytest.raises(TwoStateError, match="probe's first outcome is -1.0"):
-            interpretation_b_experiment(np.pi / 3, 2000, 22)
+        monkeypatch.setattr(checks, "simulate", reversed_branches)
+        assert check_conditional_counterexample(21, 20_000) == expected
+        assert expected.status == "pass"
 
 
 class TestSymmetryExperiment:
+    """With pre = post = psi, a probe measured before an intermediate
+    measurement behaves like the same probe measured after it: the scenarios
+    [probe, middle] and [middle, probe], on seeds ``seed`` and
+    ``derive_seed(seed, 1)``."""
+
+    @staticmethod
+    def _probes(middle, probe, trials, seed, z=4.0):
+        stages = (MeasureStage(probe, "probe"), MeasureStage(middle, "middle"))
+        reports = [
+            run_scenario(
+                ScenarioSpec(
+                    name=name,
+                    dim=2,
+                    pre=UP_Z,
+                    timeline=timeline,
+                    post_observable=state_projector_observable(UP_Z),
+                    post_select=1.0,
+                ),
+                mode="both", trials=trials, seed=derive_seed(seed, j), z=z,
+            )
+            for j, (name, timeline) in enumerate((("probe-early", stages), ("probe-late", stages[::-1])))
+        ]
+        assert all(report.passed for report in reports)
+        early, late = (next(st for st in r.stages if st.label == "probe") for r in reports)
+        assert early.eigenvalues == late.eigenvalues
+        assert np.allclose(early.analytic, late.analytic, atol=1e-12, rtol=0)
+        for fe, fl, se, sl in zip(early.frequencies, late.frequencies, early.std_errors, late.std_errors):
+            combined = np.hypot(se, sl)
+            if combined == 0.0:
+                assert abs(fe - fl) <= 1e-12
+            else:
+                assert abs(fe - fl) <= z * combined
+        return early, late
+
     def test_probe_before_equals_probe_after(self):
-        report = symmetry_experiment(UP_Z, pauli("x"), pauli("y"), 50_000, 31)
-        assert report.passed
-        for stat in report.early:
-            assert abs(stat.frequency - 0.5) <= 4 * stat.std_error
+        early, _ = self._probes(pauli("x"), pauli("y"), 50_000, 31)
+        for f, se in zip(early.frequencies, early.std_errors):
+            assert abs(f - 0.5) <= 4 * se
 
     def test_repeatability_when_probe_equals_middle(self):
-        report = symmetry_experiment(UP_Z, pauli("x"), pauli("x"), 20_000, 32)
-        assert report.passed
-        early = {s.eigenvalue: s.frequency for s in report.early}
-        late = {s.eigenvalue: s.frequency for s in report.late}
-        assert early.keys() == late.keys()
+        early, _ = self._probes(pauli("x"), pauli("x"), 20_000, 32)
+        assert early.analytic == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_eigenstate_probe_certain(self):
-        report = symmetry_experiment(UP_Z, pauli("z"), pauli("z"), 5000, 33)
-        assert report.passed
-        freqs = {s.eigenvalue: s.frequency for s in report.early}
-        assert freqs[1.0] == 1.0 and freqs[-1.0] == 0.0
+        early, late = self._probes(pauli("z"), pauli("z"), 5000, 33)
+        for stage in (early, late):
+            freqs = dict(zip(stage.eigenvalues, stage.frequencies))
+            assert freqs[1.0] == 1.0 and freqs[-1.0] == 0.0
 
 
 class TestAblAgreementBattery:

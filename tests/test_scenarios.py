@@ -151,6 +151,21 @@ class TestLoader:
         with pytest.raises(ScenarioFormatError, match="unique"):
             load_scenario(doc)
 
+    @pytest.mark.parametrize("name", [None, 5, ["a"]])
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(ScenarioFormatError, match="name: expected a string"):
+            load_scenario(dict(MINIMAL, name=name))
+
+    @pytest.mark.parametrize("field, entry", [
+        ("counterfactuals", {"label": "p", "observable": {"pauli": "x"}}),
+        ("products", {"label": "p", "left": {"pauli": "x"}, "right": {"pauli": "z"}}),
+    ])
+    def test_duplicate_labels_rejected(self, field, entry):
+        # report consumers key audits and reality entries by label
+        load_scenario(dict(MINIMAL, **{field: [entry, dict(entry, label="q")]}))
+        with pytest.raises(ScenarioFormatError, match=f"{field}: labels must be unique"):
+            load_scenario(dict(MINIMAL, **{field: [entry, entry]}))
+
     def test_weak_measure_entry(self):
         doc = dict(
             MINIMAL,
