@@ -45,6 +45,7 @@ from .montecarlo import (
     EnsembleStats,
     MeasureStage,
     UnitaryStage,
+    compare_counts,
     compare_to_abl,
     simulate,
 )

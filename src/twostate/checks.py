@@ -16,8 +16,11 @@ one named, independently runnable check:
 * the pointer model in its projective and weak regimes.
 
 A report renders deterministically for a fixed (trials, seed): two runs are
-byte-identical.  Statistical checks degrade to "warn" when the trial budget
-is too small for their accepted-count floor.
+byte-identical.  Statistical checks hold no z arithmetic of their own: every
+sampled distribution goes through ``montecarlo.compare_counts`` (directly, via
+``compare_to_abl`` or via ``run_scenario``), and a check degrades to "warn"
+when one of them has fewer than ``MIN_ACCEPTED`` accepted trials (per Bell
+branch for erasure) or when every trial is rejected.
 """
 
 from __future__ import annotations
@@ -42,19 +45,21 @@ from .errors import InsufficientAcceptedTrialsError
 from .montecarlo import (
     MeasureStage,
     chunk_rng,
+    compare_counts,
     compare_to_abl,
     derive_seed,
     simulate,
 )
 from .pointer import CouplingSpec, make_gaussian_pointer, post_selected_mean_shift, couple, post_selected_pointer
 from .rules import (
+    OutcomeDistribution,
     TwoStateVector,
     abl_probabilities,
     born_probabilities,
     total_probability_check,
     weak_value,
 )
-from .scenarios import _record, builtin, builtin_names, run_scenario
+from .scenarios import ScenarioSpec, _record, builtin, builtin_names, run_scenario
 
 SEED_STREAM_CHUNK = 2**48  # far above any simulate() chunk index
 
@@ -180,32 +185,35 @@ def check_conditional_counterexample(seed: int, trials: int, z: float = 4.0) -> 
     """Conditioning on the later outcome changes the prediction: 0.9 vs 0.75.
 
     Runs the ``spin-zz-xi`` scenario at θ = π/3 with seed
-    ``derive_seed(seed, 1)`` and reads the probe's +1 row by eigenvalue.
+    ``derive_seed(seed, 1)`` and compares the probe's +1 row, found by
+    eigenvalue, with both predictions.
     """
     spec = builtin("spin-zz-xi", theta=np.pi / 3)
     probe = spec.timeline[0].observable
-    born = born_probabilities(spec.pre, probe).probability(1.0)
-    abl = abl_probabilities(TwoStateVector(spec.pre, spec.pre), probe).probability(1.0)
-    stats = simulate(
-        spec.pre, spec.timeline, (spec.post_observable, spec.post_select), trials, derive_seed(seed, 1)
+    predictions = (
+        abl_probabilities(TwoStateVector(spec.pre, spec.pre), probe),
+        born_probabilities(spec.pre, probe),
     )
-    stat = next(s for s in stats.conditional("probe") if abs(s.eigenvalue - 1.0) <= 1e-12)
-    se = stat.std_error
-
-    def z_against(target: float) -> float:
-        if se == 0.0:
-            return 0.0 if abs(stat.frequency - target) <= 1e-12 else float("inf")
-        return (stat.frequency - target) / se
-
-    z_abl, z_born = z_against(abl), z_against(born)
+    abl, born = (dist.probability(1.0) for dist in predictions)
     exact_ok = abs(born - 0.75) <= 1e-12 and abs(abl - 0.9) <= 1e-12
-    agree_ok = abs(z_abl) <= z
-    separated = abs(z_born) >= 50
-    summary = (
-        f"unconditioned {_fmt(born)} vs conditional {_fmt(abl)}; "
-        f"sampled {stat.frequency:.6f}±{se:.6f} "
-        f"({stats.accepted} accepted), |z| vs conditional {abs(z_abl):.2f}, "
-        f"vs unconditioned {abs(z_born):.1f}"
+    summary = f"unconditioned {_fmt(born)} vs conditional {_fmt(abl)}; "
+    try:
+        stats = simulate(
+            spec.pre, spec.timeline, (spec.post_observable, spec.post_select), trials, derive_seed(seed, 1)
+        )
+        vs_abl, vs_born = (
+            next(o for o in compare_to_abl(stats, dist, z=z).outcomes if abs(o.eigenvalue - 1.0) <= 1e-12)
+            for dist in predictions
+        )
+    except InsufficientAcceptedTrialsError as exc:
+        status = "warn" if exact_ok else "fail"
+        return CheckResult("conditional-vs-unconditioned", status, summary + f"{exc} at trials={trials}")
+    agree_ok = vs_abl.passed
+    separated = abs(vs_born.z_score) >= 50
+    summary += (
+        f"sampled {vs_abl.frequency:.6f}±{vs_abl.std_error:.6f} "
+        f"({stats.accepted} accepted), |z| vs conditional {abs(vs_abl.z_score):.2f}, "
+        f"vs unconditioned {abs(vs_born.z_score):.1f}"
     )
     if exact_ok and agree_ok and not separated and stats.accepted < 20_000:
         # the 50-SE separation needs ~1e4 accepted trials of statistical power
@@ -335,26 +343,20 @@ def check_oracle_agreement(seed: int, trials: int, n: int = 50, z: float = 4.0) 
             pre = _random_state(rng, 2)
             post = _random_state(rng, 2)
             obs = _random_observable(rng, 2)
-            tsv = TwoStateVector(pre, post)
             amps = [np.vdot(post.amps, p @ pre.amps) for p in obs.projectors]
             acceptance = float(sum(abs(a) ** 2 for a in amps))
             if acceptance >= 0.05:
                 break
-        sub_seed = int(rng.integers(0, 2**32))
-        stats = simulate(
-            pre,
-            [MeasureStage(obs, "m")],
-            (state_projector_observable(post), 1.0),
-            trials,
-            sub_seed,
+        spec = ScenarioSpec(
+            f"oracle-agreement-{i}", 2, pre, (MeasureStage(obs, "m"),), state_projector_observable(post), 1.0
         )
         try:
-            comparison = compare_to_abl(stats, abl_probabilities(tsv, obs), z=z)
+            stage = run_scenario(spec, trials=trials, seed=int(rng.integers(0, 2**32)), z=z).stages[0]
         except InsufficientAcceptedTrialsError:
             warns += 1
             continue
-        max_z = max(max_z, max(abs(o.z_score) for o in comparison.outcomes))
-        if not comparison.passed:
+        max_z = max(max_z, max(abs(zs) for zs in stage.z_scores))
+        if not stage.passed:
             return CheckResult(
                 "oracle-agreement",
                 "fail",
@@ -384,36 +386,35 @@ def check_erasure_retrodiction(seed: int, trials: int, n: int = 20, z: float = 4
         phi = float(rng.uniform(0, 2 * np.pi))
         spec = builtin("erasure", theta=theta, phi=phi)
         sub_seed = int(rng.integers(0, 2**32))
-        stats = simulate(
-            spec.pre,
-            list(spec.timeline),
-            (spec.post_observable, spec.post_select),
-            trials,
-            sub_seed,
-        )
+        try:
+            stats = simulate(
+                spec.pre,
+                list(spec.timeline),
+                (spec.post_observable, spec.post_select),
+                trials,
+                sub_seed,
+            )
+        except InsufficientAcceptedTrialsError:
+            low_power += 4
+            continue
         for branch in (1.0, 2.0, 3.0, 4.0):
             try:
                 cond = stats.conditional_given("sy", {"bell": branch})
+                half = OutcomeDistribution(tuple(s.eigenvalue for s in cond), (0.5, 0.5))
+                outcomes = compare_counts(half, [s.count for s in cond], sum(s.count for s in cond), z)
             except InsufficientAcceptedTrialsError:
                 low_power += 1
                 continue
-            for stat in cond:
-                if stat.std_error == 0.0:
-                    return CheckResult(
-                        "erasure-retrodiction", "fail",
-                        f"degenerate branch statistics at bell={branch}",
-                    )
-                max_z = max(max_z, abs(stat.frequency - 0.5) / stat.std_error)
+            max_z = max(max_z, *(abs(o.z_score) for o in outcomes))
     if low_power:
         return CheckResult(
             "erasure-retrodiction",
             "warn",
-            f"{low_power} branch(es) unpopulated at trials={trials}; max |z| = {max_z:.2f}",
+            f"{low_power} branch(es) below the accepted-trials floor at trials={trials}; max |z| = {max_z:.2f}",
         )
-    ok = max_z <= z
     return CheckResult(
         "erasure-retrodiction",
-        _status(ok),
+        _status(max_z <= z),
         f"max |z| vs 1/2 = {max_z:.2f} over {n} prepared states x 4 branches "
         f"(threshold {z})",
     )
@@ -435,18 +436,11 @@ def check_pointer_strong(seed: int, samples: int = 10_000, z: float = 4.0) -> Ch
     lobes = coupling.strength * obs.eigenvalues
     nearest = np.argmin(np.abs(sampled[:, None] - lobes[None, :]), axis=1)
     predicted = abl_probabilities(TwoStateVector(pre, post), obs)
-    max_z = 0.0
-    for j, p in enumerate(predicted.probabilities):
-        f = float(np.mean(nearest == j))
-        se = float(np.sqrt(f * (1 - f) / samples))
-        if se == 0.0:
-            if abs(f - p) > 1e-12:
-                max_z = float("inf")
-            continue
-        max_z = max(max_z, abs(f - p) / se)
+    outcomes = compare_counts(predicted, np.bincount(nearest, minlength=lobes.size), samples, z)
+    max_z = max(abs(o.z_score) for o in outcomes)
     return CheckResult(
         "pointer-strong-lobes",
-        _status(max_z <= z),
+        _status(all(o.passed for o in outcomes)),
         f"max |z| = {max_z:.2f} between lobe frequencies ({samples} readouts) "
         f"and the conditional rule (threshold {z})",
     )

@@ -25,7 +25,6 @@ import numpy as np
 from .algebra import SpectralObservable, StateVector, pauli, spin_observable, spin_state
 from .checks import run_paper_checks
 from .errors import (
-    AllRejectedError,
     InsufficientAcceptedTrialsError,
     TwoStateError,
     ZeroDenominatorError,
@@ -402,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ZeroDenominatorError, ZeroOverlapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
-    except (AllRejectedError, InsufficientAcceptedTrialsError) as exc:
+    except InsufficientAcceptedTrialsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except (CliError, TwoStateError, ValueError) as exc:

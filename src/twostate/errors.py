@@ -25,12 +25,12 @@ class ZeroOverlapError(TwoStateError):
     """Weak value undefined: pre- and post-selected states are orthogonal."""
 
 
-class AllRejectedError(TwoStateError):
-    """Every Monte-Carlo trial failed post-selection."""
-
-
 class InsufficientAcceptedTrialsError(TwoStateError):
     """Too few accepted trials for meaningful conditional statistics."""
+
+
+class AllRejectedError(InsufficientAcceptedTrialsError):
+    """Every Monte-Carlo trial failed post-selection."""
 
 
 class ScenarioFormatError(TwoStateError):

@@ -55,7 +55,7 @@ from .rules import OutcomeDistribution
 
 CHUNK_SIZE = 4096
 ZERO_WEIGHT = 1e-15
-DEFAULT_MIN_ACCEPTED = 100
+MIN_ACCEPTED = 100  # accepted trials below which a distribution is not compared
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,15 @@ class StageTally:
     counts_accepted: tuple[int, ...]  # over post-selected trials only
 
 
+def _binomial_se(p: float, total: int) -> float:
+    return float(np.sqrt(p * (1 - p) / total))
+
+
 def _freq_stats(eigenvalues, counts, total) -> tuple[OutcomeStat, ...]:
-    out = []
-    for eig, count in zip(eigenvalues, counts):
-        f = count / total
-        out.append(OutcomeStat(float(eig), int(count), f, float(np.sqrt(f * (1 - f) / total))))
-    return tuple(out)
+    return tuple(
+        OutcomeStat(float(eig), int(count), count / total, _binomial_se(count / total, total))
+        for eig, count in zip(eigenvalues, counts)
+    )
 
 
 @dataclass(frozen=True)
@@ -132,13 +135,7 @@ class EnsembleStats:
 
     @property
     def acceptance(self) -> OutcomeStat:
-        f = self.accepted / self.trials
-        return OutcomeStat(
-            self.selected_eigenvalue,
-            self.accepted,
-            f,
-            float(np.sqrt(f * (1 - f) / self.trials)),
-        )
+        return _freq_stats((self.selected_eigenvalue,), (self.accepted,), self.trials)[0]
 
     def _stage(self, label: str | None) -> StageTally:
         if label is None:
@@ -262,7 +259,6 @@ def simulate(
     post: tuple[SpectralObservable, float],
     trials: int,
     seed: int,
-    chunk_size: int = CHUNK_SIZE,
 ) -> EnsembleStats:
     """Run ``trials`` prepare/measure/post-select experiments.
 
@@ -290,7 +286,7 @@ def simulate(
 
     # the final measurement is sampled like the others, as one more stage
     walk = [*stages, MeasureStage(post_obs, "post")]
-    tables, static_states, tail = _static_tables(pre, walk, min(trials, chunk_size))
+    tables, static_states, tail = _static_tables(pre, walk, min(trials, CHUNK_SIZE))
     n_branches = [st.observable.num_branches for st in measure_stages]
     path_dtype = np.min_scalar_type(max(n_branches + [post_obs.num_branches]))
 
@@ -299,9 +295,9 @@ def simulate(
     post_counts = np.zeros(post_obs.num_branches, dtype=np.int64)
     joint = []
 
-    n_chunks = (trials + chunk_size - 1) // chunk_size
+    n_chunks = (trials + CHUNK_SIZE - 1) // CHUNK_SIZE
     for k in range(n_chunks):
-        m = min(chunk_size, trials - k * chunk_size)
+        m = min(CHUNK_SIZE, trials - k * CHUNK_SIZE)
         rng = chunk_rng(seed, k)
         node = np.zeros(m, dtype=np.intp)
         paths = np.empty((len(measure_stages) + 1, m), dtype=path_dtype)
@@ -378,43 +374,47 @@ class ComparisonReport:
     passed: bool
 
 
+def compare_counts(
+    predicted: OutcomeDistribution, counts: Sequence[int], total: int, z: float = 4.0
+) -> tuple[OutcomeComparison, ...]:
+    """Per-outcome agreement test of ``counts`` out of ``total`` accepted
+    trials, in the order of ``predicted``: |frequency - predicted| ≤ z·SE.
+
+    SE is the binomial error of the observed frequency.  When the frequency
+    is degenerate (0 or 1, hence SE = 0): an exactly degenerate prediction
+    must match exactly; otherwise the prediction's own binomial SE is used.
+    Raises InsufficientAcceptedTrialsError below MIN_ACCEPTED accepted trials.
+    """
+    if total < MIN_ACCEPTED:
+        raise InsufficientAcceptedTrialsError(f"{total} accepted trials < floor {MIN_ACCEPTED}")
+    outcomes = []
+    for stat, p in zip(_freq_stats(predicted.eigenvalues, counts, total), predicted.probabilities):
+        se = stat.std_error
+        if se == 0.0 and (p <= 1e-12 or p >= 1 - 1e-12):
+            ok = abs(stat.frequency - p) <= 1e-12
+            z_score = 0.0 if ok else float("inf")
+        else:
+            se = se or _binomial_se(p, total)
+            z_score = (stat.frequency - p) / se
+            ok = abs(z_score) <= z
+        outcomes.append(OutcomeComparison(stat.eigenvalue, p, stat.frequency, se, z_score, ok))
+    return tuple(outcomes)
+
+
 def compare_to_abl(
     stats: EnsembleStats,
     predicted: OutcomeDistribution,
     z: float = 4.0,
     stage_label: str | None = None,
-    min_accepted: int = DEFAULT_MIN_ACCEPTED,
 ) -> ComparisonReport:
-    """Per-outcome agreement test: |frequency - predicted| ≤ z·SE.
-
-    SE is the binomial error of the observed frequency.  When the frequency
-    is degenerate (0 or 1, hence SE = 0): an exactly degenerate prediction
-    must match exactly; otherwise the prediction's own binomial SE is used.
-    """
-    if stats.accepted < min_accepted:
-        raise InsufficientAcceptedTrialsError(
-            f"{stats.accepted} accepted trials < floor {min_accepted}"
-        )
-    observed = stats.conditional(stage_label)
-    outcomes = []
-    all_pass = True
-    for eig, p in zip(predicted.eigenvalues, predicted.probabilities):
-        hits = [s for s in observed if abs(s.eigenvalue - eig) <= 1e-9]
+    """``compare_counts`` of one stage's accepted tallies, matched to
+    ``predicted`` by eigenvalue."""
+    stage = stats._stage(stage_label)
+    counts = []
+    for eig in predicted.eigenvalues:
+        hits = [c for e, c in zip(stage.eigenvalues, stage.counts_accepted) if abs(e - eig) <= 1e-9]
         if len(hits) != 1:
             raise ValueError(f"predicted eigenvalue {eig!r} does not match the sampled stage")
-        stat = hits[0]
-        se = stat.std_error
-        if se > 0.0:
-            z_score = (stat.frequency - p) / se
-            ok = abs(z_score) <= z
-        elif p <= 1e-12 or p >= 1 - 1e-12:
-            ok = abs(stat.frequency - p) <= 1e-12
-            z_score = 0.0 if ok else float("inf")
-        else:
-            se = float(np.sqrt(p * (1 - p) / stats.accepted))
-            z_score = (stat.frequency - p) / se
-            ok = abs(z_score) <= z
-        outcomes.append(OutcomeComparison(eig, p, stat.frequency, se, z_score, ok))
-        all_pass &= ok
-    stage = stage_label if stage_label is not None else stats.stages[0].label
-    return ComparisonReport(stage, stats.accepted, z, tuple(outcomes), all_pass)
+        counts.append(hits[0])
+    outcomes = compare_counts(predicted, counts, stats.accepted, z)
+    return ComparisonReport(stage.label, stats.accepted, z, outcomes, all(o.passed for o in outcomes))

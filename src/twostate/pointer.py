@@ -163,10 +163,6 @@ class PointerReadout:
         idx = np.searchsorted(cum, u, side="right")
         return idx if size is not None else int(idx[0])
 
-    def sample_position(self, rng: np.random.Generator, size: int | None = None):
-        idx = self.sample_index(rng, size)
-        return self.positions[idx]
-
     def collapse(self, index: int) -> StateVector:
         """System state conditioned on reading the pointer in grid cell ``index``."""
         return StateVector.normalized(self._joint[:, index])

@@ -3,12 +3,17 @@
 import hashlib
 import json
 
+import pytest
+
 from twostate.checks import (
     check_builtin_scenarios,
     check_conditional_counterexample,
+    check_erasure_retrodiction,
+    check_oracle_agreement,
     check_product_rule_failure,
     run_paper_checks,
 )
+from twostate.montecarlo import derive_seed
 
 
 def test_all_rows_pass_at_moderate_trials():
@@ -23,6 +28,20 @@ def test_low_trials_warn_instead_of_fail():
     statuses = {r.name: r.status for r in report.results}
     assert statuses["conditional-vs-unconditioned"] == "warn"
     assert "fail" not in statuses.values()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("trials", [1, 2, 5, 10, 50, 100, 1000])
+def test_statistical_rows_pass_or_warn_at_any_budget(trials, seed):
+    # the trial-dependent rows, with the sub-seeds run_paper_checks gives
+    # them: a budget below an accepted-count floor warns, never fails or raises
+    rows = (
+        check_conditional_counterexample(derive_seed(seed, 2), trials),
+        check_oracle_agreement(derive_seed(seed, 5), trials),
+        check_erasure_retrodiction(derive_seed(seed, 6), trials),
+        check_builtin_scenarios(derive_seed(seed, 8), trials),
+    )
+    assert {r.name: r.status for r in rows if r.status not in ("pass", "warn")} == {}
 
 
 def test_counterexample_separation_required_at_scale():

@@ -230,6 +230,14 @@ class TestPaperChecks:
         assert code == 0
         assert out.endswith("overall: PASS\n")
 
+    @pytest.mark.parametrize("trials,seed", [(1, 7), (50, 0)])
+    def test_low_trial_budgets_warn_and_exit_zero(self, capsys, trials, seed):
+        # every trial rejected (trials 1) or a Bell branch with a handful of
+        # accepted trials (trials 50) is a WARN row, not exit 4 or 1
+        code, out, _ = run(capsys, "paper-checks", "--trials", str(trials), "--seed", str(seed))
+        assert code == 0
+        assert "WARN" in out and out.endswith("overall: PASS\n")
+
     @pytest.mark.parametrize("z", ["nan", "inf", "-inf", "0"])
     def test_z_must_be_finite_and_positive(self, capsys, z):
         # rejected before any check runs: nan used to run the battery and

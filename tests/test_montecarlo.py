@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostate.algebra import (
     SpectralObservable,
@@ -26,16 +28,18 @@ from twostate.errors import (
     InsufficientAcceptedTrialsError,
 )
 from twostate.montecarlo import (
+    MIN_ACCEPTED,
     MeasureStage,
     UnitaryStage,
     chunk_rng,
+    compare_counts,
     compare_to_abl,
     derive_seed,
     simulate,
 )
 from twostate import checks
 from twostate.checks import check_conditional_counterexample
-from twostate.rules import TwoStateVector, abl_probabilities, born_probabilities
+from twostate.rules import OutcomeDistribution, TwoStateVector, abl_probabilities, born_probabilities
 from twostate.scenarios import ScenarioSpec, builtin, run_scenario
 
 UP_Z = basis_state(2, 0)
@@ -256,8 +260,6 @@ class TestCompareToAbl:
 
     def test_wrong_prediction_rejected(self):
         # swapping in the unconditioned prediction (0.75) must fail loudly
-        from twostate.rules import OutcomeDistribution
-
         probe = spin_observable(np.pi / 3)
         stats = simulate(UP_Z, [MeasureStage(probe, "probe")], (pauli("z"), 1.0), 100_000, 6)
         wrong = OutcomeDistribution((1.0, -1.0), (0.75, 0.25))
@@ -266,10 +268,59 @@ class TestCompareToAbl:
         assert max(abs(o.z_score) for o in report.outcomes) > 50
 
     def test_accepted_floor(self):
-        stats = simulate(UP_Z, [MeasureStage(pauli("z"), "m")], (pauli("z"), 1.0), 300, 3)
+        # every trial is accepted, so 99 trials sit one below the floor
+        stats = simulate(UP_Z, [MeasureStage(pauli("z"), "m")], (pauli("z"), 1.0), 99, 3)
+        assert stats.accepted == 99
         predicted = abl_probabilities(TwoStateVector(UP_Z, UP_Z), pauli("z"))
         with pytest.raises(InsufficientAcceptedTrialsError):
-            compare_to_abl(stats, predicted, min_accepted=1000)
+            compare_to_abl(stats, predicted)
+
+
+HALF = OutcomeDistribution((1.0, -1.0), (0.5, 0.5))
+
+
+class TestCompareCounts:
+    def test_floor_is_one_hundred_accepted_trials(self):
+        assert MIN_ACCEPTED == 100
+        with pytest.raises(InsufficientAcceptedTrialsError, match="99 accepted trials < floor 100"):
+            compare_counts(HALF, (50, 49), 99)
+        outcomes = compare_counts(HALF, (50, 50), 100)
+        assert [o.z_score for o in outcomes] == [0.0, 0.0]
+        assert all(o.passed for o in outcomes)
+
+    def test_degenerate_frequency_and_prediction_must_match_exactly(self):
+        certain = OutcomeDistribution((1.0, -1.0), (1.0, 0.0))
+        outcomes = compare_counts(certain, (100, 0), 100)
+        assert [(o.std_error, o.z_score, o.passed) for o in outcomes] == [(0.0, 0.0, True)] * 2
+        outcomes = compare_counts(certain, (0, 100), 100)
+        assert [(o.std_error, o.z_score, o.passed) for o in outcomes] == [(0.0, float("inf"), False)] * 2
+
+    def test_degenerate_frequency_uses_the_prediction_se(self):
+        # every count on +1: the observed SE is 0, so each outcome is tested
+        # with the prediction's binomial SE sqrt(p (1 - p) / total)
+        near = OutcomeDistribution((1.0, -1.0), (0.99, 0.01))
+        outcomes = compare_counts(near, (100, 0), 100)
+        se = [np.sqrt(p * (1 - p) / 100) for p in (0.99, 0.01)]
+        assert [o.std_error for o in outcomes] == se
+        assert [o.z_score for o in outcomes] == [(1 - 0.99) / se[0], (0 - 0.01) / se[1]]
+        assert all(o.passed for o in outcomes)  # |z| = 1.005
+        far = OutcomeDistribution((1.0, -1.0), (0.9, 0.1))
+        assert [round(o.z_score, 2) for o in compare_counts(far, (400, 0), 400)] == [6.67, -6.67]
+        assert not any(o.passed for o in compare_counts(far, (400, 0), 400))
+
+    def test_all_rejected_is_insufficient(self):
+        assert issubclass(AllRejectedError, InsufficientAcceptedTrialsError)
+        with pytest.raises(InsufficientAcceptedTrialsError):
+            simulate(UP_Z, [], (pauli("z"), -1.0), 10, 0)
+
+    @given(counts=st.lists(st.integers(0, 10_000), min_size=1, max_size=8).filter(lambda c: sum(c) >= 100))
+    @settings(max_examples=200, deadline=None)
+    def test_prediction_equal_to_frequencies_passes_with_zero_z(self, counts):
+        total = sum(counts)
+        predicted = OutcomeDistribution(tuple(float(j) for j in range(len(counts))), tuple(c / total for c in counts))
+        outcomes = compare_counts(predicted, counts, total)
+        assert [o.z_score for o in outcomes] == [0.0] * len(counts)
+        assert all(o.passed for o in outcomes)
 
 
 class TestInterpretationB:
