@@ -80,9 +80,12 @@ def _angles(text: str) -> tuple[float, ...]:
     if not 1 <= len(parts) <= 2:
         raise CliError(f"bad angle spec {text!r}; expected spin:THETA[:PHI]")
     try:
-        return tuple(float(p) for p in parts)
+        angles = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise CliError(f"bad angle in {text!r}: {exc}") from None
+    if not np.isfinite(angles).all():
+        raise CliError(f"bad angle in {text!r}: angles must be finite")
+    return angles
 
 
 def _fmt(x: float) -> str:

@@ -383,8 +383,11 @@ def compare_counts(
     SE is the binomial error of the observed frequency.  When the frequency
     is degenerate (0 or 1, hence SE = 0): an exactly degenerate prediction
     must match exactly; otherwise the prediction's own binomial SE is used.
-    Raises InsufficientAcceptedTrialsError below MIN_ACCEPTED accepted trials.
+    Raises InsufficientAcceptedTrialsError below MIN_ACCEPTED accepted trials,
+    ValueError when there is not one count per predicted outcome.
     """
+    if len(counts) != len(predicted.eigenvalues):
+        raise ValueError(f"{len(counts)} counts for {len(predicted.eigenvalues)} predicted outcomes")
     if total < MIN_ACCEPTED:
         raise InsufficientAcceptedTrialsError(f"{total} accepted trials < floor {MIN_ACCEPTED}")
     outcomes = []

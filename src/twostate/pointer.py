@@ -28,6 +28,12 @@ DEFAULT_SPAN_SIGMAS = 64.0
 NORM_TOL = 1e-8
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise PointerGridError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PointerState:
     """A pointer wavefunction on a uniform grid; Σ|amp|²·dq = 1."""
@@ -45,11 +51,12 @@ class PointerState:
             raise ValueError("positions and amps must be matching 1-d arrays")
         if pos.size < 256:
             raise PointerGridError(f"grid has {pos.size} points; need >= 256")
+        _check_finite(spacing=self.spacing, center=self.center, sigma=self.sigma)
         margin = min(self.center - pos[0], pos[-1] - self.center)
-        if margin < 8 * self.sigma:
+        if not margin >= 8 * self.sigma:
             raise PointerGridError("grid must span at least 8 sigma on each side of center")
         norm = float(np.sum(np.abs(amps) ** 2) * self.spacing)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise PointerGridError(f"pointer norm is {norm!r}, expected 1 within {NORM_TOL}")
         for name, arr in (("positions", pos), ("amps", amps)):
             arr = arr.copy()
@@ -71,16 +78,17 @@ def make_gaussian_pointer(
     span: float | None = None,
 ) -> PointerState:
     """Normalized Gaussian ready state of position spread ``sigma``."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     if span is None:
         span = DEFAULT_SPAN_SIGMAS * sigma
-    if span < 16 * sigma:
+    _check_finite(center=center, sigma=sigma, span=span)
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
+    if not span >= 16 * sigma:
         raise PointerGridError(f"span {span} < 16 sigma")
     if n < 256:
         raise PointerGridError(f"n = {n} < 256")
     dq = span / n
-    if dq > sigma / 8:
+    if not dq <= sigma / 8:
         raise PointerGridError(f"grid too coarse: dq = {dq} > sigma/8 = {sigma / 8}")
     q = center + (np.arange(n) - (n - 1) / 2) * dq
     amps = np.exp(-((q - center) ** 2) / (4 * sigma**2)).astype(complex)
@@ -112,8 +120,9 @@ class JointState:
 
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=complex)
+        _check_finite(spacing=self.spacing, center=self.center, sigma=self.sigma)
         norm = float(np.sum(np.abs(amps) ** 2) * self.spacing)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise PointerGridError(f"joint norm is {norm!r}, expected 1 within {NORM_TOL}")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -175,16 +184,22 @@ def readout(joint: JointState) -> PointerReadout:
     return PointerReadout(joint.positions, probs, joint.amps)
 
 
-def post_selected_pointer(
-    joint: JointState, post: StateVector
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pointer wave after projecting the system side onto ⟨post|; (positions, probs)."""
+def _post_selected_wave(joint: JointState, post: StateVector) -> tuple[np.ndarray, float]:
+    """The pointer wave ⟨post|joint⟩ and its squared norm Σ|wave|²·dq."""
     if post.dim != joint.system_dim:
         raise DimensionMismatchError(f"post dim {post.dim} vs system dim {joint.system_dim}")
     wave = post.amps.conj() @ joint.amps
     norm = float(np.sum(np.abs(wave) ** 2) * joint.spacing)
     if norm < 1e-14:
         raise ZeroOverlapError("post-selection removes all amplitude; pointer undefined")
+    return wave, norm
+
+
+def post_selected_pointer(
+    joint: JointState, post: StateVector
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer wave after projecting the system side onto ⟨post|; (positions, probs)."""
+    wave, norm = _post_selected_wave(joint, post)
     probs = np.abs(wave) ** 2 * joint.spacing / norm
     return joint.positions, probs
 
@@ -217,12 +232,7 @@ def post_selected_momentum_mean(
     validated qualitatively by sign, not by a quantitative formula.
     """
     joint = couple(pre, pointer, coupling)
-    if post.dim != joint.system_dim:
-        raise DimensionMismatchError(f"post dim {post.dim} vs system dim {joint.system_dim}")
-    wave = post.amps.conj() @ joint.amps
-    norm2 = float(np.sum(np.abs(wave) ** 2))
-    if norm2 * joint.spacing < 1e-14:
-        raise ZeroOverlapError("post-selection removes all amplitude; pointer undefined")
+    wave, _ = _post_selected_wave(joint, post)
     spectrum = np.fft.fft(wave)
     momenta = 2 * np.pi * np.fft.fftfreq(wave.size, d=joint.spacing)
     weights = np.abs(spectrum) ** 2

@@ -133,35 +133,28 @@ class ScenarioSpec:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.pre.dim != self.dim:
-            raise ScenarioFormatError(f"pre: dimension {self.pre.dim} != dim {self.dim}")
+        """Every check that spans fields, each naming its part by document path."""
+        parts = [("pre", self.pre), *((f"timeline[{i}]", e) for i, e in enumerate(self.timeline)),
+                 ("post.observable", self.post_observable)]
+        parts += [(f"counterfactuals[{i}].observable", obs) for i, (_, obs) in enumerate(self.counterfactuals)]
+        for i, (_, left, right) in enumerate(self.products):
+            parts += [(f"products[{i}].left", left), (f"products[{i}].right", right)]
+        for path, part in parts:
+            if part.dim != self.dim:
+                raise ScenarioFormatError(f"{path}: dimension {part.dim} != dim {self.dim}")
         for i, entry in enumerate(self.timeline):
-            if entry.dim != self.dim:
-                raise ScenarioFormatError(
-                    f"timeline[{i}]: dimension {entry.dim} != dim {self.dim}"
-                )
             if isinstance(entry, WeakStage) and not (entry.strength > 0 and np.isfinite(entry.strength)):
                 raise ScenarioFormatError(f"timeline[{i}].weak_measure.strength: expected a finite number > 0")
-        if self.post_observable.dim != self.dim:
-            raise ScenarioFormatError(
-                f"post.observable: dimension {self.post_observable.dim} != dim {self.dim}"
-            )
-        labels = [e.label for e in self.timeline if isinstance(e, (MeasureStage, WeakStage))]
-        if len(set(labels)) != len(labels):
-            raise ScenarioFormatError(f"stage labels must be unique, got {labels}")
-        for what, entries in (("counterfactuals", self.counterfactuals), ("products", self.products)):
-            labels = [entry[0] for entry in entries]
+        for path, labels in (
+            ("timeline", [e.label for e in self.timeline if isinstance(e, (MeasureStage, WeakStage))]),
+            ("counterfactuals", [label for label, _ in self.counterfactuals]),
+            ("products", [label for label, _, _ in self.products]),
+        ):
             if len(set(labels)) != len(labels):
-                raise ScenarioFormatError(f"{what}: labels must be unique, got {labels}")
-        self.post_observable.branch_index(self.post_select)  # must exist
-        for label, obs in self.counterfactuals:
-            if obs.dim != self.dim:
-                raise ScenarioFormatError(f"counterfactual {label!r}: dimension mismatch")
-        for label, left, right in self.products:
-            if left.dim != self.dim or right.dim != self.dim:
-                raise ScenarioFormatError(f"product {label!r}: dimension mismatch")
+                raise ScenarioFormatError(f"{path}: labels must be unique, got {labels}")
+        _built("post.select", self.post_observable.branch_index, self.post_select)
         if self.trials < 1:
-            raise ScenarioFormatError("trials must be >= 1")
+            raise ScenarioFormatError("trials: expected a positive integer")
 
 
 # ---------------------------------------------------------------------------
@@ -211,54 +204,60 @@ def _list_from(value, path: str) -> list | tuple:
     return value
 
 
-def resolve_observable(spec, dim: int | None, path: str) -> SpectralObservable:
+def _label_from(body: Mapping, path: str) -> str:
+    label = body.get("label")
+    if not isinstance(label, str) or not label:
+        raise ScenarioFormatError(f"{path}.label: expected a nonempty string")
+    return label
+
+
+def _built(path: str, build, *args):
+    """``build(*args)``, with a rejected value raised as a ScenarioFormatError
+    naming ``path``: the one place a library error becomes a format error."""
+    try:
+        return build(*args)
+    except (ObservableError, NormalizationError, ValueError) as exc:
+        raise ScenarioFormatError(f"{path}: {exc}") from exc
+
+
+def resolve_observable(spec, path: str) -> SpectralObservable:
     """Expand an observable document node into a SpectralObservable."""
     if not isinstance(spec, Mapping) or len(spec) != 1:
         raise ScenarioFormatError(f"{path}: expected a single-key observable object")
     (kind, body), = spec.items()
-    try:
-        if kind == "pauli":
-            if body not in ("x", "y", "z"):
-                raise ScenarioFormatError(f"{path}.pauli: expected 'x', 'y' or 'z'")
-            obs = pauli(body)
-        elif kind == "spin":
-            body = _mapping_from(body, f"{path}.spin")
-            theta = _number_from(body.get("theta"), f"{path}.spin.theta")
-            phi = _number_from(body.get("phi", 0.0), f"{path}.spin.phi")
-            obs = spin_observable(theta, phi)
-        elif kind == "which_path":
-            obs = which_path()
-        elif kind == "bell_basis":
-            obs = bell_basis()
-        elif kind == "detector_basis":
-            body = _mapping_from(body, f"{path}.detector_basis")
-            mat = _matrix_from(body.get("unitary"), f"{path}.detector_basis.unitary")
-            obs = detector_basis(Unitary(mat))
-        elif kind == "explicit":
-            if not isinstance(body, (list, tuple)) or not body:
-                raise ScenarioFormatError(f"{path}.explicit: expected a branch list")
-            eigs, projs = [], []
-            for i, branch in enumerate(body):
-                branch = _mapping_from(branch, f"{path}.explicit[{i}]")
-                eigs.append(_number_from(branch.get("eigenvalue"), f"{path}.explicit[{i}].eigenvalue"))
-                projs.append(_matrix_from(branch.get("projector"), f"{path}.explicit[{i}].projector"))
-            obs = SpectralObservable(np.array(eigs), np.array(projs))
-        else:
-            raise ScenarioFormatError(f"{path}: unknown observable kind {kind!r}")
-    except (ObservableError, NormalizationError, ValueError) as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
-    if dim is not None and obs.dim != dim:
-        raise ScenarioFormatError(f"{path}: observable dimension {obs.dim} != dim {dim}")
-    return obs
+    if kind == "pauli":
+        if body not in ("x", "y", "z"):
+            raise ScenarioFormatError(f"{path}.pauli: expected 'x', 'y' or 'z'")
+        return pauli(body)
+    if kind == "spin":
+        body = _mapping_from(body, f"{path}.spin")
+        theta = _number_from(body.get("theta"), f"{path}.spin.theta")
+        phi = _number_from(body.get("phi", 0.0), f"{path}.spin.phi")
+        return _built(path, spin_observable, theta, phi)
+    if kind == "which_path":
+        return which_path()
+    if kind == "bell_basis":
+        return bell_basis()
+    if kind == "detector_basis":
+        body = _mapping_from(body, f"{path}.detector_basis")
+        mat = _matrix_from(body.get("unitary"), f"{path}.detector_basis.unitary")
+        return _built(path, lambda: detector_basis(Unitary(mat)))
+    if kind == "explicit":
+        if not isinstance(body, (list, tuple)) or not body:
+            raise ScenarioFormatError(f"{path}.explicit: expected a branch list")
+        eigs, projs = [], []
+        for i, branch in enumerate(body):
+            branch = _mapping_from(branch, f"{path}.explicit[{i}]")
+            eigs.append(_number_from(branch.get("eigenvalue"), f"{path}.explicit[{i}].eigenvalue"))
+            projs.append(_matrix_from(branch.get("projector"), f"{path}.explicit[{i}].projector"))
+        return _built(path, SpectralObservable, eigs, projs)
+    raise ScenarioFormatError(f"{path}: unknown observable kind {kind!r}")
 
 
-def _resolve_operator(spec, dim: int, path: str) -> LinearOperator:
+def _resolve_operator(spec, path: str) -> LinearOperator:
     if isinstance(spec, Mapping) and set(spec) == {"matrix"}:
-        mat = _matrix_from(spec["matrix"], f"{path}.matrix")
-        if mat.shape[0] != dim:
-            raise ScenarioFormatError(f"{path}.matrix: dimension {mat.shape[0]} != dim {dim}")
-        return LinearOperator(mat)
-    return resolve_observable(spec, dim, path).operator
+        return _built(f"{path}.matrix", LinearOperator, _matrix_from(spec["matrix"], f"{path}.matrix"))
+    return resolve_observable(spec, path).operator
 
 
 def load_scenario(document) -> ScenarioSpec:
@@ -284,10 +283,7 @@ def load_scenario(document) -> ScenarioSpec:
     dim = document.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ScenarioFormatError("dim: expected a positive integer")
-    try:
-        pre = StateVector(_vector_from(document.get("pre"), "pre"))
-    except NormalizationError as exc:
-        raise ScenarioFormatError(f"pre: {exc}") from exc
+    pre = _built("pre", StateVector, _vector_from(document.get("pre"), "pre"))
 
     timeline: list[TimelineEntry] = []
     for i, entry in enumerate(_list_from(document.get("timeline", []), "timeline")):
@@ -295,71 +291,51 @@ def load_scenario(document) -> ScenarioSpec:
         if not isinstance(entry, Mapping) or len(entry) != 1:
             raise ScenarioFormatError(f"{path}: expected a single-key stage object")
         (kind, body), = entry.items()
+        path = f"{path}.{kind}"
         if kind == "unitary":
-            try:
-                timeline.append(UnitaryStage(Unitary(_matrix_from(body, f"{path}.unitary"))))
-            except NormalizationError as exc:
-                raise ScenarioFormatError(f"{path}.unitary: {exc}") from exc
+            timeline.append(UnitaryStage(_built(path, Unitary, _matrix_from(body, path))))
         elif kind == "measure":
-            body = _mapping_from(body, f"{path}.measure")
-            obs = resolve_observable(body.get("observable"), dim, f"{path}.measure.observable")
-            label = body.get("label")
-            if not isinstance(label, str) or not label:
-                raise ScenarioFormatError(f"{path}.measure.label: expected a nonempty string")
-            timeline.append(MeasureStage(obs, label))
+            body = _mapping_from(body, path)
+            obs = resolve_observable(body.get("observable"), f"{path}.observable")
+            timeline.append(MeasureStage(obs, _label_from(body, path)))
         elif kind == "weak_measure":
-            body = _mapping_from(body, f"{path}.weak_measure")
-            op = _resolve_operator(body.get("operator"), dim, f"{path}.weak_measure.operator")
-            strength = _number_from(body.get("strength"), f"{path}.weak_measure.strength")
-            label = body.get("label")
-            if not isinstance(label, str) or not label:
-                raise ScenarioFormatError(f"{path}.weak_measure.label: expected a nonempty string")
-            timeline.append(WeakStage(op, strength, label))
+            body = _mapping_from(body, path)
+            op = _resolve_operator(body.get("operator"), f"{path}.operator")
+            strength = _number_from(body.get("strength"), f"{path}.strength")
+            timeline.append(WeakStage(op, strength, _label_from(body, path)))
         else:
-            raise ScenarioFormatError(f"{path}: unknown stage kind {kind!r}")
+            raise ScenarioFormatError(f"timeline[{i}]: unknown stage kind {kind!r}")
 
     post = document.get("post")
     if isinstance(post, (list, tuple)):
         raise ScenarioFormatError("post: exactly one post-selection entry is allowed")
     if not isinstance(post, Mapping):
         raise ScenarioFormatError("post: expected an object with observable and select")
-    post_obs = resolve_observable(post.get("observable"), dim, "post.observable")
+    post_obs = resolve_observable(post.get("observable"), "post.observable")
     select = _number_from(post.get("select"), "post.select")
-    try:
-        post_obs.branch_index(select)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"post.select: {exc}") from exc
 
-    params = document.get("params", {})
-    if not isinstance(params, Mapping):
-        raise ScenarioFormatError("params: expected an object")
+    params = _mapping_from(document.get("params", {}), "params")
     params = {str(k): _number_from(v, f"params.{k}") for k, v in params.items()}
     counterfactuals = []
     for i, entry in enumerate(_list_from(document.get("counterfactuals", []), "counterfactuals")):
         path = f"counterfactuals[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ScenarioFormatError(f"{path}: expected an object")
-        label = entry.get("label")
-        if not isinstance(label, str) or not label:
-            raise ScenarioFormatError(f"{path}.label: expected a nonempty string")
-        counterfactuals.append((label, resolve_observable(entry.get("observable"), dim, f"{path}.observable")))
+        entry = _mapping_from(entry, path)
+        counterfactuals.append(
+            (_label_from(entry, path), resolve_observable(entry.get("observable"), f"{path}.observable"))
+        )
     products = []
     for i, entry in enumerate(_list_from(document.get("products", []), "products")):
         path = f"products[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ScenarioFormatError(f"{path}: expected an object")
-        label = entry.get("label")
-        if not isinstance(label, str) or not label:
-            raise ScenarioFormatError(f"{path}.label: expected a nonempty string")
+        entry = _mapping_from(entry, path)
         products.append((
-            label,
-            _resolve_operator(entry.get("left"), dim, f"{path}.left"),
-            _resolve_operator(entry.get("right"), dim, f"{path}.right"),
+            _label_from(entry, path),
+            _resolve_operator(entry.get("left"), f"{path}.left"),
+            _resolve_operator(entry.get("right"), f"{path}.right"),
         ))
 
     trials = document.get("trials", DEFAULT_TRIALS)
     seed = document.get("seed", DEFAULT_SEED)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+    if not isinstance(trials, int) or isinstance(trials, bool):
         raise ScenarioFormatError("trials: expected a positive integer")
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ScenarioFormatError("seed: expected an integer in [0, 2**64)")

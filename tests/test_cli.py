@@ -279,3 +279,27 @@ class TestPointerSweep:
         assert code == 2
         assert out == ""
         assert "--couplings must be finite numbers > 0" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sigma", "nan"), ("--sigma", "inf"), ("--span", "nan"), ("--span", "inf"),
+    ])
+    def test_grid_parameters_must_be_finite(self, capsys, flag, value):
+        code, out, err = run(
+            capsys, "pointer-sweep", "--pre", "up-z", "--post", "up-x", "--obs", "pauli-z",
+            "--couplings", "0.1", flag, value,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{flag[2:]} must be finite, got {value}" in err
+
+
+class TestAngles:
+    @pytest.mark.parametrize("flag, text", [
+        ("--pre", "spin:nan"), ("--post", "spin:1:inf"), ("--obs", "spin:inf"), ("--obs", "spin:0.3:-inf"),
+    ])
+    def test_non_finite_angle_quoted(self, capsys, flag, text):
+        argv = {"--pre": "up-z", "--post": "up-x", "--obs": "pauli-z", flag: text}
+        code, out, err = run(capsys, "abl", *(x for item in argv.items() for x in item))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad angle in {text!r}: angles must be finite\n"

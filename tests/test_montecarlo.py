@@ -288,6 +288,11 @@ class TestCompareCounts:
         assert [o.z_score for o in outcomes] == [0.0, 0.0]
         assert all(o.passed for o in outcomes)
 
+    @pytest.mark.parametrize("counts", [(300,), (200, 200, 200)])
+    def test_one_count_per_predicted_outcome(self, counts):
+        with pytest.raises(ValueError, match=f"{len(counts)} counts for 2 predicted outcomes"):
+            compare_counts(HALF, counts, 600)
+
     def test_degenerate_frequency_and_prediction_must_match_exactly(self):
         certain = OutcomeDistribution((1.0, -1.0), (1.0, 0.0))
         outcomes = compare_counts(certain, (100, 0), 100)

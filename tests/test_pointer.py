@@ -8,6 +8,8 @@ from twostate.errors import PointerGridError, ZeroOverlapError
 from twostate.montecarlo import chunk_rng
 from twostate.pointer import (
     CouplingSpec,
+    JointState,
+    PointerState,
     couple,
     make_gaussian_pointer,
     post_selected_mean_shift,
@@ -48,6 +50,29 @@ class TestGaussianPointer:
     def test_point_floor(self):
         with pytest.raises(PointerGridError):
             make_gaussian_pointer(0.0, 1.0, 128, 32.0)
+
+    @pytest.mark.parametrize("name", ["center", "sigma", "span"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter_named(self, name, value):
+        with pytest.raises(PointerGridError, match=f"^{name} must be finite"):
+            make_gaussian_pointer(**{"center": 0.0, "sigma": 1.0, "span": 64.0, name: value})
+
+    @pytest.mark.parametrize("name", ["spacing", "center", "sigma"])
+    def test_states_reject_non_finite_grid_values(self, name):
+        p = make_gaussian_pointer()
+        joint = couple(UP_X, p, CouplingSpec(0.1, pauli("z")))
+        grid = {"spacing": p.spacing, "center": p.center, "sigma": p.sigma, name: float("nan")}
+        with pytest.raises(PointerGridError, match=f"^{name} must be finite"):
+            PointerState(p.positions, p.amps, **grid)
+        with pytest.raises(PointerGridError, match=f"^{name} must be finite"):
+            JointState(joint.amps, joint.positions, **grid)
+
+    def test_non_finite_amplitudes_fail_the_norm_check(self):
+        p = make_gaussian_pointer()
+        amps = p.amps.copy()
+        amps[0] = np.nan
+        with pytest.raises(PointerGridError, match="norm is nan"):
+            PointerState(p.positions, amps, p.spacing, p.center, p.sigma)
 
 
 class TestCouple:

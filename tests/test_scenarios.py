@@ -207,6 +207,69 @@ class TestLoader:
             original.stages[0].analytic, reloaded.stages[0].analytic, atol=1e-14
         )
 
+    NAN = float("nan")
+    EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    @pytest.mark.parametrize("path, fields", [
+        pytest.param("pre", {"pre": [NAN, 0]}, id="nan-pre"),
+        pytest.param("pre", {"pre": [1, 1]}, id="unnormalized-pre"),
+        pytest.param("pre", {"dim": 3}, id="pre-dimension"),
+        pytest.param("timeline[0].unitary", {"timeline": [{"unitary": [[NAN, 0], [0, 1]]}]}, id="nan-unitary"),
+        pytest.param("timeline[0].unitary", {"timeline": [{"unitary": [[1, 1], [0, 1]]}]}, id="non-unitary"),
+        pytest.param("timeline[0].weak_measure.operator.matrix", {"timeline": [
+            {"weak_measure": {"operator": {"matrix": [[NAN, 0], [0, 1]]}, "strength": 0.1, "label": "w"}}
+        ]}, id="nan-weak-matrix"),
+        pytest.param("timeline[0].weak_measure.operator.matrix", {"timeline": [
+            {"weak_measure": {"operator": {"matrix": [[1, 0, 0], [0, 1, 0]]}, "strength": 0.1, "label": "w"}}
+        ]}, id="non-square-weak-matrix"),
+        pytest.param("timeline[0]", {"timeline": [
+            {"weak_measure": {"operator": {"matrix": EYE3}, "strength": 0.1, "label": "w"}}
+        ]}, id="weak-matrix-dimension"),
+        pytest.param("timeline[0]", {"timeline": [
+            {"measure": {"observable": {"bell_basis": {}}, "label": "b"}}
+        ]}, id="measure-dimension"),
+        pytest.param("timeline[0].weak_measure.label", {"timeline": [
+            {"weak_measure": {"operator": {"pauli": "z"}, "strength": 0.1}}
+        ]}, id="missing-weak-label"),
+        pytest.param("timeline", {"timeline": [
+            {"measure": {"observable": {"pauli": "z"}, "label": "m"}},
+            {"weak_measure": {"operator": {"pauli": "x"}, "strength": 0.1, "label": "m"}},
+        ]}, id="duplicate-stage-labels"),
+        pytest.param("post.observable", {"post": {"observable": {"bell_basis": {}}, "select": 1}},
+                     id="post-dimension"),
+        pytest.param("post.observable", {"post": {"observable": {"spin": {"theta": NAN}}, "select": 1}},
+                     id="nan-spin-angle"),
+        pytest.param("post.observable", {"post": {"observable": {"detector_basis": {"unitary": [[1, 1], [0, 1]]}},
+                                                  "select": 1}}, id="non-unitary-detector-network"),
+        pytest.param("post.observable", {"post": {"observable": {"explicit": [
+            {"eigenvalue": 1, "projector": [[1, 0], [0, 0]]}, {"eigenvalue": -1, "projector": [[1]]},
+        ]}, "select": 1}}, id="ragged-explicit-projectors"),
+        pytest.param("post.select", {"post": {"observable": {"pauli": "z"}, "select": 0.5}}, id="select"),
+        pytest.param("params", {"params": 5}, id="params-not-object"),
+        pytest.param("counterfactuals[0]", {"counterfactuals": [5]}, id="counterfactual-not-object"),
+        pytest.param("counterfactuals[0].label", {"counterfactuals": [{"observable": {"pauli": "x"}}]},
+                     id="missing-counterfactual-label"),
+        pytest.param("counterfactuals[0].observable", {"counterfactuals": [
+            {"label": "c", "observable": {"bell_basis": {}}}
+        ]}, id="counterfactual-dimension"),
+        pytest.param("products[0].right", {"products": [
+            {"label": "p", "left": {"pauli": "x"}, "right": {"matrix": EYE3}}
+        ]}, id="product-dimension"),
+        pytest.param("products[0].left.matrix", {"products": [
+            {"label": "p", "left": {"matrix": [[NAN, 0], [0, 1]]}, "right": {"pauli": "z"}}
+        ]}, id="nan-product-matrix"),
+        pytest.param("trials", {"trials": 0}, id="trials"),
+    ])
+    def test_malformed_document_names_its_field(self, path, fields):
+        with pytest.raises(ScenarioFormatError) as info:
+            load_scenario(dict(MINIMAL, **fields))
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_spec_rejects_select_outside_the_spectrum(self):
+        with pytest.raises(ScenarioFormatError, match=r"^post\.select: eigenvalue 0\.5"):
+            ScenarioSpec(name="bad", dim=2, pre=basis_state(2, 0), timeline=(),
+                         post_observable=pauli("z"), post_select=0.5)
+
 
 class TestBuiltins:
     def test_unknown_name(self):
