@@ -7,10 +7,14 @@ import pytest
 
 from twostate.checks import (
     check_builtin_scenarios,
+    check_certain_outcome_weak_value,
     check_conditional_counterexample,
     check_erasure_retrodiction,
     check_oracle_agreement,
     check_product_rule_failure,
+    check_recombination_random,
+    check_spin_chain_recombination,
+    check_swap_symmetry,
     run_paper_checks,
 )
 from twostate.montecarlo import derive_seed
@@ -83,3 +87,45 @@ def test_report_json_digest_is_pinned():
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
         "6db2d69ecf7bca3b87fdfd839b741934a52ffab4dd6dafa0909471661fc5c4a2"
     )
+
+
+# summary strings of the four analytic sweeps, recorded before they were
+# evaluated on stacked arrays; they do not depend on the trial budget
+ANALYTIC_ROWS = {
+    0: (
+        "max recombination error 1.110e-15 over 200 angle pairs; at (pi/3, pi/2): final 0.5/0.5, conditional up 0.75/0.75, total 0.75",
+        "max recombination error 6.661e-16 over 1000 random triples (tol 1e-10)",
+        "max conditional deviation 3.331e-16, max weak-value conjugation deviation 4.441e-15 over 500 qubit/qutrit cases (tol 1e-12)",
+        "max |weak value - certain eigenvalue| = 9.022e-15 over 500 scenarios (tol 1e-9)",
+    ),
+    7: (
+        "max recombination error 1.110e-15 over 200 angle pairs; at (pi/3, pi/2): final 0.5/0.5, conditional up 0.75/0.75, total 0.75",
+        "max recombination error 4.441e-16 over 1000 random triples (tol 1e-10)",
+        "max conditional deviation 3.331e-16, max weak-value conjugation deviation 3.662e-15 over 500 qubit/qutrit cases (tol 1e-12)",
+        "max |weak value - certain eigenvalue| = 1.348e-14 over 500 scenarios (tol 1e-9)",
+    ),
+    15: (
+        "max recombination error 1.221e-15 over 200 angle pairs; at (pi/3, pi/2): final 0.5/0.5, conditional up 0.75/0.75, total 0.75",
+        "max recombination error 4.441e-16 over 1000 random triples (tol 1e-10)",
+        "max conditional deviation 4.441e-16, max weak-value conjugation deviation 3.972e-15 over 500 qubit/qutrit cases (tol 1e-12)",
+        "max |weak value - certain eigenvalue| = 1.587e-14 over 500 scenarios (tol 1e-9)",
+    ),
+    2**64 - 1: (
+        "max recombination error 9.992e-16 over 200 angle pairs; at (pi/3, pi/2): final 0.5/0.5, conditional up 0.75/0.75, total 0.75",
+        "max recombination error 3.331e-16 over 1000 random triples (tol 1e-10)",
+        "max conditional deviation 3.331e-16, max weak-value conjugation deviation 4.094e-15 over 500 qubit/qutrit cases (tol 1e-12)",
+        "max |weak value - certain eigenvalue| = 1.035e-14 over 500 scenarios (tol 1e-9)",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ANALYTIC_ROWS))
+def test_analytic_rows_are_pinned(seed):
+    rows = (
+        check_spin_chain_recombination(seed),
+        check_recombination_random(derive_seed(seed, 1)),
+        check_swap_symmetry(derive_seed(seed, 3)),
+        check_certain_outcome_weak_value(derive_seed(seed, 4)),
+    )
+    assert {r.status for r in rows} == {"pass"}
+    assert tuple(r.summary for r in rows) == ANALYTIC_ROWS[seed]
