@@ -57,6 +57,88 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Σ_i a_i b_i over the last axis, by stacked matmul.
+
+    Row for row this is ``np.dot(a, b)`` bit for bit (``np.vdot`` when ``a``
+    is already conjugated): both reach the same BLAS dot, whose fused
+    multiply-adds an elementwise sum or ``einsum`` does not reproduce.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(amps: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` over the last axis, op for op: sqrt(re·re + im·im)."""
+    return np.sqrt(_dot(amps.real, amps.real) + _dot(amps.imag, amps.imag))
+
+
+def _unit_rows(amps, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``StateVector`` (or ``StateVector.normalized``) over the rows of a (..., d) stack.
+
+    Returns the unit amplitudes and a mask of the rows that pass the
+    constructor's checks, with the same arithmetic and tolerances; a row
+    outside the mask is to be rebuilt through the constructor, which raises.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    ok = np.isfinite(amps).all(axis=-1)
+    amps = np.where(ok[..., None], amps, 0)
+    if normalize:
+        norm = _norms(amps)
+        ok &= ~(norm < 1e-14)
+        amps = amps / np.where(ok, norm, 1.0)[..., None]
+    norm = _norms(amps)
+    ok &= ~(np.abs(norm - 1.0) > VALIDATE_TOL)
+    return amps / np.where(ok, norm, 1.0)[..., None], ok
+
+
+def _branch_defects(eigs: np.ndarray, projs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The invariants of (eigenvalue, projector) branches over leading axes.
+
+    For eigenvalues (..., k) and projectors (..., k, d, d), as boolean stacks:
+    max |P_j P_l - δ_jl P_j| beyond tolerance (..., k, k), so idempotence on
+    the diagonal and orthogonality off it; non-Hermitian projectors (..., k);
+    coinciding eigenvalues (..., k, k), the diagonal included; projectors
+    that do not resolve the identity (...).
+    """
+    k, dim = eigs.shape[-1], projs.shape[-1]
+    products = projs[..., :, None, :, :] @ projs[..., None, :, :, :]
+    products[..., range(k), range(k), :, :] -= projs
+    defective = np.abs(products).max(axis=(-2, -1)) > VALIDATE_TOL
+    skewed = np.abs(projs - projs.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > VALIDATE_TOL
+    coincide = np.abs(eigs[..., :, None] - eigs[..., None, :]) <= VALIDATE_TOL
+    unresolved = np.abs(projs.sum(axis=-3) - np.eye(dim)).max(axis=(-2, -1)) > VALIDATE_TOL
+    return defective, skewed, coincide, unresolved
+
+
+def _spectra_ok(eigs: np.ndarray, projs: np.ndarray) -> np.ndarray:
+    """Rows of an (eigenvalue, projector) stack that ``SpectralObservable`` accepts."""
+    ok = np.isfinite(eigs).all(axis=-1) & np.isfinite(projs).all(axis=(-3, -2, -1))
+    eigs, projs = np.where(ok[..., None], eigs, 0.0), np.where(ok[..., None, None, None], projs, 0.0)
+    defective, skewed, coincide, unresolved = _branch_defects(eigs, projs)
+    broken = defective.any(axis=(-2, -1)) | skewed.any(axis=-1) | np.triu(coincide, 1).any(axis=(-2, -1))
+    return ok & ~(broken | unresolved)
+
+
+def _hermitian_branches(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``SpectralObservable.from_hermitian``'s arithmetic over a (..., d, d) stack.
+
+    Returns eigenvalues (..., d), rank-1 projectors (..., d, d, d) and the
+    mask of rows that ``from_hermitian`` builds exactly so: finite, Hermitian
+    and every eigenvalue gap above ``DEGENERACY_TOL``.  A row outside the
+    mask is to be rebuilt through ``from_hermitian``, which merges its
+    near-degenerate branches or raises; ``_spectra_ok`` applies the
+    constructor's branch checks to the rest.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    ok = np.isfinite(mats).all(axis=(-2, -1))
+    mats = np.where(ok[..., None, None], mats, 0)
+    ok &= ~(np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > VALIDATE_TOL)
+    vals, vecs = np.linalg.eigh(mats)
+    ok &= (np.diff(vals, axis=-1) > DEGENERACY_TOL).all(axis=-1)
+    columns = vecs.swapaxes(-1, -2)
+    return vals, columns[..., :, :, None] @ columns[..., :, None, :].conj(), ok
+
+
 @dataclass(frozen=True)
 class StateVector:
     """A unit-normalized ket over a finite Hilbert space."""
@@ -160,12 +242,8 @@ class SpectralObservable:
             raise ObservableError(f"projector stack has shape {projs.shape}, expected (k, d, d)")
         if not np.isfinite(eigs).all() or not np.isfinite(projs).all():
             raise ObservableError("non-finite eigenvalue or projector entry")
-        dim, branches = projs.shape[1], range(eigs.size)
-        # one batched max |P_j P_l - δ_jl P_j|: idempotence on the diagonal, orthogonality off it
-        products = projs[:, None] @ projs[None, :]
-        products.reshape(-1, dim, dim)[:: eigs.size + 1] -= projs
-        defective = (np.abs(products).max(axis=(2, 3)) > VALIDATE_TOL).tolist()
-        skewed = (np.abs(projs - projs.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > VALIDATE_TOL).tolist()
+        defective, skewed, coincide, unresolved = (m.tolist() for m in _branch_defects(eigs, projs))
+        branches = range(eigs.size)
         for j in branches:
             if defective[j][j]:
                 raise ObservableError(f"branch {j}: projector is not idempotent")
@@ -175,9 +253,9 @@ class SpectralObservable:
             for k in range(j + 1, eigs.size):
                 if defective[j][k]:
                     raise ObservableError(f"branches {j} and {k}: projectors are not orthogonal")
-                if abs(eigs[j] - eigs[k]) <= VALIDATE_TOL:
+                if coincide[j][k]:
                     raise ObservableError(f"branches {j} and {k}: eigenvalues coincide")
-        if np.abs(projs.sum(axis=0) - np.eye(dim)).max() > VALIDATE_TOL:
+        if unresolved:
             raise ObservableError("projectors do not resolve the identity")
         object.__setattr__(self, "eigenvalues", _frozen(eigs))
         object.__setattr__(self, "projectors", _frozen(projs))
@@ -304,6 +382,21 @@ def spin_observable(theta: float, phi: float = 0.0) -> SpectralObservable:
     up = spin_state(theta, phi)
     down = spin_state(np.pi - theta, phi + np.pi)
     return SpectralObservable.from_eigenbasis([1.0, -1.0], [up, down])
+
+
+def _spin_projectors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``spin_observable(θ)`` over an array of polar angles, op for op.
+
+    Returns the up and down projectors (..., 2, 2, 2) and the mask of angles
+    whose states and branches pass the constructors' checks.
+    """
+    def kets(theta, phi):
+        return _unit_rows(np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1))
+
+    (up, up_ok), (down, down_ok) = kets(theta, 0.0), kets(np.pi - theta, 0.0 + np.pi)
+    vectors = np.stack([up, down], axis=-2)
+    projs = vectors[..., :, None] * vectors.conj()[..., None, :]
+    return projs, up_ok & down_ok & _spectra_ok(np.array([1.0, -1.0]), projs)
 
 
 @cache

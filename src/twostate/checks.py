@@ -32,6 +32,10 @@ import numpy as np
 from .algebra import (
     SpectralObservable,
     StateVector,
+    _hermitian_branches,
+    _spectra_ok,
+    _spin_projectors,
+    _unit_rows,
     basis_state,
     beamsplitter,
     detector_basis,
@@ -41,7 +45,7 @@ from .algebra import (
     state_projector_observable,
     which_path,
 )
-from .errors import InsufficientAcceptedTrialsError
+from .errors import InsufficientAcceptedTrialsError, TwoStateError
 from .montecarlo import (
     MeasureStage,
     chunk_rng,
@@ -54,6 +58,10 @@ from .pointer import CouplingSpec, make_gaussian_pointer, post_selected_mean_shi
 from .rules import (
     OutcomeDistribution,
     TwoStateVector,
+    _abl_rows,
+    _modulus,
+    _recombination,
+    _weak_values,
     abl_probabilities,
     born_probabilities,
     total_probability_check,
@@ -93,27 +101,36 @@ def _random_state(rng: np.random.Generator, dim: int) -> StateVector:
     return StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
 
 
-def _random_observable(rng: np.random.Generator, dim: int) -> SpectralObservable:
+def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return SpectralObservable.from_hermitian((m + m.conj().T) / 2)
+    return (m + m.conj().T) / 2
+
+
+def _amps(states) -> np.ndarray:
+    return np.array([s.amps for s in states])
+
+
+def _random_observable(rng: np.random.Generator, dim: int) -> SpectralObservable:
+    return SpectralObservable.from_hermitian(_random_hermitian(rng, dim))
 
 
 def check_spin_chain_recombination(seed: int, samples: int = 200) -> CheckResult:
     """Final-branch-weighted conditionals recombine to cos²(θ_ab/2)."""
-    rng = _seed_stream(seed)
+    t_ab, t_bc = _seed_stream(seed).uniform(0.05, np.pi - 0.05, size=(samples, 2)).T
     up_a = basis_state(2, 0)
-    worst = 0.0
-    for _ in range(samples):
-        t_ab, t_bc = rng.uniform(0.05, np.pi - 0.05, size=2)
-        report = total_probability_check(
-            up_a, spin_observable(t_ab), spin_observable(t_ab + t_bc)
-        )
-        worst = max(worst, abs(report.recombined.probability(1.0) - np.cos(t_ab / 2) ** 2))
-        closed_form_1f = (
-            np.cos(t_ab / 2) ** 2 * np.cos(t_bc / 2) ** 2
-            + np.sin(t_ab / 2) ** 2 * np.sin(t_bc / 2) ** 2
-        )
-        worst = max(worst, abs(report.final_probabilities[0] - closed_form_1f))
+    middle, middle_ok = _spin_projectors(t_ab)
+    final, final_ok = _spin_projectors(t_ab + t_bc)
+    r = _recombination(np.repeat(up_a.amps[None], samples, axis=0), middle, final)
+    for i in np.flatnonzero(~(middle_ok & final_ok) | r.suspect):  # the scalar path raises its usual error
+        total_probability_check(up_a, spin_observable(t_ab[i]), spin_observable(t_ab[i] + t_bc[i]))
+    # float_power squares through libm's pow, as ``x ** 2`` of a float scalar does;
+    # an array's ``** 2`` multiplies, which rounds otherwise in about 1 case in 1000
+    cos_ab, cos_bc, sin_ab, sin_bc = (
+        np.float_power(f(t / 2), 2) for f, t in ((np.cos, t_ab), (np.cos, t_bc), (np.sin, t_ab), (np.sin, t_bc))
+    )
+    recombined_up = np.clip(r.recombined[:, 0], 0.0, 1.0)  # branch 0 is eigenvalue +1
+    closed_form_1f = cos_ab * cos_bc + sin_ab * sin_bc
+    worst = float(np.max([np.abs(recombined_up - cos_ab), np.abs(r.final[:, 0] - closed_form_1f)], initial=0.0))
 
     pin = total_probability_check(
         up_a, spin_observable(np.pi / 3), spin_observable(np.pi / 3 + np.pi / 2)
@@ -138,20 +155,33 @@ def check_spin_chain_recombination(seed: int, samples: int = 200) -> CheckResult
 
 def check_recombination_random(seed: int, n: int = 1000) -> CheckResult:
     """Generalized consistency for random qubit (pre, middle, final) triples."""
-    rng = _seed_stream(seed)
-    worst = 0.0
-    for _ in range(n):
-        pre = _random_state(rng, 2)
-        mid = _random_observable(rng, 2)
-        fin = _random_observable(rng, 2)
-        report = total_probability_check(pre, mid, fin)
-        worst = max(worst, report.max_abs_error)
+    # one draw per triple, in the order of _random_state and two _random_observable calls
+    draws = _seed_stream(seed).normal(size=(n, 20))
+    pre_amps = draws[:, 0:2] + 1j * draws[:, 2:4]
+    m = draws[:, 4:].reshape(n, 2, 2, 2, 2)  # (triple, middle/final, re/im, 2, 2)
+    m = m[:, :, 0] + 1j * m[:, :, 1]
+    mats = (m + m.conj().swapaxes(-1, -2)) / 2
+    pre, pre_ok = _unit_rows(pre_amps, normalize=True)
+    eigs, projs, regular = _hermitian_branches(mats)
+    obs_ok = regular & _spectra_ok(eigs, projs)
+    r = _recombination(pre, projs[:, 0], projs[:, 1])
+    errors = r.error
+    # near-degenerate and guarded triples go through the scalar rule, as does
+    # the first failing one, whose report ends the check
+    for i in np.flatnonzero(~(pre_ok & obs_ok.all(axis=1)) | r.suspect | ~(errors <= 1e-10)):
+        report = total_probability_check(
+            StateVector.normalized(pre_amps[i]),
+            SpectralObservable.from_hermitian(mats[i, 0]),
+            SpectralObservable.from_hermitian(mats[i, 1]),
+        )
+        errors[i] = report.max_abs_error
         if not report.passed:
             return CheckResult(
                 "recombination-random-qubits",
                 "fail",
                 f"recombination error {report.max_abs_error:.3e} exceeds 1e-10",
             )
+    worst = float(np.max(errors, initial=0.0))
     return CheckResult(
         "recombination-random-qubits",
         "pass",
@@ -225,26 +255,57 @@ def check_conditional_counterexample(seed: int, trials: int, z: float = 4.0) -> 
     )
 
 
+def _swap_deviations(pre, post, eigs, projs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per case: max |ABL(pre, post) - ABL(post, pre)|, |weak(post, pre) - conj weak(pre, post)|
+    and the mask of cases that every scalar rule accepts."""
+    forward, forward_ok = _abl_rows(post[:, None], projs, pre)
+    backward, backward_ok = _abl_rows(pre[:, None], projs, post)
+    op = np.einsum("nj,njkl->nkl", eigs, projs)
+    weak, weak_ok = _weak_values(post, op, pre)
+    weak_swapped, swapped_ok = _weak_values(pre, op, post)
+    abl_dev = np.abs(np.clip(forward[:, 0], 0.0, 1.0) - np.clip(backward[:, 0], 0.0, 1.0)).max(axis=-1)
+    ok = (forward_ok & backward_ok)[:, 0] & weak_ok & swapped_ok
+    return abl_dev, _modulus(weak_swapped - np.conj(weak)), ok
+
+
 def check_swap_symmetry(seed: int, n: int = 500) -> CheckResult:
     """Conditionals are invariant, and weak values conjugate, under pre/post swap."""
     rng = _seed_stream(seed)
-    worst_abl = worst_weak = 0.0
-    for i in range(n):
-        dim = 2 if i % 2 == 0 else 3
-        pre = _random_state(rng, dim)
-        post = _random_state(rng, dim)
-        while abs(np.vdot(post.amps, pre.amps)) < 0.05:
+    pres, posts, mats, pending = [], [], [], None
+    try:
+        for i in range(n):
+            dim = 2 if i % 2 == 0 else 3
+            pre = _random_state(rng, dim)
             post = _random_state(rng, dim)
-        tsv = TwoStateVector(pre, post)
-        obs = _random_observable(rng, dim)
-        forward = np.asarray(abl_probabilities(tsv, obs).probabilities)
-        backward = np.asarray(abl_probabilities(tsv.swapped(), obs).probabilities)
-        worst_abl = max(worst_abl, float(np.max(np.abs(forward - backward))))
-        op = obs.operator
-        worst_weak = max(
-            worst_weak,
-            abs(weak_value(tsv.swapped(), op) - np.conj(weak_value(tsv, op))),
+            while abs(np.vdot(post.amps, pre.amps)) < 0.05:
+                post = _random_state(rng, dim)
+            pres.append(pre)
+            posts.append(post)
+            mats.append(_random_hermitian(rng, dim))
+    except TwoStateError as exc:  # raised once the cases drawn before it are judged
+        pending = exc
+    abl_dev, weak_dev, ok = np.zeros(len(mats)), np.zeros(len(mats)), np.zeros(len(mats), dtype=bool)
+    for rows in (slice(0, None, 2), slice(1, None, 2)):  # qubits, then qutrits
+        if not mats[rows]:
+            continue
+        eigs, projs, regular = _hermitian_branches(np.array(mats[rows]))
+        pre, post = _amps(pres[rows]), _amps(posts[rows])
+        abl_dev[rows], weak_dev[rows], ok[rows] = _swap_deviations(pre, post, eigs, projs)
+        ok[rows] &= regular & _spectra_ok(eigs, projs)
+    for i in np.flatnonzero(~ok):  # in case order, through the scalar constructors and rules
+        obs = SpectralObservable.from_hermitian(mats[i])  # merges near-degenerate branches, or raises
+        abl_dev[i : i + 1], weak_dev[i : i + 1], case_ok = _swap_deviations(
+            pres[i].amps[None], posts[i].amps[None], obs.eigenvalues[None], obs.projectors[None]
         )
+        if not case_ok[0]:  # the scalar rules raise their usual error
+            tsv = TwoStateVector(pres[i], posts[i])
+            for pair in (tsv, tsv.swapped()):
+                abl_probabilities(pair, obs)
+            for pair in (tsv.swapped(), tsv):
+                weak_value(pair, obs.operator)
+    if pending is not None:
+        raise pending
+    worst_abl, worst_weak = (float(np.max(dev, initial=0.0)) for dev in (abl_dev, weak_dev))
     ok = worst_abl <= 1e-12 and worst_weak <= 1e-12
     return CheckResult(
         "swap-symmetry",
@@ -257,51 +318,78 @@ def check_swap_symmetry(seed: int, n: int = 500) -> CheckResult:
 def check_certain_outcome_weak_value(seed: int, n: int = 500) -> CheckResult:
     """An outcome certain under the conditional rule pins the weak value."""
     rng = _seed_stream(seed)
-    worst = 0.0
-    count = 0
-    while count < n:
-        kind = count % 3
-        dim = int(rng.integers(3 if kind == 2 else 2, 6))
-        obs = _random_observable(rng, dim)
-        k = obs.num_branches
-        if kind == 2 and k < 3:
-            continue
-        branch = int(rng.integers(0, k))
-        if kind == 0:  # prepared inside an eigenspace
-            pre = StateVector.normalized(obs.projectors[branch] @ _random_state(rng, dim).amps)
-            post = _random_state(rng, dim)
-            while abs(np.vdot(post.amps, pre.amps)) < 0.1:
+    pres, posts, spectra, mats, branches, pending = [], [], [], [], [], None
+    try:
+        while len(mats) < n:
+            kind = len(mats) % 3
+            dim = int(rng.integers(3 if kind == 2 else 2, 6))
+            mat = _random_hermitian(rng, dim)
+            eigs, projs, regular = _hermitian_branches(mat)
+            if not regular:  # from_hermitian merges near-degenerate branches, or raises
+                obs = SpectralObservable.from_hermitian(mat)
+                eigs, projs = obs.eigenvalues, obs.projectors
+            k = eigs.size
+            if kind == 2 and k < 3:
+                continue
+            branch = int(rng.integers(0, k))
+            if kind == 0:  # prepared inside an eigenspace
+                pre = StateVector.normalized(projs[branch] @ _random_state(rng, dim).amps)
                 post = _random_state(rng, dim)
-        elif kind == 1:  # post-selected inside an eigenspace
-            post = StateVector.normalized(obs.projectors[branch] @ _random_state(rng, dim).amps)
-            pre = _random_state(rng, dim)
-            while abs(np.vdot(post.amps, pre.amps)) < 0.1:
+                while abs(np.vdot(post.amps, pre.amps)) < 0.1:
+                    post = _random_state(rng, dim)
+            elif kind == 1:  # post-selected inside an eigenspace
+                post = StateVector.normalized(projs[branch] @ _random_state(rng, dim).amps)
                 pre = _random_state(rng, dim)
-        else:  # neither boundary state is an eigenstate, yet one branch is certain
-            others = [j for j in range(k) if j != branch]
-            j_pre, j_post = rng.choice(others, size=2, replace=False)
-            shared = StateVector.normalized(
-                obs.projectors[branch] @ _random_state(rng, dim).amps
-            )
-            pre = StateVector.normalized(
-                0.8 * shared.amps
-                + 0.6 * StateVector.normalized(obs.projectors[j_pre] @ _random_state(rng, dim).amps).amps
-            )
-            post = StateVector.normalized(
-                0.8 * shared.amps
-                + 0.6 * StateVector.normalized(obs.projectors[j_post] @ _random_state(rng, dim).amps).amps
-            )
-        tsv = TwoStateVector(pre, post)
-        dist = abl_probabilities(tsv, obs)
-        if dist.probabilities[branch] < 1 - 1e-12:
+                while abs(np.vdot(post.amps, pre.amps)) < 0.1:
+                    pre = _random_state(rng, dim)
+            else:  # neither boundary state is an eigenstate, yet one branch is certain
+                others = [j for j in range(k) if j != branch]
+                j_pre, j_post = rng.choice(others, size=2, replace=False)
+                shared = StateVector.normalized(projs[branch] @ _random_state(rng, dim).amps)
+                pre = StateVector.normalized(
+                    0.8 * shared.amps
+                    + 0.6 * StateVector.normalized(projs[j_pre] @ _random_state(rng, dim).amps).amps
+                )
+                post = StateVector.normalized(
+                    0.8 * shared.amps
+                    + 0.6 * StateVector.normalized(projs[j_post] @ _random_state(rng, dim).amps).amps
+                )
+            pres.append(pre)
+            posts.append(post)
+            spectra.append((eigs, projs))
+            mats.append(mat)
+            branches.append(branch)
+    except TwoStateError as exc:  # raised once the scenarios drawn before it are judged
+        pending = exc
+    certainty, deviation, ok = np.zeros(len(mats)), np.zeros(len(mats)), np.zeros(len(mats), dtype=bool)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (_, projs) in enumerate(spectra):  # one stack per (branch count, dimension)
+        groups.setdefault(projs.shape[:2], []).append(i)
+    for rows in groups.values():
+        pre, post = _amps(pres[i] for i in rows), _amps(posts[i] for i in rows)
+        eigs, projs = (np.array(column) for column in zip(*(spectra[i] for i in rows)))
+        picked = np.arange(len(rows)), np.array([branches[i] for i in rows])
+        probs, abl_ok = _abl_rows(post[:, None], projs, pre)
+        weak, weak_ok = _weak_values(post, np.einsum("nj,njkl->nkl", eigs, projs), pre)
+        certainty[rows] = np.clip(probs[:, 0][picked], 0.0, 1.0)
+        deviation[rows] = _modulus(weak - eigs[picked])
+        ok[rows] = _spectra_ok(eigs, projs) & abl_ok[:, 0] & weak_ok
+    for i in np.flatnonzero(~ok | (certainty < 1 - 1e-12)):  # in scenario order, through the scalar path
+        obs = SpectralObservable.from_hermitian(mats[i])  # raises where the branch checks failed
+        tsv = TwoStateVector(pres[i], posts[i])
+        if not ok[i]:  # the scalar rules raise their usual error
+            abl_probabilities(tsv, obs)
+        if certainty[i] < 1 - 1e-12:
             return CheckResult(
                 "certain-outcome-weak-value",
                 "fail",
-                f"constructed scenario is not certain: p = {dist.probabilities[branch]!r}",
+                f"constructed scenario is not certain: p = {float(certainty[i])!r}",
             )
-        wv = weak_value(tsv, obs.operator)
-        worst = max(worst, abs(wv - obs.eigenvalues[branch]))
-        count += 1
+        if not ok[i]:
+            weak_value(tsv, obs.operator)
+    if pending is not None:
+        raise pending
+    worst = float(np.max(deviation, initial=0.0))
     return CheckResult(
         "certain-outcome-weak-value",
         _status(worst <= 1e-9),

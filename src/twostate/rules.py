@@ -17,7 +17,7 @@ element-of-reality / product-rule reports built on top of these rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .algebra import (
     LinearOperator,
     SpectralObservable,
     StateVector,
+    _dot,
+    _unit_rows,
     inner_product,
 )
 from .errors import DimensionMismatchError, ZeroDenominatorError, ZeroOverlapError
@@ -212,6 +214,121 @@ def _rank_one_vector(projector: np.ndarray) -> StateVector:
     return StateVector(vecs[:, int(np.argmax(vals))])
 
 
+def _distributions_suspect(probs: np.ndarray) -> np.ndarray:
+    """Rows of a (..., k) stack that ``OutcomeDistribution`` may reject.
+
+    The range test is the constructor's own; the sum test flags anything
+    within half its tolerance, because Python's ``sum`` may round otherwise
+    than numpy's.  The constructor decides a flagged row.
+    """
+    in_range = (probs >= -PROBABILITY_SLACK) & (probs <= 1 + PROBABILITY_SLACK)
+    return ~in_range.all(axis=-1) | ~(np.abs(probs.sum(axis=-1) - 1.0) <= 0.5e-10)
+
+
+def _abl_rows(posts: np.ndarray, projs: np.ndarray, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``abl_probabilities`` for n inputs, each against f post states.
+
+    ``posts`` (n, f, d) and ``pre`` (n, d) hold unit amplitudes, ``projs``
+    (n, k, d, d) the branches.  Returns the (n, f, k) probabilities before
+    clipping and the (n, f) mask the scalar rule accepts; it decides the rest.
+    """
+    weights = np.abs(np.einsum("nfi,nkij,nj->nfk", posts.conj(), projs, pre)) ** 2
+    denominators = weights.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rejected rows only
+        probs = weights / denominators[..., None]
+    return probs, (denominators > DENOMINATOR_FLOOR) & ~_distributions_suspect(probs)
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise as ``abs`` of a Python or numpy complex scalar rounds it.
+
+    Scalars go through libm's ``hypot``; ``np.abs`` of a complex array takes
+    a vectorized path that differs in the last bit in about a third of cases.
+    """
+    return np.hypot(z.real, z.imag)
+
+
+def _complex_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b elementwise as Python's complex division rounds it.
+
+    Python scales by the larger part of b and divides; numpy multiplies by a
+    reciprocal, which rounds differently in about half of all cases.
+    """
+    wide = np.abs(b.real) >= np.abs(b.imag)
+    ratio = np.where(wide, b.imag, b.real) / np.where(wide, b.real, b.imag)
+    denom = np.where(wide, b.real + b.imag * ratio, b.real * ratio + b.imag)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = np.where(wide, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom
+    out.imag = np.where(wide, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
+    return out
+
+
+def _weak_values(post: np.ndarray, matrices: np.ndarray, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``weak_value`` for n inputs: unit ``post`` and ``pre`` (n, d), operators (n, d, d).
+
+    Returns the values and the mask of inputs whose overlap clears the floor.
+    """
+    overlap = _dot(post.conj(), pre)
+    ok = _modulus(overlap) > OVERLAP_FLOOR
+    numerator = _dot(post.conj(), (matrices @ pre[..., None])[..., 0])
+    return _complex_quotient(numerator, np.where(ok, overlap, 1.0)), ok
+
+
+class _Recombination(NamedTuple):
+    """``total_probability_check``'s arithmetic over a leading axis of n inputs.
+
+    Probability stacks are as computed, before ``OutcomeDistribution``
+    clips them; ``error`` is taken between the clipped ones.
+    """
+
+    final: np.ndarray  # (n, m) Prob(f) with the intermediate measurement performed
+    live: np.ndarray  # (n, m) final branches with weight above 1e-15
+    posts: np.ndarray  # (n, m, d) top eigenvector of each final projector, unnormalized
+    unreachable: np.ndarray  # (n, m) live rank-1 branches that StateVector or the ABL rule may reject
+    conditionals: np.ndarray  # (n, m, k)
+    recombined: np.ndarray  # (n, k)
+    direct: np.ndarray  # (n, k)
+    error: np.ndarray  # (n,) max |recombined - direct|
+    suspect: np.ndarray  # (n,) inputs where a scalar constructor or rule may raise
+
+
+def _recombination(pre: np.ndarray, mid_projs: np.ndarray, fin_projs: np.ndarray) -> _Recombination:
+    """Recombine per-final-branch conditionals for n inputs at once.
+
+    ``pre`` (n, d) holds unit amplitudes, ``mid_projs`` (n, k, d, d) and
+    ``fin_projs`` (n, m, d, d) the branch projectors.  Every operation
+    reproduces the one-input arithmetic bit for bit; inputs where a guard
+    may trip are flagged in ``suspect``, not raised.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # dead branches and flagged inputs only
+        branch_states = (mid_projs @ pre[:, None, :, None])[..., 0]  # (n, k, d) unnormalized P_i|pre⟩
+        projected = (fin_projs[:, :, None] @ branch_states[:, None, ..., None])[..., 0]  # (n, m, k, d)
+        weights = np.clip(_dot(branch_states.conj()[:, None], projected).real, 0.0, None)
+        final = weights.sum(axis=-1)
+        live = final > 1e-15
+        rank_one = np.rint(np.trace(fin_projs, axis1=-2, axis2=-1).real) == 1
+        vals, vecs = np.linalg.eigh(fin_projs)
+        posts = np.take_along_axis(vecs, vals.argmax(axis=-1)[..., None, None], axis=-1)[..., 0]
+        unit_posts, post_ok = _unit_rows(posts)
+        abl, abl_ok = _abl_rows(unit_posts, mid_projs, pre)
+        conditionals = np.where(rank_one[..., None], abl, weights / final[..., None])
+        unreachable = live & rank_one & ~(post_ok & abl_ok)
+        contributions = np.where(live[..., None], final[..., None] * np.clip(conditionals, 0.0, 1.0), 0.0)
+        recombined = np.zeros(mid_projs.shape[:2])
+        for f in range(fin_projs.shape[1]):
+            recombined = recombined + contributions[:, f]
+        recombined = recombined / recombined.sum(axis=-1, keepdims=True)
+        direct = np.einsum("ni,nkij,nj->nk", pre.conj(), mid_projs, pre).real
+        direct = direct / direct.sum(axis=-1, keepdims=True)
+    error = np.abs(np.clip(recombined, 0.0, 1.0) - np.clip(direct, 0.0, 1.0)).max(axis=-1)
+    suspect = (
+        (unreachable | live & _distributions_suspect(conditionals)).any(axis=-1)
+        | _distributions_suspect(recombined)
+        | _distributions_suspect(direct)
+    )
+    return _Recombination(final, live, posts, unreachable, conditionals, recombined, direct, error, suspect)
+
+
 def total_probability_check(
     pre: StateVector,
     intermediate: SpectralObservable,
@@ -231,39 +348,25 @@ def total_probability_check(
         raise DimensionMismatchError(
             f"dims differ: state {pre.dim}, intermediate {intermediate.dim}, final {final.dim}"
         )
-    branch_states = [p @ pre.amps for p in intermediate.projectors]  # unnormalized P_i|pre⟩
-    k_mid = intermediate.num_branches
-
-    final_probs: list[float] = []
+    r = _recombination(pre.amps[None], intermediate.projectors[None], final.projectors[None])
+    eigenvalues = tuple(intermediate.eigenvalues)
     conditionals: list[OutcomeDistribution | None] = []
-    recombined = np.zeros(k_mid)
-    for q in final.projectors:
-        weights = np.array([np.vdot(v, q @ v).real for v in branch_states])
-        weights = np.clip(weights, 0.0, None)
-        w_f = float(weights.sum())
-        final_probs.append(w_f)
-        if w_f <= 1e-15:
+    for f in range(final.num_branches):
+        if not r.live[0, f]:
             conditionals.append(None)
             continue
-        if round(np.trace(q).real) == 1:
-            post = _rank_one_vector(q)
-            cond = abl_probabilities(TwoStateVector(pre, post), intermediate)
-        else:
-            cond = OutcomeDistribution(tuple(intermediate.eigenvalues), tuple(weights / w_f))
-        conditionals.append(cond)
-        recombined += w_f * np.asarray(cond.probabilities)
-
-    recombined_dist = OutcomeDistribution(
-        tuple(intermediate.eigenvalues), tuple(recombined / recombined.sum())
-    )
-    direct = born_probabilities(pre, intermediate)
-    err = float(np.max(np.abs(np.asarray(recombined_dist.probabilities) - np.asarray(direct.probabilities))))
+        if r.unreachable[0, f]:  # the scalar rule raises its usual error
+            abl_probabilities(TwoStateVector(pre, StateVector(r.posts[0, f])), intermediate)
+        conditionals.append(OutcomeDistribution(eigenvalues, tuple(r.conditionals[0, f])))
+    recombined = OutcomeDistribution(eigenvalues, tuple(r.recombined[0]))
+    direct = OutcomeDistribution(eigenvalues, tuple(r.direct[0]))
+    err = float(r.error[0])
     return TotalProbabilityReport(
-        intermediate_eigenvalues=tuple(intermediate.eigenvalues),
+        intermediate_eigenvalues=eigenvalues,
         final_eigenvalues=tuple(final.eigenvalues),
-        final_probabilities=tuple(final_probs),
+        final_probabilities=tuple(r.final[0].tolist()),
         conditionals=tuple(conditionals),
-        recombined=recombined_dist,
+        recombined=recombined,
         direct=direct,
         max_abs_error=err,
         passed=err <= tol,

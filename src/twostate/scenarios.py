@@ -161,12 +161,14 @@ class ScenarioSpec:
 # document parsing
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)  # JSON true/false are not numbers
+
+
 def _complex_from(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(
-        isinstance(x, (int, float)) for x in value
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(_is_number(x) for x in value):
         return complex(value[0], value[1])
     raise ScenarioFormatError(f"{path}: expected a number or [re, im] pair, got {value!r}")
 
@@ -187,7 +189,7 @@ def _matrix_from(values, path: str) -> np.ndarray:
 
 
 def _number_from(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ScenarioFormatError(f"{path}: expected a number, got {value!r}")
     return float(value)
 
@@ -234,10 +236,10 @@ def resolve_observable(spec, path: str) -> SpectralObservable:
         theta = _number_from(body.get("theta"), f"{path}.spin.theta")
         phi = _number_from(body.get("phi", 0.0), f"{path}.spin.phi")
         return _built(path, spin_observable, theta, phi)
-    if kind == "which_path":
-        return which_path()
-    if kind == "bell_basis":
-        return bell_basis()
+    if kind in ("which_path", "bell_basis"):
+        if _mapping_from(body, f"{path}.{kind}"):
+            raise ScenarioFormatError(f"{path}.{kind}: expected an empty object, got {body!r}")
+        return which_path() if kind == "which_path" else bell_basis()
     if kind == "detector_basis":
         body = _mapping_from(body, f"{path}.detector_basis")
         mat = _matrix_from(body.get("unitary"), f"{path}.detector_basis.unitary")

@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from twostate.algebra import (
     LinearOperator,
+    _hermitian_branches,
+    _spectra_ok,
+    _spin_projectors,
+    _unit_rows,
     SpectralObservable,
     StateVector,
     Unitary,
@@ -341,6 +345,57 @@ class TestBatchedValidation:
             expected = None if message is None else (ObservableError, message)
             assert _outcome(SpectralObservable, np.array(eigs), np.array(projs)) == expected
             assert _outcome(reference_validate, np.array(eigs), np.array(projs)) == expected
+
+
+class TestStackedConstructors:
+    """The stacked builders the battery uses: the constructors' checks and bits."""
+
+    @given(stack=projector_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_spectra_ok_is_the_constructor_verdict(self, stack):
+        eigs, projs = stack
+        assert bool(_spectra_ok(eigs[None], projs[None])[0]) == (_outcome(SpectralObservable, eigs, projs) is None)
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_unit_rows_match_state_vector_bits(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(6, dim)) + 1j * rng.normal(size=(6, dim))
+        raw[4] = 0.0  # near-zero: normalized raises
+        raw[5, 0] = np.nan  # non-finite: both constructors raise
+        amps, ok = _unit_rows(raw, normalize=True)
+        assert ok.tolist() == [True] * 4 + [False, False]
+        for row, expected in zip(amps[:4], raw[:4]):
+            assert row.tobytes() == StateVector.normalized(expected).amps.tobytes()
+        for bad in raw[4:]:
+            with pytest.raises((NormalizationError, ValueError)):
+                StateVector.normalized(bad)
+        units, unit_ok = _unit_rows(amps[:4])
+        assert unit_ok.all()
+        assert all(u.tobytes() == StateVector(a).amps.tobytes() for u, a in zip(units, amps[:4]))
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_hermitian_branches_match_from_hermitian_bits(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        mats = np.array([random_observable(rng, dim).operator.matrix for _ in range(4)])
+        mats[3] = np.diag([1.0] * 2 + list(range(2, dim)))  # a degenerate pair: from_hermitian merges it
+        eigs, projs, regular = _hermitian_branches(mats)
+        assert regular.tolist() == [True, True, True, False]
+        assert _spectra_ok(eigs[:3], projs[:3]).all()
+        for mat, e, p in zip(mats[:3], eigs, projs):
+            obs = SpectralObservable.from_hermitian(mat)
+            assert obs.eigenvalues.tobytes() == e.tobytes() and obs.projectors.tobytes() == p.tobytes()
+        assert SpectralObservable.from_hermitian(mats[3]).num_branches == dim - 1
+
+    def test_spin_projectors_match_spin_observable_bits(self):
+        theta = np.random.default_rng(2).uniform(0.05, 2 * np.pi - 0.05, size=50)
+        projs, ok = _spin_projectors(theta)
+        assert ok.all()
+        for t, p in zip(theta, projs):
+            obs = spin_observable(t)
+            assert obs.projectors.tobytes() == p.tobytes()
+            assert obs.eigenvalues.tolist() == [1.0, -1.0]
 
 
 class TestUnitary:

@@ -177,6 +177,19 @@ class TestScenario:
         assert code == 2
         assert f"{field}: labels must be unique" in err
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"pre": [True, False]}, "pre[0]: expected a number or [re, im] pair, got True"),
+        ({"post": {"observable": {"which_path": [1, 2, 3]}, "select": 1}}, "post.observable.which_path"),
+        ({"dim": 4, "pre": [1, 0, 0, 0], "timeline": [],
+          "post": {"observable": {"bell_basis": "anything"}, "select": 1}}, "post.observable.bell_basis"),
+    ])
+    def test_ignored_values_now_exit_2(self, capsys, tmp_path, fields, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(MZ_DOC, **fields)))
+        code, _, err = run(capsys, "scenario", "--file", str(path))
+        assert code == 2
+        assert named in err
+
     def test_non_string_name_exit_code(self, capsys, tmp_path):
         path = tmp_path / "nameless.json"
         path.write_text(json.dumps(dict(MZ_DOC, name=None)))

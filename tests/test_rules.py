@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from twostate.algebra import (
     LinearOperator,
+    _hermitian_branches,
     SpectralObservable,
     StateVector,
     Unitary,
@@ -24,6 +25,9 @@ from twostate.errors import ZeroDenominatorError, ZeroOverlapError
 from twostate.rules import (
     OutcomeDistribution,
     TwoStateVector,
+    _abl_rows,
+    _recombination,
+    _weak_values,
     abl_probabilities,
     born_probabilities,
     elements_of_reality,
@@ -311,6 +315,101 @@ class TestTotalProbability:
             random_state(rng, 2), random_observable(rng, 2), random_observable(rng, 2)
         )
         assert report.passed
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def rank_two_final(rng, dim):
+    """A final measurement whose first branch has rank 2 (the identity at d = 2)."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    projs = [q[:, :2] @ q[:, :2].conj().T] + [np.outer(q[:, j], q[:, j].conj()) for j in range(2, dim)]
+    return SpectralObservable(np.arange(len(projs), dtype=float), np.array(projs))
+
+
+class TestStackedRecombination:
+    """The stacked core that the battery runs is the scalar rule, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 4]),
+        n=st.integers(1, 5),
+        final_kind=st.sampled_from(["random", "rank-2", "zero-weight"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_scalar_reports(self, seed, dim, n, final_kind):
+        rng = np.random.default_rng(seed)
+        inputs = []
+        for _ in range(n):
+            mid = random_observable(rng, dim)
+            if final_kind == "zero-weight":  # pre inside one branch: every other final branch weighs 0
+                pre, final = StateVector(np.linalg.eigh(mid.operator.matrix)[1][:, 0]), mid
+            else:
+                pre = random_state(rng, dim)
+                final = random_observable(rng, dim) if final_kind == "random" else rank_two_final(rng, dim)
+            inputs.append((pre, mid, final))
+        r = _recombination(*(np.array(column) for column in zip(*(
+            (pre.amps, mid.projectors, final.projectors) for pre, mid, final in inputs
+        ))))
+        for i, (pre, mid, final) in enumerate(inputs):
+            report = total_probability_check(pre, mid, final)
+            assert not r.suspect[i]
+            assert bits(report.final_probabilities) == bits(r.final[i])
+            assert [c is None for c in report.conditionals] == (~r.live[i]).tolist()
+            for cond, row in zip(report.conditionals, np.clip(r.conditionals[i], 0.0, 1.0)):
+                if cond is not None:
+                    assert bits(cond.probabilities) == bits(row)
+            assert bits(report.recombined.probabilities) == bits(np.clip(r.recombined[i], 0.0, 1.0))
+            assert bits(report.direct.probabilities) == bits(np.clip(r.direct[i], 0.0, 1.0))
+            assert bits(report.max_abs_error) == bits(r.error[i])
+            assert report.passed
+        if final_kind == "zero-weight":
+            assert not r.live[:, 1:].any()
+
+    def test_degenerate_hermitian_merges_into_one_branch(self):
+        rng = np.random.default_rng(5)
+        degenerate = np.array([[1.0, 1e-9], [1e-9, 1.0]], dtype=complex)  # eigenvalue gap 2e-9
+        mats = np.array([random_observable(rng, 2).operator.matrix, degenerate])
+        _, projs, regular = _hermitian_branches(mats)
+        assert regular.tolist() == [True, False]  # the stacked path hands this row to from_hermitian
+        merged = SpectralObservable.from_hermitian(degenerate)
+        assert merged.num_branches == 1
+        np.testing.assert_allclose(merged.projectors[0], np.eye(2), atol=1e-15)
+        pre, final = random_state(rng, 2), random_observable(rng, 2)
+        report = total_probability_check(pre, merged, final)
+        r = _recombination(pre.amps[None], merged.projectors[None], final.projectors[None])
+        assert report.recombined.probabilities == report.direct.probabilities == (1.0,)
+        assert bits(report.final_probabilities) == bits(r.final[0])
+        assert report.max_abs_error == r.error[0] == 0.0
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 5]))
+    @settings(max_examples=50, deadline=None)
+    def test_abl_and_weak_value_rows_equal_scalar_rules(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        cases = [(random_state(rng, dim), random_state(rng, dim), random_observable(rng, dim)) for _ in range(4)]
+        pre, post, projs, ops = (np.array(c) for c in zip(*(
+            (a.amps, b.amps, obs.projectors, obs.operator.matrix) for a, b, obs in cases
+        )))
+        probs, abl_ok = _abl_rows(post[:, None], projs, pre)
+        weak, weak_ok = _weak_values(post, ops, pre)
+        assert abl_ok.all() and weak_ok.all()
+        for i, (a, b, obs) in enumerate(cases):
+            tsv = TwoStateVector(a, b)
+            assert bits(abl_probabilities(tsv, obs).probabilities) == bits(np.clip(probs[i, 0], 0.0, 1.0))
+            assert weak[i] == weak_value(tsv, obs.operator)  # Python's complex division, to the bit
+
+    def test_guarded_rows_are_flagged(self):
+        # orthogonal pre and post: the ABL denominator of sz and the overlap are 0,
+        # so the stacked rules flag the row and the scalar rules raise for it
+        pre, post = UP_Z.amps[None], DOWN_Z.amps[None]
+        _, abl_ok = _abl_rows(post[:, None], pauli("z").projectors[None], pre)
+        _, weak_ok = _weak_values(post, pauli_operator("x").matrix[None], pre)
+        assert not abl_ok[0, 0] and not weak_ok[0]
+        with pytest.raises(ZeroDenominatorError):
+            abl_probabilities(TwoStateVector(UP_Z, DOWN_Z), pauli("z"))
+        with pytest.raises(ZeroOverlapError):
+            weak_value(TwoStateVector(UP_Z, DOWN_Z), pauli_operator("x"))
 
 
 class TestTransport:

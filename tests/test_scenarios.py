@@ -12,9 +12,11 @@ from twostate.algebra import (
     StateVector,
     Unitary,
     basis_state,
+    bell_basis,
     pauli,
     spin_state,
     state_projector_observable,
+    which_path,
 )
 from twostate.errors import ScenarioFormatError, ZeroDenominatorError
 from twostate.montecarlo import MeasureStage, UnitaryStage
@@ -209,6 +211,7 @@ class TestLoader:
 
     NAN = float("nan")
     EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    BELL_DIM = {"dim": 4, "pre": [1, 0, 0, 0]}
 
     @pytest.mark.parametrize("path, fields", [
         pytest.param("pre", {"pre": [NAN, 0]}, id="nan-pre"),
@@ -264,6 +267,35 @@ class TestLoader:
         with pytest.raises(ScenarioFormatError) as info:
             load_scenario(dict(MINIMAL, **fields))
         assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param({"pre": [True, False]}, "pre[0]: expected a number or [re, im] pair, got True",
+                     id="boolean-amplitude"),
+        pytest.param({"pre": [[1, False], 0]}, "pre[0]: expected a number or [re, im] pair, got [1, False]",
+                     id="boolean-imaginary-part"),
+        pytest.param({"timeline": [{"unitary": [[1, 0], [0, True]]}]},
+                     "timeline[0].unitary[1][1]: expected a number or [re, im] pair, got True",
+                     id="boolean-unitary-entry"),
+        pytest.param(dict(BELL_DIM, post={"observable": {"bell_basis": "anything"}, "select": 1}),
+                     "post.observable.bell_basis: expected an object, got 'anything'", id="bell-basis-string"),
+        pytest.param(dict(BELL_DIM, post={"observable": {"bell_basis": {"x": 1}}, "select": 1}),
+                     "post.observable.bell_basis: expected an empty object, got {'x': 1}", id="bell-basis-body"),
+        pytest.param({"post": {"observable": {"which_path": [1, 2, 3]}, "select": 1}},
+                     "post.observable.which_path: expected an object, got [1, 2, 3]", id="which-path-list"),
+        pytest.param({"timeline": [{"measure": {"observable": {"which_path": {"port": "u"}}, "label": "m"}}]},
+                     "timeline[0].measure.observable.which_path: expected an empty object, got {'port': 'u'}",
+                     id="which-path-body"),
+    ])
+    def test_rejects_values_it_used_to_ignore(self, fields, message):
+        with pytest.raises(ScenarioFormatError) as info:
+            load_scenario(dict(MINIMAL, **fields))
+        assert str(info.value) == message
+
+    def test_empty_which_path_and_bell_basis_bodies_load(self):
+        spec = load_scenario(dict(MINIMAL, post={"observable": {"which_path": {}}, "select": -1}))
+        assert spec.post_observable is which_path()
+        doc = dict(MINIMAL, **self.BELL_DIM, post={"observable": {"bell_basis": {}}, "select": 1})
+        assert load_scenario(doc).post_observable is bell_basis()
 
     def test_spec_rejects_select_outside_the_spectrum(self):
         with pytest.raises(ScenarioFormatError, match=r"^post\.select: eigenvalue 0\.5"):
