@@ -91,32 +91,24 @@ def _unit_rows(amps, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
     return amps / np.where(ok, norm, 1.0)[..., None], ok
 
 
-def _branch_defects(eigs: np.ndarray, projs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The invariants of (eigenvalue, projector) branches over leading axes.
-
-    For eigenvalues (..., k) and projectors (..., k, d, d), as boolean stacks:
-    max |P_j P_l - δ_jl P_j| beyond tolerance (..., k, k), so idempotence on
-    the diagonal and orthogonality off it; non-Hermitian projectors (..., k);
-    coinciding eigenvalues (..., k, k), the diagonal included; projectors
-    that do not resolve the identity (...).
-    """
-    k, dim = eigs.shape[-1], projs.shape[-1]
-    products = projs[..., :, None, :, :] @ projs[..., None, :, :, :]
-    products[..., range(k), range(k), :, :] -= projs
-    defective = np.abs(products).max(axis=(-2, -1)) > VALIDATE_TOL
-    skewed = np.abs(projs - projs.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > VALIDATE_TOL
-    coincide = np.abs(eigs[..., :, None] - eigs[..., None, :]) <= VALIDATE_TOL
-    unresolved = np.abs(projs.sum(axis=-3) - np.eye(dim)).max(axis=(-2, -1)) > VALIDATE_TOL
-    return defective, skewed, coincide, unresolved
-
-
 def _spectra_ok(eigs: np.ndarray, projs: np.ndarray) -> np.ndarray:
-    """Rows of an (eigenvalue, projector) stack that ``SpectralObservable`` accepts."""
+    """Rows of an (eigenvalue, projector) stack that ``SpectralObservable`` accepts.
+
+    For eigenvalues (..., k) and projectors (..., k, d, d): the constructor's
+    checks with its arithmetic and tolerance, max |P_j P_l - δ_jl P_j| taken
+    one branch j at a time so that a stack's temporaries stay small.
+    """
     ok = np.isfinite(eigs).all(axis=-1) & np.isfinite(projs).all(axis=(-3, -2, -1))
     eigs, projs = np.where(ok[..., None], eigs, 0.0), np.where(ok[..., None, None, None], projs, 0.0)
-    defective, skewed, coincide, unresolved = _branch_defects(eigs, projs)
-    broken = defective.any(axis=(-2, -1)) | skewed.any(axis=-1) | np.triu(coincide, 1).any(axis=(-2, -1))
-    return ok & ~(broken | unresolved)
+    k, dim = eigs.shape[-1], projs.shape[-1]
+    for j in range(k):
+        products = projs[..., j, None, :, :] @ projs
+        products[..., j, :, :] -= projs[..., j, :, :]
+        ok &= ~(np.abs(products).max(axis=(-3, -2, -1)) > VALIDATE_TOL)
+    ok &= ~(np.abs(projs - projs.conj().swapaxes(-1, -2)).max(axis=(-3, -2, -1)) > VALIDATE_TOL)
+    coincide = np.abs(eigs[..., :, None] - eigs[..., None, :]) <= VALIDATE_TOL
+    ok &= ~np.triu(coincide, 1).any(axis=(-2, -1))
+    return ok & ~(np.abs(projs.sum(axis=-3) - np.eye(dim)).max(axis=(-2, -1)) > VALIDATE_TOL)
 
 
 def _hermitian_branches(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,8 +234,12 @@ class SpectralObservable:
             raise ObservableError(f"projector stack has shape {projs.shape}, expected (k, d, d)")
         if not np.isfinite(eigs).all() or not np.isfinite(projs).all():
             raise ObservableError("non-finite eigenvalue or projector entry")
-        defective, skewed, coincide, unresolved = (m.tolist() for m in _branch_defects(eigs, projs))
-        branches = range(eigs.size)
+        dim, branches = projs.shape[1], range(eigs.size)
+        # one batched max |P_j P_l - δ_jl P_j|: idempotence on the diagonal, orthogonality off it
+        products = projs[:, None] @ projs[None, :]
+        products.reshape(-1, dim, dim)[:: eigs.size + 1] -= projs
+        defective = (np.abs(products).max(axis=(2, 3)) > VALIDATE_TOL).tolist()
+        skewed = (np.abs(projs - projs.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > VALIDATE_TOL).tolist()
         for j in branches:
             if defective[j][j]:
                 raise ObservableError(f"branch {j}: projector is not idempotent")
@@ -253,9 +249,9 @@ class SpectralObservable:
             for k in range(j + 1, eigs.size):
                 if defective[j][k]:
                     raise ObservableError(f"branches {j} and {k}: projectors are not orthogonal")
-                if coincide[j][k]:
+                if abs(eigs[j] - eigs[k]) <= VALIDATE_TOL:
                     raise ObservableError(f"branches {j} and {k}: eigenvalues coincide")
-        if unresolved:
+        if np.abs(projs.sum(axis=0) - np.eye(dim)).max() > VALIDATE_TOL:
             raise ObservableError("projectors do not resolve the identity")
         object.__setattr__(self, "eigenvalues", _frozen(eigs))
         object.__setattr__(self, "projectors", _frozen(projs))

@@ -3,8 +3,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from twostate import checks
 from twostate.checks import (
     check_builtin_scenarios,
     check_certain_outcome_weak_value,
@@ -128,4 +130,18 @@ def test_analytic_rows_are_pinned(seed):
         check_certain_outcome_weak_value(derive_seed(seed, 4)),
     )
     assert {r.status for r in rows} == {"pass"}
+    assert tuple(r.summary for r in rows) == ANALYTIC_ROWS[seed]
+
+
+def test_analytic_rows_are_unchanged_through_the_scalar_fallback(monkeypatch):
+    # every stacked observable rejected: each case goes through the scalar
+    # constructors and rules, which must give the same rows
+    monkeypatch.setattr(checks, "_spectra_ok", lambda eigs, projs: np.zeros(projs.shape[:-3], dtype=bool))
+    seed = 7
+    rows = (
+        check_spin_chain_recombination(seed),
+        check_recombination_random(derive_seed(seed, 1)),
+        check_swap_symmetry(derive_seed(seed, 3)),
+        check_certain_outcome_weak_value(derive_seed(seed, 4)),
+    )
     assert tuple(r.summary for r in rows) == ANALYTIC_ROWS[seed]
