@@ -81,7 +81,8 @@ def _unit_rows(amps, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """
     amps = np.asarray(amps, dtype=complex)
     ok = np.isfinite(amps).all(axis=-1)
-    amps = np.where(ok[..., None], amps, 0)
+    if not ok.all():
+        amps = np.where(ok[..., None], amps, 0)
     if normalize:
         norm = _norms(amps)
         ok &= ~(norm < 1e-14)
@@ -96,16 +97,18 @@ def _spectra_ok(eigs: np.ndarray, projs: np.ndarray) -> np.ndarray:
 
     For eigenvalues (..., k) and projectors (..., k, d, d): the constructor's
     checks with its arithmetic and tolerance, max |P_j P_l - δ_jl P_j| taken
-    one branch j at a time so that a stack's temporaries stay small.
+    one branch at a time so that a stack's temporaries stay small.
     """
     ok = np.isfinite(eigs).all(axis=-1) & np.isfinite(projs).all(axis=(-3, -2, -1))
-    eigs, projs = np.where(ok[..., None], eigs, 0.0), np.where(ok[..., None, None, None], projs, 0.0)
+    if not ok.all():
+        eigs, projs = np.where(ok[..., None], eigs, 0.0), np.where(ok[..., None, None, None], projs, 0.0)
     k, dim = eigs.shape[-1], projs.shape[-1]
     for j in range(k):
-        products = projs[..., j, None, :, :] @ projs
-        products[..., j, :, :] -= projs[..., j, :, :]
+        branch = projs[..., j, :, :]
+        products = branch[..., None, :, :] @ projs
+        products[..., j, :, :] -= branch
         ok &= ~(np.abs(products).max(axis=(-3, -2, -1)) > VALIDATE_TOL)
-    ok &= ~(np.abs(projs - projs.conj().swapaxes(-1, -2)).max(axis=(-3, -2, -1)) > VALIDATE_TOL)
+        ok &= ~(np.abs(branch - branch.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > VALIDATE_TOL)
     coincide = np.abs(eigs[..., :, None] - eigs[..., None, :]) <= VALIDATE_TOL
     ok &= ~np.triu(coincide, 1).any(axis=(-2, -1))
     return ok & ~(np.abs(projs.sum(axis=-3) - np.eye(dim)).max(axis=(-2, -1)) > VALIDATE_TOL)
@@ -123,7 +126,8 @@ def _hermitian_branches(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     mats = np.asarray(mats, dtype=complex)
     ok = np.isfinite(mats).all(axis=(-2, -1))
-    mats = np.where(ok[..., None, None], mats, 0)
+    if not ok.all():
+        mats = np.where(ok[..., None, None], mats, 0)
     ok &= ~(np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > VALIDATE_TOL)
     vals, vecs = np.linalg.eigh(mats)
     ok &= (np.diff(vals, axis=-1) > DEGENERACY_TOL).all(axis=-1)

@@ -26,6 +26,7 @@ branch for erasure) or when every trial is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +71,7 @@ from .rules import (
 from .scenarios import ScenarioSpec, _record, builtin, builtin_names, run_scenario
 
 SEED_STREAM_CHUNK = 2**48  # far above any simulate() chunk index
+STACK_ROWS = 128  # random inputs evaluated per stack: bounds a sweep's arrays to a few hundred KB
 
 
 @dataclass(frozen=True)
@@ -157,31 +159,34 @@ def check_recombination_random(seed: int, n: int = 1000) -> CheckResult:
     """Generalized consistency for random qubit (pre, middle, final) triples."""
     # one draw per triple, in the order of _random_state and two _random_observable calls
     draws = _seed_stream(seed).normal(size=(n, 20))
-    pre_amps = draws[:, 0:2] + 1j * draws[:, 2:4]
-    m = draws[:, 4:].reshape(n, 2, 2, 2, 2)  # (triple, middle/final, re/im, 2, 2)
-    m = m[:, :, 0] + 1j * m[:, :, 1]
-    mats = (m + m.conj().swapaxes(-1, -2)) / 2
-    pre, pre_ok = _unit_rows(pre_amps, normalize=True)
-    eigs, projs, regular = _hermitian_branches(mats)
-    obs_ok = regular & _spectra_ok(eigs, projs)
-    r = _recombination(pre, projs[:, 0], projs[:, 1])
-    errors = r.error
-    # near-degenerate and guarded triples go through the scalar rule, as does
-    # the first failing one, whose report ends the check
-    for i in np.flatnonzero(~(pre_ok & obs_ok.all(axis=1)) | r.suspect | ~(errors <= 1e-10)):
-        report = total_probability_check(
-            StateVector.normalized(pre_amps[i]),
-            SpectralObservable.from_hermitian(mats[i, 0]),
-            SpectralObservable.from_hermitian(mats[i, 1]),
-        )
-        errors[i] = report.max_abs_error
-        if not report.passed:
-            return CheckResult(
-                "recombination-random-qubits",
-                "fail",
-                f"recombination error {report.max_abs_error:.3e} exceeds 1e-10",
+    worst = 0.0
+    for start in range(0, n, STACK_ROWS):
+        block = draws[start : start + STACK_ROWS]
+        pre_amps = block[:, 0:2] + 1j * block[:, 2:4]
+        m = block[:, 4:].reshape(-1, 2, 2, 2, 2)  # (triple, middle/final, re/im, 2, 2)
+        m = m[:, :, 0] + 1j * m[:, :, 1]
+        mats = (m + m.conj().swapaxes(-1, -2)) / 2
+        pre, pre_ok = _unit_rows(pre_amps, normalize=True)
+        eigs, projs, regular = _hermitian_branches(mats)
+        obs_ok = regular & _spectra_ok(eigs, projs)
+        r = _recombination(pre, projs[:, 0], projs[:, 1])
+        errors = r.error
+        # near-degenerate and guarded triples go through the scalar rule, as does
+        # the first failing one, whose report ends the check
+        for i in np.flatnonzero(~(pre_ok & obs_ok.all(axis=1)) | r.suspect | ~(errors <= 1e-10)):
+            report = total_probability_check(
+                StateVector.normalized(pre_amps[i]),
+                SpectralObservable.from_hermitian(mats[i, 0]),
+                SpectralObservable.from_hermitian(mats[i, 1]),
             )
-    worst = float(np.max(errors, initial=0.0))
+            errors[i] = report.max_abs_error
+            if not report.passed:
+                return CheckResult(
+                    "recombination-random-qubits",
+                    "fail",
+                    f"recombination error {report.max_abs_error:.3e} exceeds 1e-10",
+                )
+        worst = max(worst, float(np.max(errors, initial=0.0)))
     return CheckResult(
         "recombination-random-qubits",
         "pass",
@@ -268,44 +273,51 @@ def _swap_deviations(pre, post, eigs, projs) -> tuple[np.ndarray, np.ndarray, np
     return abl_dev, _modulus(weak_swapped - np.conj(weak)), ok
 
 
+def _swap_case(rng: np.random.Generator, dim: int) -> tuple[StateVector, StateVector, np.ndarray]:
+    """Pre and post with overlap at least 0.05, then a Hermitian matrix."""
+    pre = _random_state(rng, dim)
+    post = _random_state(rng, dim)
+    while abs(np.vdot(post.amps, pre.amps)) < 0.05:
+        post = _random_state(rng, dim)
+    return pre, post, _random_hermitian(rng, dim)
+
+
 def check_swap_symmetry(seed: int, n: int = 500) -> CheckResult:
     """Conditionals are invariant, and weak values conjugate, under pre/post swap."""
     rng = _seed_stream(seed)
-    pres, posts, mats, pending = [], [], [], None
-    try:
-        for i in range(n):
-            dim = 2 if i % 2 == 0 else 3
-            pre = _random_state(rng, dim)
-            post = _random_state(rng, dim)
-            while abs(np.vdot(post.amps, pre.amps)) < 0.05:
-                post = _random_state(rng, dim)
-            pres.append(pre)
-            posts.append(post)
-            mats.append(_random_hermitian(rng, dim))
-    except TwoStateError as exc:  # raised once the cases drawn before it are judged
-        pending = exc
-    abl_dev, weak_dev, ok = np.zeros(len(mats)), np.zeros(len(mats)), np.zeros(len(mats), dtype=bool)
-    for rows in (slice(0, None, 2), slice(1, None, 2)):  # qubits, then qutrits
-        if not mats[rows]:
-            continue
-        eigs, projs, regular = _hermitian_branches(np.array(mats[rows]))
-        pre, post = _amps(pres[rows]), _amps(posts[rows])
-        abl_dev[rows], weak_dev[rows], ok[rows] = _swap_deviations(pre, post, eigs, projs)
-        ok[rows] &= regular & _spectra_ok(eigs, projs)
-    for i in np.flatnonzero(~ok):  # in case order, through the scalar constructors and rules
-        obs = SpectralObservable.from_hermitian(mats[i])  # merges near-degenerate branches, or raises
-        abl_dev[i : i + 1], weak_dev[i : i + 1], case_ok = _swap_deviations(
-            pres[i].amps[None], posts[i].amps[None], obs.eigenvalues[None], obs.projectors[None]
-        )
-        if not case_ok[0]:  # the scalar rules raise their usual error
-            tsv = TwoStateVector(pres[i], posts[i])
-            for pair in (tsv, tsv.swapped()):
-                abl_probabilities(pair, obs)
-            for pair in (tsv.swapped(), tsv):
-                weak_value(pair, obs.operator)
-    if pending is not None:
-        raise pending
-    worst_abl, worst_weak = (float(np.max(dev, initial=0.0)) for dev in (abl_dev, weak_dev))
+    worst_abl = worst_weak = 0.0
+    for start in range(0, n, STACK_ROWS):
+        cases, pending = [], None
+        try:
+            for i in range(start, min(start + STACK_ROWS, n)):
+                cases.append(_swap_case(rng, 2 if i % 2 == 0 else 3))
+        except TwoStateError as exc:  # raised once the cases drawn before it are judged
+            pending = exc
+        abl_dev, weak_dev, ok = np.zeros(len(cases)), np.zeros(len(cases)), np.zeros(len(cases), dtype=bool)
+        for dim in (2, 3):
+            rows = [i for i, (pre, _, _) in enumerate(cases) if pre.dim == dim]
+            if not rows:
+                continue
+            eigs, projs, regular = _hermitian_branches(np.array([cases[i][2] for i in rows]))
+            pre, post = (_amps(cases[i][side] for i in rows) for side in (0, 1))
+            abl_dev[rows], weak_dev[rows], ok[rows] = _swap_deviations(pre, post, eigs, projs)
+            ok[rows] &= regular & _spectra_ok(eigs, projs)
+        for i in np.flatnonzero(~ok):  # in case order, through the scalar constructors and rules
+            pre, post, mat = cases[i]
+            obs = SpectralObservable.from_hermitian(mat)  # merges near-degenerate branches, or raises
+            abl_dev[i : i + 1], weak_dev[i : i + 1], case_ok = _swap_deviations(
+                pre.amps[None], post.amps[None], obs.eigenvalues[None], obs.projectors[None]
+            )
+            if not case_ok[0]:  # the scalar rules raise their usual error
+                tsv = TwoStateVector(pre, post)
+                for pair in (tsv, tsv.swapped()):
+                    abl_probabilities(pair, obs)
+                for pair in (tsv.swapped(), tsv):
+                    weak_value(pair, obs.operator)
+        if pending is not None:
+            raise pending
+        worst_abl = max(worst_abl, float(np.max(abl_dev, initial=0.0)))
+        worst_weak = max(worst_weak, float(np.max(weak_dev, initial=0.0)))
     ok = worst_abl <= 1e-12 and worst_weak <= 1e-12
     return CheckResult(
         "swap-symmetry",
@@ -315,81 +327,96 @@ def check_swap_symmetry(seed: int, n: int = 500) -> CheckResult:
     )
 
 
+class _Scenario(NamedTuple):
+    pre: StateVector
+    post: StateVector
+    eigenvalues: np.ndarray
+    projectors: np.ndarray
+    matrix: np.ndarray  # the Hermitian matrix the observable comes from
+    branch: int  # the branch that is certain
+
+
+def _certain_scenario(rng: np.random.Generator, kind: int) -> _Scenario | None:
+    """One scenario of the given kind; None when kind 2 draws fewer than 3 branches."""
+    dim = int(rng.integers(3 if kind == 2 else 2, 6))
+    mat = _random_hermitian(rng, dim)
+    eigs, projs, regular = _hermitian_branches(mat)
+    if not regular:  # from_hermitian merges near-degenerate branches, or raises
+        obs = SpectralObservable.from_hermitian(mat)
+        eigs, projs = obs.eigenvalues, obs.projectors
+    k = eigs.size
+    if kind == 2 and k < 3:
+        return None
+    branch = int(rng.integers(0, k))
+    if kind == 0:  # prepared inside an eigenspace
+        pre = StateVector.normalized(projs[branch] @ _random_state(rng, dim).amps)
+        post = _random_state(rng, dim)
+        while abs(np.vdot(post.amps, pre.amps)) < 0.1:
+            post = _random_state(rng, dim)
+    elif kind == 1:  # post-selected inside an eigenspace
+        post = StateVector.normalized(projs[branch] @ _random_state(rng, dim).amps)
+        pre = _random_state(rng, dim)
+        while abs(np.vdot(post.amps, pre.amps)) < 0.1:
+            pre = _random_state(rng, dim)
+    else:  # neither boundary state is an eigenstate, yet one branch is certain
+        others = [j for j in range(k) if j != branch]
+        j_pre, j_post = rng.choice(others, size=2, replace=False)
+        shared = StateVector.normalized(projs[branch] @ _random_state(rng, dim).amps)
+        pre = StateVector.normalized(
+            0.8 * shared.amps
+            + 0.6 * StateVector.normalized(projs[j_pre] @ _random_state(rng, dim).amps).amps
+        )
+        post = StateVector.normalized(
+            0.8 * shared.amps
+            + 0.6 * StateVector.normalized(projs[j_post] @ _random_state(rng, dim).amps).amps
+        )
+    return _Scenario(pre, post, eigs, projs, mat, branch)
+
+
 def check_certain_outcome_weak_value(seed: int, n: int = 500) -> CheckResult:
     """An outcome certain under the conditional rule pins the weak value."""
     rng = _seed_stream(seed)
-    pres, posts, spectra, mats, branches, pending = [], [], [], [], [], None
-    try:
-        while len(mats) < n:
-            kind = len(mats) % 3
-            dim = int(rng.integers(3 if kind == 2 else 2, 6))
-            mat = _random_hermitian(rng, dim)
-            eigs, projs, regular = _hermitian_branches(mat)
-            if not regular:  # from_hermitian merges near-degenerate branches, or raises
-                obs = SpectralObservable.from_hermitian(mat)
-                eigs, projs = obs.eigenvalues, obs.projectors
-            k = eigs.size
-            if kind == 2 and k < 3:
-                continue
-            branch = int(rng.integers(0, k))
-            if kind == 0:  # prepared inside an eigenspace
-                pre = StateVector.normalized(projs[branch] @ _random_state(rng, dim).amps)
-                post = _random_state(rng, dim)
-                while abs(np.vdot(post.amps, pre.amps)) < 0.1:
-                    post = _random_state(rng, dim)
-            elif kind == 1:  # post-selected inside an eigenspace
-                post = StateVector.normalized(projs[branch] @ _random_state(rng, dim).amps)
-                pre = _random_state(rng, dim)
-                while abs(np.vdot(post.amps, pre.amps)) < 0.1:
-                    pre = _random_state(rng, dim)
-            else:  # neither boundary state is an eigenstate, yet one branch is certain
-                others = [j for j in range(k) if j != branch]
-                j_pre, j_post = rng.choice(others, size=2, replace=False)
-                shared = StateVector.normalized(projs[branch] @ _random_state(rng, dim).amps)
-                pre = StateVector.normalized(
-                    0.8 * shared.amps
-                    + 0.6 * StateVector.normalized(projs[j_pre] @ _random_state(rng, dim).amps).amps
+    worst, done = 0.0, 0
+    while done < n:
+        cases, pending = [], None
+        try:
+            while len(cases) < min(STACK_ROWS, n - done):
+                case = _certain_scenario(rng, (done + len(cases)) % 3)
+                if case is not None:
+                    cases.append(case)
+        except TwoStateError as exc:  # raised once the scenarios drawn before it are judged
+            pending = exc
+        certainty, deviation, ok = np.zeros(len(cases)), np.zeros(len(cases)), np.zeros(len(cases), dtype=bool)
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, case in enumerate(cases):  # one stack per (branch count, dimension)
+            groups.setdefault(case.projectors.shape[:2], []).append(i)
+        for rows in groups.values():
+            pre, post = _amps(cases[i].pre for i in rows), _amps(cases[i].post for i in rows)
+            eigs = np.array([cases[i].eigenvalues for i in rows])
+            projs = np.array([cases[i].projectors for i in rows])
+            picked = np.arange(len(rows)), np.array([cases[i].branch for i in rows])
+            probs, abl_ok = _abl_rows(post[:, None], projs, pre)
+            weak, weak_ok = _weak_values(post, np.einsum("nj,njkl->nkl", eigs, projs), pre)
+            certainty[rows] = np.clip(probs[:, 0][picked], 0.0, 1.0)
+            deviation[rows] = _modulus(weak - eigs[picked])
+            ok[rows] = _spectra_ok(eigs, projs) & abl_ok[:, 0] & weak_ok
+        for i in np.flatnonzero(~ok | (certainty < 1 - 1e-12)):  # in scenario order, through the scalar path
+            obs = SpectralObservable.from_hermitian(cases[i].matrix)  # raises where the branch checks failed
+            tsv = TwoStateVector(cases[i].pre, cases[i].post)
+            if not ok[i]:  # the scalar rules raise their usual error
+                abl_probabilities(tsv, obs)
+            if certainty[i] < 1 - 1e-12:
+                return CheckResult(
+                    "certain-outcome-weak-value",
+                    "fail",
+                    f"constructed scenario is not certain: p = {float(certainty[i])!r}",
                 )
-                post = StateVector.normalized(
-                    0.8 * shared.amps
-                    + 0.6 * StateVector.normalized(projs[j_post] @ _random_state(rng, dim).amps).amps
-                )
-            pres.append(pre)
-            posts.append(post)
-            spectra.append((eigs, projs))
-            mats.append(mat)
-            branches.append(branch)
-    except TwoStateError as exc:  # raised once the scenarios drawn before it are judged
-        pending = exc
-    certainty, deviation, ok = np.zeros(len(mats)), np.zeros(len(mats)), np.zeros(len(mats), dtype=bool)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (_, projs) in enumerate(spectra):  # one stack per (branch count, dimension)
-        groups.setdefault(projs.shape[:2], []).append(i)
-    for rows in groups.values():
-        pre, post = _amps(pres[i] for i in rows), _amps(posts[i] for i in rows)
-        eigs, projs = (np.array(column) for column in zip(*(spectra[i] for i in rows)))
-        picked = np.arange(len(rows)), np.array([branches[i] for i in rows])
-        probs, abl_ok = _abl_rows(post[:, None], projs, pre)
-        weak, weak_ok = _weak_values(post, np.einsum("nj,njkl->nkl", eigs, projs), pre)
-        certainty[rows] = np.clip(probs[:, 0][picked], 0.0, 1.0)
-        deviation[rows] = _modulus(weak - eigs[picked])
-        ok[rows] = _spectra_ok(eigs, projs) & abl_ok[:, 0] & weak_ok
-    for i in np.flatnonzero(~ok | (certainty < 1 - 1e-12)):  # in scenario order, through the scalar path
-        obs = SpectralObservable.from_hermitian(mats[i])  # raises where the branch checks failed
-        tsv = TwoStateVector(pres[i], posts[i])
-        if not ok[i]:  # the scalar rules raise their usual error
-            abl_probabilities(tsv, obs)
-        if certainty[i] < 1 - 1e-12:
-            return CheckResult(
-                "certain-outcome-weak-value",
-                "fail",
-                f"constructed scenario is not certain: p = {float(certainty[i])!r}",
-            )
-        if not ok[i]:
-            weak_value(tsv, obs.operator)
-    if pending is not None:
-        raise pending
-    worst = float(np.max(deviation, initial=0.0))
+            if not ok[i]:
+                weak_value(tsv, obs.operator)
+        if pending is not None:
+            raise pending
+        worst = max(worst, float(np.max(deviation, initial=0.0)))
+        done += len(cases)
     return CheckResult(
         "certain-outcome-weak-value",
         _status(worst <= 1e-9),
