@@ -252,7 +252,7 @@ def _complex_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a / b elementwise as Python's complex division rounds it.
 
     Python scales by the larger part of b and divides; numpy multiplies by a
-    reciprocal, which rounds differently in about half of all cases.
+    reciprocal, which rounds otherwise in about 4 cases in 10.
     """
     wide = np.abs(b.real) >= np.abs(b.imag)
     ratio = np.where(wide, b.imag, b.real) / np.where(wide, b.real, b.imag)
