@@ -71,7 +71,7 @@ from .rules import (
 from .scenarios import ScenarioSpec, _record, builtin, builtin_names, run_scenario
 
 SEED_STREAM_CHUNK = 2**48  # far above any simulate() chunk index
-STACK_ROWS = 128  # random inputs evaluated per stack: bounds a sweep's arrays to a few hundred KB
+STACK_ROWS = 64  # random inputs evaluated per stack: keeps a sweep's arrays and drawn cases near 0.3 MB
 
 
 @dataclass(frozen=True)
