@@ -283,7 +283,6 @@ class _Recombination(NamedTuple):
 
     final: np.ndarray  # (n, m) Prob(f) with the intermediate measurement performed
     live: np.ndarray  # (n, m) final branches with weight above 1e-15
-    posts: np.ndarray  # (n, m, d) top eigenvector of each final projector, unnormalized
     unreachable: np.ndarray  # (n, m) live rank-1 branches that StateVector or the ABL rule may reject
     conditionals: np.ndarray  # (n, m, k)
     recombined: np.ndarray  # (n, k)
@@ -309,8 +308,8 @@ def _recombination(pre: np.ndarray, mid_projs: np.ndarray, fin_projs: np.ndarray
         rank_one = np.rint(np.trace(fin_projs, axis1=-2, axis2=-1).real) == 1
         vals, vecs = np.linalg.eigh(fin_projs)
         posts = np.take_along_axis(vecs, vals.argmax(axis=-1)[..., None, None], axis=-1)[..., 0]
-        unit_posts, post_ok = _unit_rows(posts)
-        abl, abl_ok = _abl_rows(unit_posts, mid_projs, pre)
+        posts, post_ok = _unit_rows(posts)
+        abl, abl_ok = _abl_rows(posts, mid_projs, pre)
         conditionals = np.where(rank_one[..., None], abl, weights / final[..., None])
         unreachable = live & rank_one & ~(post_ok & abl_ok)
         contributions = np.where(live[..., None], final[..., None] * np.clip(conditionals, 0.0, 1.0), 0.0)
@@ -326,7 +325,7 @@ def _recombination(pre: np.ndarray, mid_projs: np.ndarray, fin_projs: np.ndarray
         | _distributions_suspect(recombined)
         | _distributions_suspect(direct)
     )
-    return _Recombination(final, live, posts, unreachable, conditionals, recombined, direct, error, suspect)
+    return _Recombination(final, live, unreachable, conditionals, recombined, direct, error, suspect)
 
 
 def total_probability_check(
@@ -356,7 +355,7 @@ def total_probability_check(
             conditionals.append(None)
             continue
         if r.unreachable[0, f]:  # the scalar rule raises its usual error
-            abl_probabilities(TwoStateVector(pre, StateVector(r.posts[0, f])), intermediate)
+            abl_probabilities(TwoStateVector(pre, _rank_one_vector(final.projectors[f])), intermediate)
         conditionals.append(OutcomeDistribution(eigenvalues, tuple(r.conditionals[0, f])))
     recombined = OutcomeDistribution(eigenvalues, tuple(r.recombined[0]))
     direct = OutcomeDistribution(eigenvalues, tuple(r.direct[0]))

@@ -399,6 +399,23 @@ class TestStackedRecombination:
             assert bits(abl_probabilities(tsv, obs).probabilities) == bits(np.clip(probs[i, 0], 0.0, 1.0))
             assert weak[i] == weak_value(tsv, obs.operator)  # Python's complex division, to the bit
 
+    def test_unreachable_final_branch_is_flagged_and_raises(self):
+        # the down branch of spin(θ) weighs sin²(θ/2): live above 1e-15, but at
+        # θ = 1.4e-7 its ABL denominator is under the 1e-14 floor
+        thetas = (2e-7, 1.4e-7, 3e-8)
+        finals = [spin_observable(t) for t in thetas]
+        r = _recombination(
+            np.repeat(UP_Z.amps[None], 3, axis=0),
+            np.repeat(pauli("z").projectors[None], 3, axis=0),
+            np.array([f.projectors for f in finals]),
+        )
+        assert r.live[:, 1].tolist() == [True, True, False]
+        assert r.unreachable[:, 1].tolist() == [False, True, False]
+        assert r.suspect.tolist() == [False, True, False]
+        with pytest.raises(ZeroDenominatorError):
+            total_probability_check(UP_Z, pauli("z"), finals[1])
+        assert total_probability_check(UP_Z, pauli("z"), finals[2]).conditionals[1] is None
+
     def test_guarded_rows_are_flagged(self):
         # orthogonal pre and post: the ABL denominator of sz and the overlap are 0,
         # so the stacked rules flag the row and the scalar rules raise for it
