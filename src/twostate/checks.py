@@ -294,10 +294,8 @@ def check_swap_symmetry(seed: int, n: int = 500) -> CheckResult:
         except TwoStateError as exc:  # raised once the cases drawn before it are judged
             pending = exc
         abl_dev, weak_dev, ok = np.zeros(len(cases)), np.zeros(len(cases)), np.zeros(len(cases), dtype=bool)
-        for dim in (2, 3):
+        for dim in {pre.dim for pre, _, _ in cases}:
             rows = [i for i, (pre, _, _) in enumerate(cases) if pre.dim == dim]
-            if not rows:
-                continue
             eigs, projs, regular = _hermitian_branches(np.array([cases[i][2] for i in rows]))
             pre, post = (_amps(cases[i][side] for i in rows) for side in (0, 1))
             abl_dev[rows], weak_dev[rows], ok[rows] = _swap_deviations(pre, post, eigs, projs)
