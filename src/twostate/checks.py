@@ -46,7 +46,7 @@ from .algebra import (
     state_projector_observable,
     which_path,
 )
-from .errors import InsufficientAcceptedTrialsError, TwoStateError
+from .errors import InsufficientAcceptedTrialsError
 from .montecarlo import (
     MeasureStage,
     chunk_rng,
@@ -287,12 +287,7 @@ def check_swap_symmetry(seed: int, n: int = 500) -> CheckResult:
     rng = _seed_stream(seed)
     worst_abl = worst_weak = 0.0
     for start in range(0, n, STACK_ROWS):
-        cases, pending = [], None
-        try:
-            for i in range(start, min(start + STACK_ROWS, n)):
-                cases.append(_swap_case(rng, 2 if i % 2 == 0 else 3))
-        except TwoStateError as exc:  # raised once the cases drawn before it are judged
-            pending = exc
+        cases = [_swap_case(rng, 2 if i % 2 == 0 else 3) for i in range(start, min(start + STACK_ROWS, n))]
         abl_dev, weak_dev, ok = np.zeros(len(cases)), np.zeros(len(cases)), np.zeros(len(cases), dtype=bool)
         for dim in {pre.dim for pre, _, _ in cases}:
             rows = [i for i, (pre, _, _) in enumerate(cases) if pre.dim == dim]
@@ -312,8 +307,6 @@ def check_swap_symmetry(seed: int, n: int = 500) -> CheckResult:
                     abl_probabilities(pair, obs)
                 for pair in (tsv.swapped(), tsv):
                     weak_value(pair, obs.operator)
-        if pending is not None:
-            raise pending
         worst_abl = max(worst_abl, float(np.max(abl_dev, initial=0.0)))
         worst_weak = max(worst_weak, float(np.max(weak_dev, initial=0.0)))
     ok = worst_abl <= 1e-12 and worst_weak <= 1e-12
@@ -376,14 +369,11 @@ def check_certain_outcome_weak_value(seed: int, n: int = 500) -> CheckResult:
     rng = _seed_stream(seed)
     worst, done = 0.0, 0
     while done < n:
-        cases, pending = [], None
-        try:
-            while len(cases) < min(STACK_ROWS, n - done):
-                case = _certain_scenario(rng, (done + len(cases)) % 3)
-                if case is not None:
-                    cases.append(case)
-        except TwoStateError as exc:  # raised once the scenarios drawn before it are judged
-            pending = exc
+        cases = []
+        while len(cases) < min(STACK_ROWS, n - done):
+            case = _certain_scenario(rng, (done + len(cases)) % 3)
+            if case is not None:
+                cases.append(case)
         certainty, deviation, ok = np.zeros(len(cases)), np.zeros(len(cases)), np.zeros(len(cases), dtype=bool)
         groups: dict[tuple[int, int], list[int]] = {}
         for i, case in enumerate(cases):  # one stack per (branch count, dimension)
@@ -411,8 +401,6 @@ def check_certain_outcome_weak_value(seed: int, n: int = 500) -> CheckResult:
                 )
             if not ok[i]:
                 weak_value(tsv, obs.operator)
-        if pending is not None:
-            raise pending
         worst = max(worst, float(np.max(deviation, initial=0.0)))
         done += len(cases)
     return CheckResult(

@@ -204,12 +204,16 @@ _BUILTIN_PARAMS = tuple(dict.fromkeys(
 def cmd_scenario(args) -> int:
     if bool(args.builtin) == bool(args.file):
         raise CliError("give exactly one of --builtin NAME or --file PATH")
+    params = {
+        name: getattr(args, name) for name in _BUILTIN_PARAMS if getattr(args, name) is not None
+    }
+    if args.no_which_path:
+        params["which_path_stage"] = False
+    if args.file and params:
+        name = next(iter(params))
+        flag = "--no-which-path" if name == "which_path_stage" else f"--{name.replace('_', '-')}"
+        raise CliError(f"{flag} sets a builtin parameter and cannot be used with --file")
     if args.builtin:
-        params = {
-            name: getattr(args, name) for name in _BUILTIN_PARAMS if getattr(args, name) is not None
-        }
-        if args.no_which_path:
-            params["which_path_stage"] = False
         try:
             spec = builtin(args.builtin, **params)
         except ValueError as exc:
@@ -328,12 +332,23 @@ def cmd_pointer_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--trials", type=int, default=100_000, help="Monte-Carlo trials")
-    common.add_argument("--seed", type=int, default=7, help="master random seed")
-    common.add_argument("--z", type=float, default=4.0, help="agreement threshold in standard errors")
-    common.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    common.add_argument("--out", help="write output to this path instead of stdout")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    output.add_argument("--out", help="write output to this path instead of stdout")
+
+    selections = argparse.ArgumentParser(add_help=False)
+    selections.add_argument("--pre", required=True)
+    selections.add_argument("--post", required=True)
+    selections.add_argument("--obs", required=True)
+
+    threshold = argparse.ArgumentParser(add_help=False)
+    threshold.add_argument("--z", type=float, default=4.0, help="agreement threshold in standard errors")
+
+    # not a parent: parents share their Action objects, so scenario's defaults
+    # would leak into simulate's and paper-checks'
+    def sampling(p, trials, seed, note=""):
+        p.add_argument("--trials", type=int, default=trials, help="Monte-Carlo trials" + note)
+        p.add_argument("--seed", type=int, default=seed, help="master random seed" + note)
 
     parser = argparse.ArgumentParser(
         prog="twostate",
@@ -342,48 +357,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("born", parents=[common], help="single-measurement outcome distribution")
+    p = sub.add_parser("born", parents=[output], help="single-measurement outcome distribution")
     p.add_argument("--state", required=True)
     p.add_argument("--obs", required=True)
     p.set_defaults(func=cmd_born)
 
-    p = sub.add_parser("abl", parents=[common], help="conditional distribution between two selections")
-    p.add_argument("--pre", required=True)
-    p.add_argument("--post", required=True)
-    p.add_argument("--obs", required=True)
+    p = sub.add_parser("abl", parents=[selections, output],
+                       help="conditional distribution between two selections")
     p.set_defaults(func=cmd_abl)
 
-    p = sub.add_parser("weak", parents=[common], help="weak value of an observable")
-    p.add_argument("--pre", required=True)
-    p.add_argument("--post", required=True)
-    p.add_argument("--obs", required=True)
+    p = sub.add_parser("weak", parents=[selections, output], help="weak value of an observable")
     p.set_defaults(func=cmd_weak)
 
-    p = sub.add_parser("simulate", parents=[common], help="run the Monte-Carlo oracle ad hoc")
+    p = sub.add_parser("simulate", parents=[output], help="run the Monte-Carlo oracle ad hoc")
     p.add_argument("--pre", required=True)
     p.add_argument("--measure", action="append", help="intermediate observable (repeatable)")
     p.add_argument("--post", required=True, help="final observable")
     p.add_argument("--select", type=float, default=1.0, help="post-selected eigenvalue")
+    sampling(p, 100_000, 7)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("scenario", parents=[common], help="run a builtin or file scenario")
+    p = sub.add_parser("scenario", parents=[output, threshold], help="run a builtin or file scenario")
     p.add_argument("--builtin", help=f"one of: {', '.join(builtin_names())}")
     p.add_argument("--file", help="scenario JSON document")
     p.add_argument("--mode", choices=("analytic", "oracle", "both"), default="both")
+    sampling(p, None, None, " (default: the scenario's own; 100000 and 7 for a builtin)")
     for name in _BUILTIN_PARAMS:
         p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
     p.add_argument("--no-which-path", action="store_true",
                    help="drop the intermediate path detector from interferometer builtins")
     p.set_defaults(func=cmd_scenario)
 
-    p = sub.add_parser("paper-checks", parents=[common], help="run the full validation battery")
+    p = sub.add_parser("paper-checks", parents=[output, threshold], help="run the full validation battery")
+    sampling(p, 100_000, 7)
     p.set_defaults(func=cmd_paper_checks)
 
-    p = sub.add_parser("pointer-sweep", parents=[common],
+    p = sub.add_parser("pointer-sweep", parents=[selections, output],
                        help="post-selected pointer shifts over a coupling sweep")
-    p.add_argument("--pre", required=True)
-    p.add_argument("--post", required=True)
-    p.add_argument("--obs", required=True)
     p.add_argument("--couplings", default="0.1,0.05,0.025", help="comma-separated strengths")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--n", type=int, default=4096)
@@ -395,11 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    trials, z = getattr(args, "trials", None), getattr(args, "z", None)
     try:
-        if args.trials < 1:
+        if trials is not None and trials < 1:
             raise CliError("--trials must be >= 1")
-        if not (np.isfinite(args.z) and args.z > 0):
-            raise CliError(f"--z must be a finite number > 0, got {args.z}")
+        if z is not None and not (np.isfinite(z) and z > 0):
+            raise CliError(f"--z must be a finite number > 0, got {z}")
         return args.func(args)
     except (ZeroDenominatorError, ZeroOverlapError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -91,7 +91,7 @@ def make_gaussian_pointer(
     if not dq <= sigma / 8:
         raise PointerGridError(f"grid too coarse: dq = {dq} > sigma/8 = {sigma / 8}")
     q = center + (np.arange(n) - (n - 1) / 2) * dq
-    amps = np.exp(-((q - center) ** 2) / (4 * sigma**2)).astype(complex)
+    amps = np.exp(-(((q - center) / sigma) ** 2) / 4).astype(complex)  # in units of sigma: no overflow
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * dq)
     return PointerState(q, amps, dq, center, sigma)
 

@@ -248,30 +248,18 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _complex_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a / b elementwise as Python's complex division rounds it.
-
-    Python scales by the larger part of b and divides; numpy multiplies by a
-    reciprocal, which rounds otherwise in about 4 cases in 10.
-    """
-    wide = np.abs(b.real) >= np.abs(b.imag)
-    ratio = np.where(wide, b.imag, b.real) / np.where(wide, b.real, b.imag)
-    denom = np.where(wide, b.real + b.imag * ratio, b.real * ratio + b.imag)
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = np.where(wide, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom
-    out.imag = np.where(wide, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
-    return out
-
-
 def _weak_values(post: np.ndarray, matrices: np.ndarray, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``weak_value`` for n inputs: unit ``post`` and ``pre`` (n, d), operators (n, d, d).
 
     Returns the values and the mask of inputs whose overlap clears the floor.
+    Each row divides with Python's own complex ``/``, as ``weak_value`` does,
+    so the two round alike; numpy's complex division rounds otherwise.
     """
     overlap = _dot(post.conj(), pre)
     ok = _modulus(overlap) > OVERLAP_FLOOR
     numerator = _dot(post.conj(), (matrices @ pre[..., None])[..., 0])
-    return _complex_quotient(numerator, np.where(ok, overlap, 1.0)), ok
+    quotients = [a / b for a, b in zip(numerator.tolist(), np.where(ok, overlap, 1.0).tolist())]
+    return np.array(quotients, dtype=complex), ok
 
 
 class _Recombination(NamedTuple):

@@ -1,10 +1,13 @@
 """Command-line front end: parsing, formats, exit codes."""
 
+import argparse
+import csv
+import io
 import json
 
 import pytest
 
-from twostate.cli import main
+from twostate.cli import build_parser, main
 
 MZ_DOC = {
     "name": "mz-file",
@@ -20,10 +23,58 @@ MZ_DOC = {
 }
 
 
+OUTPUT = {"--format", "--out"}
+SELECTIONS = {"--pre", "--post", "--obs"}
+SAMPLING = {"--trials", "--seed"}
+OPTIONS = {
+    "born": {"--state", "--obs"} | OUTPUT,
+    "abl": SELECTIONS | OUTPUT,
+    "weak": SELECTIONS | OUTPUT,
+    "pointer-sweep": SELECTIONS | {"--couplings", "--sigma", "--n", "--span"} | OUTPUT,
+    "simulate": {"--pre", "--measure", "--post", "--select"} | SAMPLING | OUTPUT,
+    "scenario": {"--builtin", "--file", "--mode", "--z", "--no-which-path", "--theta", "--theta-ab",
+                 "--theta-bc", "--theta-1a", "--theta-1b", "--theta-2a", "--theta-2b", "--phi"}
+    | SAMPLING | OUTPUT,
+    "paper-checks": {"--z"} | SAMPLING | OUTPUT,
+}
+# the smallest valid argument list of each command that does not take --trials, --seed and --z
+VALID = {
+    "born": ["--state", "up-z", "--obs", "pauli-z"],
+    "abl": ["--pre", "up-z", "--post", "up-x", "--obs", "pauli-z"],
+    "weak": ["--pre", "up-z", "--post", "up-x", "--obs", "pauli-z"],
+    "pointer-sweep": ["--pre", "up-z", "--post", "up-x", "--obs", "pauli-z"],
+    "simulate": ["--pre", "up-z", "--post", "pauli-z"],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestOptions:
+    def test_each_command_takes_exactly_the_options_it_reads(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        taken = {
+            name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+            for name, sub in commands.items()
+        }
+        assert taken == OPTIONS
+        assert sum(map(len, taken.values())) == 53
+
+    @pytest.mark.parametrize("command, flag", [
+        *((command, flag) for command in ("born", "abl", "weak", "pointer-sweep")
+          for flag in ("--trials", "--seed", "--z")),
+        ("simulate", "--z"),
+    ])
+    def test_options_a_command_ignores_are_rejected(self, capsys, command, flag):
+        build_parser().parse_args([command, *VALID[command]])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *VALID[command], flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestAbl:
@@ -69,6 +120,15 @@ class TestWeak:
     def test_zero_overlap_exit_code(self, capsys):
         code, _, _ = run(capsys, "weak", "--pre", "up-z", "--post", "down-z", "--obs", "pauli-y")
         assert code == 3
+
+    def test_json_and_csv_formats(self, capsys):
+        argv = ["weak", "--pre", "up-z", "--post", "up-x", "--obs", "pauli-y", "--format"]
+        code, out, _ = run(capsys, *argv, "json")
+        assert code == 0
+        re, im = json.loads(out)["weak_value"]
+        assert re == 0.0 and im == pytest.approx(1.0, abs=1e-15)
+        code, out, _ = run(capsys, *argv, "csv")
+        assert (code, out) == (0, "re,im\n0,1\n")
 
 
 class TestBorn:
@@ -218,6 +278,35 @@ class TestScenario:
         header = out.splitlines()[0]
         assert header == "scenario,stage,eigenvalue,analytic,frequency,se,z,pass"
 
+    def test_file_keeps_its_trials_and_seed(self, capsys, tmp_path):
+        path = tmp_path / "mz.json"
+        path.write_text(json.dumps(MZ_DOC))
+        code, out, _ = run(capsys, "scenario", "--file", str(path), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["scenario"], payload["trials"], payload["seed"]) == ("mz-file", 2000, 3)
+        code, out, _ = run(
+            capsys, "scenario", "--file", str(path), "--trials", "5000", "--seed", "9", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["trials"], payload["seed"]) == (5000, 9)
+
+    def test_builtin_defaults_to_100000_trials_at_seed_7(self, capsys):
+        code, out, _ = run(capsys, "scenario", "--builtin", "spin-zz-xi", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["trials"], payload["seed"], payload["passed"]) == (100_000, 7, True)
+
+    @pytest.mark.parametrize("flags", [["--theta", "1.0"], ["--no-which-path"]])
+    def test_file_rejects_builtin_parameters(self, capsys, tmp_path, flags):
+        path = tmp_path / "mz.json"
+        path.write_text(json.dumps(MZ_DOC))
+        code, out, err = run(capsys, "scenario", "--file", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert f"error: {flags[0]} sets a builtin parameter" in err
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "scenario", "--mode", "analytic")
         assert code == 2
@@ -270,6 +359,15 @@ class TestPaperChecks:
         assert any(r["name"] == "product-rule-failure" for r in payload["results"])
 
 
+    def test_csv_format(self, capsys):
+        code, out, _ = run(capsys, "paper-checks", "--trials", "2000", "--seed", "5", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert list(rows[0]) == ["name", "status", "summary"]
+        assert {r["status"] for r in rows} <= {"pass", "warn"}
+        assert "product-rule-failure" in {r["name"] for r in rows}
+
+
 class TestPointerSweep:
     def test_csv_schema_and_convergence(self, capsys):
         code, out, _ = run(
@@ -304,6 +402,18 @@ class TestPointerSweep:
         assert code == 2
         assert out == ""
         assert f"{flag[2:]} must be finite, got {value}" in err
+
+
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e155", "1e306"])
+    def test_extreme_sigma_runs(self, capsys, sigma):
+        # sigma**2 overflows at 1e155 and underflows at 1e-300
+        code, out, err = run(
+            capsys, "pointer-sweep", "--pre", "up-z", "--post", "up-x", "--obs", "pauli-z",
+            "--couplings", f"{float(sigma) / 100!r}", "--sigma", sigma, "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        per_coupling = float(out.strip().splitlines()[1].split(",")[2])
+        assert per_coupling == pytest.approx(1.0, abs=1e-3)
 
 
 class TestAngles:

@@ -67,6 +67,14 @@ class TestGaussianPointer:
         with pytest.raises(PointerGridError, match=f"^{name} must be finite"):
             JointState(joint.amps, joint.positions, **grid)
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e154, 1e155, 1e306])
+    def test_extreme_sigma_is_the_unit_pointer_rescaled(self, sigma):
+        # sigma**2 overflows above ~1e154 and underflows below ~1e-162
+        p, unit = make_gaussian_pointer(sigma=sigma), make_gaussian_pointer()
+        np.testing.assert_allclose(p.positions / sigma, unit.positions, rtol=1e-13)
+        np.testing.assert_allclose(p.amps * np.sqrt(sigma), unit.amps, rtol=1e-12, atol=1e-300)
+        assert abs(p.mean_position()) <= 1e-12 * sigma
+
     def test_non_finite_amplitudes_fail_the_norm_check(self):
         p = make_gaussian_pointer()
         amps = p.amps.copy()

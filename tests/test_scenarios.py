@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from twostate.algebra import (
+    LinearOperator,
     SpectralObservable,
     StateVector,
     Unitary,
@@ -198,6 +199,15 @@ class TestLoader:
             doc = to_document(spec)
             again = to_document(load_scenario(doc))
             assert doc == again
+
+    def test_round_trip_keeps_weak_stage(self):
+        stage = WeakStage(LinearOperator([[0.5, 1j], [-1j, -0.5]]), 0.03, "wy")
+        spec = ScenarioSpec(name="weak-doc", dim=2, pre=spin_state(1.0), timeline=(stage,),
+                            post_observable=pauli("x"), post_select=1.0)
+        loaded = load_scenario(to_document(spec)).timeline[0]
+        assert isinstance(loaded, WeakStage)
+        assert (loaded.label, loaded.strength) == ("wy", 0.03)
+        assert loaded.operator.matrix.tobytes() == stage.operator.matrix.tobytes()
 
     def test_round_trip_preserves_semantics(self):
         spec = builtin("sharp-shanks")
@@ -531,6 +541,25 @@ class TestRunScenario:
         assert validated.extrapolated == pytest.approx(
             validated.value.real, rel=1e-5
         )
+
+    def test_non_hermitian_weak_operator_is_reported_unvalidated(self):
+        # the pointer model couples Hermitian operators only: the value is
+        # reported, with no pointer cross-check and no verdict
+        raising = LinearOperator([[0, 1], [0, 0]])
+        spec = ScenarioSpec(
+            name="raising",
+            dim=2,
+            pre=spin_state(1.0),
+            timeline=(WeakStage(raising, 0.05, "w+"),),
+            post_observable=pauli("x"),
+            post_select=1.0,
+        )
+        report = run_scenario(spec, mode="both", trials=1_000, seed=5)
+        weak = report.weak[0]
+        # <+x|σ+|pre> / <+x|pre> with pre = (cos 1/2, sin 1/2)
+        assert weak.value == pytest.approx(np.sin(0.5) / (np.cos(0.5) + np.sin(0.5)), abs=1e-15)
+        assert (weak.shift_per_strength, weak.extrapolated, weak.passed) == (None, None, None)
+        assert report.passed is None
 
     def test_weak_stage_rejects_strong_company(self):
         spec = ScenarioSpec(
