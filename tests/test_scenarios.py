@@ -13,6 +13,7 @@ from twostate.algebra import (
     StateVector,
     Unitary,
     basis_state,
+    beamsplitter,
     bell_basis,
     pauli,
     spin_state,
@@ -657,4 +658,28 @@ class TestReportDigests:
         reports = [run_scenario(spec, mode=mode, trials=5_000, seed=3) for mode in ("analytic", "both")]
         assert _report_digest(reports) == (
             "65b17c9112681a278f65c77f1a617fe63ea9f034d185ffc35fd50bec9d2a68e8"
+        )
+
+    def test_two_weak_stages_between_unitaries(self):
+        phase = Unitary(np.diag([1.0, np.exp(0.5j)]))
+        spec = ScenarioSpec(
+            name="two-weak-probes",
+            dim=2,
+            pre=spin_state(1.1, 0.3),
+            timeline=(
+                UnitaryStage(beamsplitter(0.7)),
+                WeakStage(pauli("z").operator, 0.05, "wz"),
+                UnitaryStage(phase),
+                UnitaryStage(beamsplitter(0.2)),
+                WeakStage(pauli("y").operator, 0.04, "wy"),
+                UnitaryStage(phase),
+            ),
+            post_observable=pauli("x"),
+            post_select=1.0,
+            counterfactuals=(("sz", pauli("z")), ("sy", pauli("y"))),
+            products=(("sz*sy", pauli("z").operator, pauli("y").operator),),
+        )
+        reports = [run_scenario(spec, mode=mode, trials=5_000, seed=3) for mode in ("analytic", "both")]
+        assert _report_digest(reports) == (
+            "e7bb6920be340129a043d42c6cb583553a4c578ea91d95a000d518c0e1c85391"
         )
