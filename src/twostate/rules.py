@@ -359,18 +359,3 @@ def total_probability_check(
         passed=err <= tol,
     )
 
-
-def transport_forward(state: StateVector, unitaries: Sequence[LinearOperator]) -> StateVector:
-    """Carry a forward-evolving state through a list of unitaries in order."""
-    amps = state.amps
-    for u in unitaries:
-        amps = u.matrix @ amps
-    return StateVector(amps)
-
-
-def transport_backward(state: StateVector, unitaries: Sequence[LinearOperator]) -> StateVector:
-    """Carry a backward-evolving state back through unitaries (adjoint, reversed)."""
-    amps = state.amps
-    for u in reversed(unitaries):
-        amps = u.matrix.conj().T @ amps
-    return StateVector(amps)

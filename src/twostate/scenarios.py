@@ -92,8 +92,6 @@ from .rules import (
     abl_probabilities,
     elements_of_reality,
     product_rule_audit,
-    transport_backward,
-    transport_forward,
     weak_value,
 )
 
@@ -152,9 +150,28 @@ class ScenarioSpec:
         ):
             if len(set(labels)) != len(labels):
                 raise ScenarioFormatError(f"{path}: labels must be unique, got {labels}")
-        _built("post.select", self.post_observable.branch_index, self.post_select)
+        selected = _built("post.select", self.post_observable.branch_index, self.post_select)
         if self.trials < 1:
             raise ScenarioFormatError("trials: expected a positive integer")
+        # weak stages, counterfactuals and products read the pure two-state vector
+        readers = [(f"timeline[{i}].weak_measure", "weak stages")
+                   for i, e in enumerate(self.timeline) if isinstance(e, WeakStage)]
+        readers += [(f"counterfactuals[{i}]", "counterfactuals") for i in range(len(self.counterfactuals))]
+        readers += [(f"products[{i}]", "products") for i in range(len(self.products))]
+        if not readers:
+            return
+        path, what = readers[0]
+        strong = [i for i, e in enumerate(self.timeline) if isinstance(e, MeasureStage)]
+        if strong:
+            raise ScenarioFormatError(
+                f"{path}: {what} require a timeline free of strong measurement stages; "
+                f"timeline[{strong[0]}] is one"
+            )
+        rank = round(np.trace(self.post_observable.projectors[selected]).real)
+        if rank != 1:
+            raise ScenarioFormatError(
+                f"{path}: {what} require a rank-1 post-selection branch; post.select picks one of rank {rank}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +714,8 @@ class ScenarioReport:
 
 
 def analytic_predictions(spec: ScenarioSpec):
-    """Conditional outcome distributions per measurement stage + acceptance probability.
+    """Conditional outcome distributions per measurement stage, the acceptance
+    probability, and the two-state vector wherever the spec reads it.
 
     One forward and one backward pass (the two-state, or past-quantum-state,
     form): the prepared ρ is carried forward through the unitaries with every
@@ -709,89 +727,72 @@ def analytic_predictions(spec: ScenarioSpec):
 
     the two-state conditional rule when the stage is the only one.  The
     acceptance probability is Tr(Q ρ) at the end.
+
+    The forward pass also carries ρ's pure factor, the prepared ket, and the
+    backward pass E's, the selected branch's ket.  ``two_state`` maps the
+    position of each weak stage, and ``len(spec.timeline)`` for the end when
+    the spec has counterfactuals or products, to the ``TwoStateVector`` just
+    before it.  ``ScenarioSpec`` guarantees both factors there: no strong
+    stage and a rank-1 selected branch.
     """
-    entries = [e for e in spec.timeline if isinstance(e, (UnitaryStage, MeasureStage))]
     q_sel = spec.post_observable.projectors[
         spec.post_observable.branch_index(spec.post_select)
     ]
-    rho = np.outer(spec.pre.amps, spec.pre.amps.conj())
+    end = len(spec.timeline)
+    rho, ket, kets = np.outer(spec.pre.amps, spec.pre.amps.conj()), spec.pre.amps, {}
     branch_states = []  # P_j ρ P_j at each measurement stage, in timeline order
-    for entry in entries:
+    for position, entry in enumerate(spec.timeline):
         if isinstance(entry, UnitaryStage):
             rho = entry.unitary.matrix @ rho @ entry.unitary.matrix.conj().T
-        else:
+            ket = entry.unitary.matrix @ ket
+        elif isinstance(entry, MeasureStage):
             projs = entry.observable.projectors
             branch_states.append(projs @ rho @ projs)
             rho = branch_states[-1].sum(axis=0)
+        else:
+            kets[position] = StateVector(ket)
+    if spec.counterfactuals or spec.products:
+        kets[end] = StateVector(ket)
     acceptance = float(np.trace(q_sel @ rho).real)
     if acceptance <= 1e-14:
         raise ZeroDenominatorError(
             f"scenario {spec.name!r}: post-selection unreachable through every branch"
         )
-    effect = q_sel
+    effect, bra = q_sel, _rank_one_vector(q_sel).amps
+    bras = {end: StateVector(bra)} if end in kets else {}
     distributions = []
-    for entry in reversed(entries):
+    for position in reversed(range(end)):
+        entry = spec.timeline[position]
         if isinstance(entry, UnitaryStage):
             effect = entry.unitary.matrix.conj().T @ effect @ entry.unitary.matrix
-            continue
-        weights = np.einsum("kab,ba->k", branch_states.pop(), effect).real
-        distributions.append(
-            OutcomeDistribution(tuple(entry.observable.eigenvalues), tuple(weights / weights.sum()))
-        )
-        projs = entry.observable.projectors
-        effect = (projs @ effect @ projs).sum(axis=0)
-    return distributions[::-1], acceptance
+            bra = entry.unitary.matrix.conj().T @ bra
+        elif isinstance(entry, MeasureStage):
+            weights = np.einsum("kab,ba->k", branch_states.pop(), effect).real
+            distributions.append(
+                OutcomeDistribution(tuple(entry.observable.eigenvalues), tuple(weights / weights.sum()))
+            )
+            projs = entry.observable.projectors
+            effect = (projs @ effect @ projs).sum(axis=0)
+        else:
+            bras[position] = StateVector(bra)
+    two_state = {position: TwoStateVector(ket, bras[position]) for position, ket in kets.items()}
+    return distributions[::-1], acceptance, two_state
 
 
-def _two_state_vector(spec: ScenarioSpec, position: int, user: str) -> TwoStateVector:
-    """The two-state vector just before ``spec.timeline[position]``: the pure
-    case of the two passes, so no strong stages and a rank-1 post-selection
-    branch; ``user`` names the feature in the error raised otherwise."""
-    if any(isinstance(e, MeasureStage) for e in spec.timeline):
-        raise ScenarioFormatError(
-            f"scenario {spec.name!r}: {user} require a timeline free of "
-            "strong measurement stages"
-        )
-    q_sel = spec.post_observable.projectors[
-        spec.post_observable.branch_index(spec.post_select)
-    ]
-    if round(np.trace(q_sel).real) != 1:
-        raise ScenarioFormatError(
-            f"scenario {spec.name!r}: {user} require a rank-1 post-selection branch"
-        )
-    before = [e.unitary for e in spec.timeline[:position] if isinstance(e, UnitaryStage)]
-    after = [e.unitary for e in spec.timeline[position:] if isinstance(e, UnitaryStage)]
-    return TwoStateVector(
-        transport_forward(spec.pre, before), transport_backward(_rank_one_vector(q_sel), after)
-    )
-
-
-def _weak_reports(spec: ScenarioSpec, validate: bool) -> tuple[WeakValueReport, ...]:
-    reports = []
-    for position, stage in enumerate(spec.timeline):
-        if not isinstance(stage, WeakStage):
-            continue
-        tsv = _two_state_vector(spec, position, "weak stages")
-        value = weak_value(tsv, stage.operator)
-        if not validate:
-            reports.append(WeakValueReport(stage.label, stage.strength, value))
-            continue
-        reports.append(_validate_weak(stage, tsv, value))
-    return tuple(reports)
-
-
-def _validate_weak(stage: WeakStage, tsv: TwoStateVector, value: complex) -> WeakValueReport:
-    """Cross-check a weak value against the pointer model.
+def _weak_report(stage: WeakStage, tsv: TwoStateVector, validate: bool) -> WeakValueReport:
+    """The weak value of ``stage`` at ``tsv``, cross-checked against the
+    pointer model when ``validate`` is set.
 
     Uses two couplings (λ and λ/2) and Richardson-extrapolates the
     quadratic-in-λ pointer error away; the extrapolation must land on
     Re(A_w).  The check coupling shrinks with |A_w| so the true expansion
     parameter λ·|A_w|/σ stays small even for amplified weak values.  When
     Im(A_w) is appreciable, the post-selected momentum mean must shift with
-    the matching sign.
+    the matching sign.  Pointer validation is only meaningful for Hermitian
+    couplings; any other operator's value is reported unvalidated.
     """
-    if not stage.operator.is_hermitian():
-        # pointer validation is only meaningful for Hermitian couplings
+    value = weak_value(tsv, stage.operator)
+    if not (validate and stage.operator.is_hermitian()):
         return WeakValueReport(stage.label, stage.strength, value)
     obs = SpectralObservable.from_hermitian(stage.operator.matrix)
     lam = min(stage.strength, 0.1, 0.05 / max(1.0, abs(value)))
@@ -858,20 +859,15 @@ def run_scenario(
     want_analytic = mode in ("analytic", "both")
     want_oracle = mode in ("oracle", "both")
 
-    distributions: list[OutcomeDistribution] = []
-    acceptance_analytic = None
-    if want_analytic:
-        distributions, acceptance_analytic = analytic_predictions(spec)
-    weak = _weak_reports(spec, validate=want_oracle)
-    reality, audits = None, ()
-    if spec.counterfactuals or spec.products:
-        tsv_end = _two_state_vector(spec, len(spec.timeline), "counterfactuals")
-        if spec.counterfactuals:
-            reality = elements_of_reality(tsv_end, spec.counterfactuals)
-        audits = tuple(
-            (label, product_rule_audit(tsv_end, left, right))
-            for label, left, right in spec.products
-        )
+    distributions, acceptance, two_state = analytic_predictions(spec)
+    weak = tuple(
+        _weak_report(stage, two_state[position], validate=want_oracle)
+        for position, stage in enumerate(spec.timeline)
+        if isinstance(stage, WeakStage)
+    )
+    tsv_end = two_state.get(len(spec.timeline))
+    reality = elements_of_reality(tsv_end, spec.counterfactuals) if spec.counterfactuals else None
+    audits = tuple((label, product_rule_audit(tsv_end, left, right)) for label, left, right in spec.products)
 
     stats: EnsembleStats | None = None
     mc_stages = [e for e in spec.timeline if isinstance(e, (UnitaryStage, MeasureStage))]
@@ -908,7 +904,7 @@ def run_scenario(
         mode=mode,
         trials=trials if want_oracle else None,
         seed=seed if want_oracle else None,
-        acceptance_analytic=acceptance_analytic,
+        acceptance_analytic=acceptance if want_analytic else None,
         acceptance=stats.acceptance if stats is not None else None,
         stages=tuple(stage_reports),
         weak=weak,

@@ -257,6 +257,38 @@ class TestScenario:
         assert code == 2
         assert "name: expected a string" in err
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"timeline": [{"measure": {"observable": {"pauli": "x"}, "label": "m"}},
+                       {"weak_measure": {"operator": {"pauli": "z"}, "strength": 0.05, "label": "w"}}]},
+         "timeline[1].weak_measure: weak stages require a timeline free of strong measurement stages; "
+         "timeline[0] is one"),
+        ({"timeline": [{"measure": {"observable": {"pauli": "x"}, "label": "m"}}],
+          "counterfactuals": [{"label": "c", "observable": {"pauli": "y"}}]},
+         "counterfactuals[0]: counterfactuals require a timeline free of strong measurement stages"),
+        ({"dim": 4, "pre": [1, 0, 0, 0], "timeline": [],
+          "post": {"observable": {"explicit": [
+              {"eigenvalue": 1, "projector": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]},
+              {"eigenvalue": 0, "projector": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+          ]}, "select": 1},
+          "products": [{"label": "p", "left": {"bell_basis": {}}, "right": {"bell_basis": {}}}]},
+         "products[0]: products require a rank-1 post-selection branch; post.select picks one of rank 2"),
+    ], ids=["weak-strong", "counterfactual-strong", "product-rank-2"])
+    def test_pure_two_state_readers_exit_2(self, capsys, tmp_path, fields, named):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(dict(MZ_DOC, **fields)))
+        for mode in ("analytic", "oracle", "both"):
+            code, _, err = run(capsys, "scenario", "--file", str(path), "--mode", mode)
+            assert code == 2
+            assert named in err
+
+    @pytest.mark.parametrize("mode", ["analytic", "oracle", "both"])
+    def test_unreachable_post_selection_exits_3_in_every_mode(self, capsys, tmp_path, mode):
+        path = tmp_path / "dead.json"
+        path.write_text(json.dumps(dict(MZ_DOC, timeline=[], post={"observable": {"pauli": "z"}, "select": -1})))
+        code, _, err = run(capsys, "scenario", "--file", str(path), "--mode", mode)
+        assert code == 3
+        assert "post-selection unreachable" in err
+
     def test_unknown_builtin_lists_catalog(self, capsys):
         code, _, err = run(capsys, "scenario", "--builtin", "nope")
         assert code == 2

@@ -10,7 +10,6 @@ from twostate.algebra import (
     _hermitian_branches,
     SpectralObservable,
     StateVector,
-    Unitary,
     basis_state,
     beamsplitter,
     detector_basis,
@@ -33,8 +32,6 @@ from twostate.rules import (
     elements_of_reality,
     product_rule_audit,
     total_probability_check,
-    transport_backward,
-    transport_forward,
     weak_value,
 )
 
@@ -230,10 +227,6 @@ class TestElementsOfReality:
         assert sz.error is not None and not sz.certain
         assert report.elements == ()
 
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            elements_of_reality(TwoStateVector(UP_Z, UP_X), [("sz", pauli("z"))], tol=0.7)
-
 
 class TestProductRule:
     def test_failure_case(self):
@@ -427,20 +420,6 @@ class TestStackedRecombination:
             abl_probabilities(TwoStateVector(UP_Z, DOWN_Z), pauli("z"))
         with pytest.raises(ZeroOverlapError):
             weak_value(TwoStateVector(UP_Z, DOWN_Z), pauli_operator("x"))
-
-
-class TestTransport:
-    def test_backward_then_forward_is_identity(self):
-        rng = np.random.default_rng(11)
-        unitaries = []
-        for _ in range(3):
-            m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            q, _ = np.linalg.qr(m)
-            unitaries.append(Unitary(q))
-        post = random_state(rng, 3)
-        back = transport_backward(post, unitaries)
-        again = transport_forward(back, unitaries)
-        np.testing.assert_allclose(again.amps, post.amps, atol=1e-10)
 
 
 class TestOutcomeDistribution:

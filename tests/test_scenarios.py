@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twostate.algebra import (
     LinearOperator,
@@ -314,6 +316,37 @@ class TestLoader:
                          post_observable=pauli("z"), post_select=0.5)
 
 
+    STRONG = {"measure": {"observable": {"pauli": "x"}, "label": "m"}}
+    RANK_2_POST = {"dim": 3, "pre": [0.6, 0.8, 0], "post": {"observable": {"explicit": [
+        {"eigenvalue": 1, "projector": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]},
+        {"eigenvalue": 0, "projector": [[0, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    ]}, "select": 0}}
+    EYE_3 = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    NEED_STRONG_FREE = "require a timeline free of strong measurement stages"
+    NEED_RANK_1 = "require a rank-1 post-selection branch; post.select picks one of rank 2"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"timeline": [STRONG, {"weak_measure": {"operator": {"pauli": "z"}, "strength": 0.05, "label": "w"}}]},
+         f"timeline[1].weak_measure: weak stages {NEED_STRONG_FREE}; timeline[0] is one"),
+        ({"timeline": [STRONG], "counterfactuals": [{"label": "c", "observable": {"pauli": "y"}}]},
+         f"counterfactuals[0]: counterfactuals {NEED_STRONG_FREE}; timeline[0] is one"),
+        ({"timeline": [{"unitary": [[1, 0], [0, 1]]}, STRONG],
+          "products": [{"label": "p", "left": {"pauli": "x"}, "right": {"pauli": "z"}}]},
+         f"products[0]: products {NEED_STRONG_FREE}; timeline[1] is one"),
+        ({**RANK_2_POST, "timeline": [{"weak_measure": {"operator": EYE_3, "strength": 0.05, "label": "w"}}]},
+         f"timeline[0].weak_measure: weak stages {NEED_RANK_1}"),
+        ({**RANK_2_POST, "counterfactuals": [{"label": "c", "observable": RANK_2_POST["post"]["observable"]}]},
+         f"counterfactuals[0]: counterfactuals {NEED_RANK_1}"),
+        ({**RANK_2_POST, "products": [{"label": "p", "left": EYE_3, "right": EYE_3}]},
+         f"products[0]: products {NEED_RANK_1}"),
+    ], ids=["weak-strong", "counterfactual-strong", "product-strong",
+            "weak-rank-2", "counterfactual-rank-2", "product-rank-2"])
+    def test_pure_two_state_readers_checked_at_load(self, fields, message):
+        with pytest.raises(ScenarioFormatError) as info:
+            load_scenario(dict(MINIMAL, **fields))
+        assert str(info.value) == message
+
+
 class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown builtin"):
@@ -384,7 +417,7 @@ class TestAnalyticEnumeration:
                 post_observable=state_projector_observable(post),
                 post_select=1.0,
             )
-            dists, _ = analytic_predictions(spec)
+            dists, _, _ = analytic_predictions(spec)
             expected = abl_probabilities(TwoStateVector(pre, post), obs)
             np.testing.assert_allclose(
                 dists[0].probabilities, expected.probabilities, atol=1e-12
@@ -403,7 +436,7 @@ class TestAnalyticEnumeration:
             post_observable=state_projector_observable(post),
             post_select=1.0,
         )
-        dists, _ = analytic_predictions(spec)
+        dists, _, _ = analytic_predictions(spec)
         pre_t = StateVector(u1.matrix @ pre.amps)
         post_t = StateVector(u2.matrix.conj().T @ post.amps)
         expected = abl_probabilities(TwoStateVector(pre_t, post_t), obs)
@@ -419,7 +452,7 @@ class TestAnalyticEnumeration:
             post_observable=pauli("x"),
             post_select=1.0,
         )
-        dists, acceptance = analytic_predictions(spec)
+        dists, acceptance, _ = analytic_predictions(spec)
         # up-z collapses to itself on z (prob 1); then x outcomes 1/2 each; the
         # post-selection keeps only the +x branch
         assert acceptance == pytest.approx(0.5, abs=1e-12)
@@ -439,6 +472,49 @@ class TestAnalyticEnumeration:
         )
         with pytest.raises(ZeroDenominatorError, match="dead"):
             analytic_predictions(spec)
+
+
+class TestTwoStatePass:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 4]),
+        kinds=st.tuples(st.integers(0, 4), st.integers(1, 3)).flatmap(
+            lambda counts: st.permutations(["unitary"] * counts[0] + ["weak"] * counts[1])
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weak_values_equal_direct_products(self, seed, dim, kinds):
+        # ⟨φ_p|A|ψ_p⟩/⟨φ_p|ψ_p⟩ with ψ_p and φ_p from matrix products of the
+        # unitaries before and after stage p
+        rng = np.random.default_rng(seed)
+        pre, post = random_state(rng, dim), random_state(rng, dim)
+        timeline = []
+        for i, kind in enumerate(kinds):
+            if kind == "unitary":
+                timeline.append(UnitaryStage(random_unitary(rng, dim)))
+            else:
+                matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                timeline.append(WeakStage(LinearOperator(matrix), 0.05, f"w{i}"))
+        spec = ScenarioSpec(
+            name="pass", dim=dim, pre=pre, timeline=tuple(timeline),
+            post_observable=state_projector_observable(post), post_select=1.0,
+        )
+
+        def product(entries):
+            matrix = np.eye(dim)
+            for entry in entries:
+                if isinstance(entry, UnitaryStage):
+                    matrix = entry.unitary.matrix @ matrix
+            return matrix
+
+        assume(abs(np.vdot(post.amps, product(timeline) @ pre.amps)) >= 0.1)
+        expected = []
+        for p, entry in enumerate(timeline):
+            if isinstance(entry, WeakStage):
+                ket, bra = product(timeline[:p]) @ pre.amps, product(timeline[p:]).conj().T @ post.amps
+                expected.append(np.vdot(bra, entry.operator.matrix @ ket) / np.vdot(bra, ket))
+        values = [w.value for w in run_scenario(spec, mode="analytic").weak]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
 
 
 class TestRunScenario:
@@ -535,9 +611,7 @@ class TestRunScenario:
         )
         report = run_scenario(spec, mode="analytic")
         assert abs(report.weak[0].value.real) > 10
-        from twostate.scenarios import _weak_reports
-
-        validated = _weak_reports(spec, validate=True)[0]
+        validated = run_scenario(spec, mode="both", trials=1_000, seed=5).weak[0]
         assert validated.passed is True
         assert validated.extrapolated == pytest.approx(
             validated.value.real, rel=1e-5
@@ -563,32 +637,30 @@ class TestRunScenario:
         assert report.passed is None
 
     def test_weak_stage_rejects_strong_company(self):
-        spec = ScenarioSpec(
-            name="mixed",
-            dim=2,
-            pre=basis_state(2, 0),
-            timeline=(
-                MeasureStage(pauli("x"), "strong"),
-                WeakStage(pauli("z").operator, 0.05, "wz"),
-            ),
-            post_observable=pauli("z"),
-            post_select=1.0,
-        )
         with pytest.raises(ScenarioFormatError, match="weak"):
-            run_scenario(spec, mode="analytic")
+            ScenarioSpec(
+                name="mixed",
+                dim=2,
+                pre=basis_state(2, 0),
+                timeline=(
+                    MeasureStage(pauli("x"), "strong"),
+                    WeakStage(pauli("z").operator, 0.05, "wz"),
+                ),
+                post_observable=pauli("z"),
+                post_select=1.0,
+            )
 
     def test_counterfactuals_require_unitary_timeline(self):
-        spec = ScenarioSpec(
-            name="bad-cf",
-            dim=2,
-            pre=basis_state(2, 0),
-            timeline=(MeasureStage(pauli("x"), "strong"),),
-            post_observable=pauli("x"),
-            post_select=1.0,
-            counterfactuals=(("sz", pauli("z")),),
-        )
         with pytest.raises(ScenarioFormatError, match="counterfactual"):
-            run_scenario(spec, mode="analytic")
+            ScenarioSpec(
+                name="bad-cf",
+                dim=2,
+                pre=basis_state(2, 0),
+                timeline=(MeasureStage(pauli("x"), "strong"),),
+                post_observable=pauli("x"),
+                post_select=1.0,
+                counterfactuals=(("sz", pauli("z")),),
+            )
 
     def test_dimension_guard_in_spec(self):
         with pytest.raises(ScenarioFormatError):
