@@ -25,6 +25,7 @@ from .errors import DimensionMismatchError, NormalizationError, ObservableError
 VALIDATE_TOL = 1e-10
 CONSTRUCT_TOL = 1e-12
 DEGENERACY_TOL = 1e-8
+EIGENVALUE_TOL = 1e-9  # an eigenvalue given by value matches a branch within this
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -181,8 +182,8 @@ class LinearOperator:
     def adjoint(self) -> "LinearOperator":
         return LinearOperator(self.matrix.conj().T)
 
-    def is_hermitian(self, tol: float = VALIDATE_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= VALIDATE_TOL)
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         if not isinstance(other, LinearOperator):
@@ -277,19 +278,19 @@ class SpectralObservable:
         """The Hermitian operator Σ a_j P_j."""
         return LinearOperator(np.einsum("j,jkl->kl", self.eigenvalues, self.projectors))
 
-    def branch_index(self, eigenvalue: float, tol: float = 1e-9) -> int:
-        hits = np.nonzero(np.abs(self.eigenvalues - eigenvalue) <= tol)[0]
+    def branch_index(self, eigenvalue: float) -> int:
+        hits = np.nonzero(np.abs(self.eigenvalues - eigenvalue) <= EIGENVALUE_TOL)[0]
         if hits.size != 1:
             raise ValueError(f"eigenvalue {eigenvalue!r} is not a branch of this observable")
         return int(hits[0])
 
     @classmethod
-    def from_hermitian(cls, matrix, degeneracy_tol: float = DEGENERACY_TOL) -> "SpectralObservable":
+    def from_hermitian(cls, matrix) -> "SpectralObservable":
         """Eigendecompose a Hermitian matrix, merging near-equal eigenvalues.
 
-        Eigenvalues within ``degeneracy_tol`` of a branch's smallest one are fused
+        Eigenvalues within ``DEGENERACY_TOL`` of a branch's smallest one are fused
         into that degenerate branch, so conditional rules see whole eigenspaces
-        and no branch spans more than ``degeneracy_tol``.
+        and no branch spans more than ``DEGENERACY_TOL``.
         """
         mat = _as_complex_matrix(matrix, "observable matrix")
         if np.max(np.abs(mat - mat.conj().T)) > VALIDATE_TOL:
@@ -297,7 +298,7 @@ class SpectralObservable:
         vals, vecs = np.linalg.eigh(mat)
         groups: list[list[int]] = [[0]]
         for i in range(1, vals.size):
-            if vals[i] - vals[groups[-1][0]] <= degeneracy_tol:
+            if vals[i] - vals[groups[-1][0]] <= DEGENERACY_TOL:
                 groups[-1].append(i)
             else:
                 groups.append([i])

@@ -116,8 +116,9 @@ def _random_observable(rng: np.random.Generator, dim: int) -> SpectralObservable
     return SpectralObservable.from_hermitian(_random_hermitian(rng, dim))
 
 
-def check_spin_chain_recombination(seed: int, samples: int = 200) -> CheckResult:
+def check_spin_chain_recombination(seed: int) -> CheckResult:
     """Final-branch-weighted conditionals recombine to cos²(θ_ab/2)."""
+    samples = 200
     t_ab, t_bc = _seed_stream(seed).uniform(0.05, np.pi - 0.05, size=(samples, 2)).T
     up_a = basis_state(2, 0)
     middle, middle_ok = _spin_projectors(t_ab)
@@ -155,8 +156,9 @@ def check_spin_chain_recombination(seed: int, samples: int = 200) -> CheckResult
     )
 
 
-def check_recombination_random(seed: int, n: int = 1000) -> CheckResult:
+def check_recombination_random(seed: int) -> CheckResult:
     """Generalized consistency for random qubit (pre, middle, final) triples."""
+    n = 1000
     # one draw per triple, in the order of _random_state and two _random_observable calls
     draws = _seed_stream(seed).normal(size=(n, 20))
     worst = 0.0
@@ -282,8 +284,9 @@ def _swap_case(rng: np.random.Generator, dim: int) -> tuple[StateVector, StateVe
     return pre, post, _random_hermitian(rng, dim)
 
 
-def check_swap_symmetry(seed: int, n: int = 500) -> CheckResult:
+def check_swap_symmetry(seed: int) -> CheckResult:
     """Conditionals are invariant, and weak values conjugate, under pre/post swap."""
+    n = 500
     rng = _seed_stream(seed)
     worst_abl = worst_weak = 0.0
     for start in range(0, n, STACK_ROWS):
@@ -364,8 +367,9 @@ def _certain_scenario(rng: np.random.Generator, kind: int) -> _Scenario | None:
     return _Scenario(pre, post, eigs, projs, mat, branch)
 
 
-def check_certain_outcome_weak_value(seed: int, n: int = 500) -> CheckResult:
+def check_certain_outcome_weak_value(seed: int) -> CheckResult:
     """An outcome certain under the conditional rule pins the weak value."""
+    n = 500
     rng = _seed_stream(seed)
     worst, done = 0.0, 0
     while done < n:
@@ -434,8 +438,9 @@ def check_product_rule_failure() -> CheckResult:
     )
 
 
-def check_oracle_agreement(seed: int, trials: int, n: int = 50, z: float = 4.0) -> CheckResult:
+def check_oracle_agreement(seed: int, trials: int, z: float = 4.0) -> CheckResult:
     """Sampled conditionals match the analytic rule across random scenarios."""
+    n = 50
     rng = _seed_stream(seed)
     max_z = 0.0
     warns = 0
@@ -476,9 +481,10 @@ def check_oracle_agreement(seed: int, trials: int, n: int = 50, z: float = 4.0) 
     )
 
 
-def check_erasure_retrodiction(seed: int, trials: int, n: int = 20, z: float = 4.0) -> CheckResult:
+def check_erasure_retrodiction(seed: int, trials: int, z: float = 4.0) -> CheckResult:
     """After the entangling measurement, the in-between spin-y retrodicts 50/50
     in every branch, for any prepared particle state."""
+    n = 20
     rng = _seed_stream(seed)
     max_z = 0.0
     low_power = 0
@@ -521,8 +527,9 @@ def check_erasure_retrodiction(seed: int, trials: int, n: int = 20, z: float = 4
     )
 
 
-def check_pointer_strong(seed: int, samples: int = 10_000, z: float = 4.0) -> CheckResult:
+def check_pointer_strong(seed: int, z: float = 4.0) -> CheckResult:
     """λ = 10σ lobe frequencies reproduce the conditional probabilities."""
+    samples = 10_000
     pre = spin_state(1.1, 0.2)
     post = spin_state(2.0, -0.7)
     obs = pauli("z")

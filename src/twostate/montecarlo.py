@@ -42,6 +42,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .algebra import (
+    EIGENVALUE_TOL,
     SpectralObservable,
     StateVector,
     Unitary,
@@ -152,9 +153,7 @@ class EnsembleStats:
         st = self._stage(label)
         return _freq_stats(st.eigenvalues, st.counts_accepted, self.accepted)
 
-    def conditional_given(
-        self, label: str, given: dict[str, float], tol: float = 1e-9
-    ) -> tuple[OutcomeStat, ...]:
+    def conditional_given(self, label: str, given: dict[str, float]) -> tuple[OutcomeStat, ...]:
         """Conditional frequencies for one stage, additionally fixing other stages.
 
         ``given`` maps stage labels to required eigenvalues; counts come from
@@ -166,7 +165,7 @@ class EnsembleStats:
         st = self._stage(label)
         counts = np.zeros(len(st.eigenvalues), dtype=np.int64)
         for outcome, count in self.joint_accepted:
-            if all(abs(outcome[i] - v) <= tol for i, v in fixed.items()):
+            if all(abs(outcome[i] - v) <= EIGENVALUE_TOL for i, v in fixed.items()):
                 j = int(np.argmin([abs(e - outcome[target]) for e in st.eigenvalues]))
                 counts[j] += count
         total = int(counts.sum())
@@ -415,7 +414,7 @@ def compare_to_abl(
     stage = stats._stage(stage_label)
     counts = []
     for eig in predicted.eigenvalues:
-        hits = [c for e, c in zip(stage.eigenvalues, stage.counts_accepted) if abs(e - eig) <= 1e-9]
+        hits = [c for e, c in zip(stage.eigenvalues, stage.counts_accepted) if abs(e - eig) <= EIGENVALUE_TOL]
         if len(hits) != 1:
             raise ValueError(f"predicted eigenvalue {eig!r} does not match the sampled stage")
         counts.append(hits[0])

@@ -22,6 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .algebra import (
+    EIGENVALUE_TOL,
     LinearOperator,
     SpectralObservable,
     StateVector,
@@ -34,6 +35,7 @@ from .errors import DimensionMismatchError, ZeroDenominatorError, ZeroOverlapErr
 DENOMINATOR_FLOOR = 1e-14
 OVERLAP_FLOOR = 1e-14
 PROBABILITY_SLACK = 1e-12  # tolerated negative float noise, clipped on output
+VERDICT_TOL = 1e-10  # certainty, product-rule failure and recombination verdicts
 
 
 @dataclass(frozen=True)
@@ -77,9 +79,9 @@ class OutcomeDistribution:
         object.__setattr__(self, "eigenvalues", tuple(float(e) for e in self.eigenvalues))
         object.__setattr__(self, "probabilities", clipped)
 
-    def probability(self, eigenvalue: float, tol: float = 1e-9) -> float:
+    def probability(self, eigenvalue: float) -> float:
         for eig, p in zip(self.eigenvalues, self.probabilities):
-            if abs(eig - eigenvalue) <= tol:
+            if abs(eig - eigenvalue) <= EIGENVALUE_TOL:
                 return p
         raise ValueError(f"eigenvalue {eigenvalue!r} not present")
 
@@ -141,18 +143,15 @@ class RealityReport:
 def elements_of_reality(
     tsv: TwoStateVector,
     observables: Sequence[tuple[str, SpectralObservable]],
-    tol: float = 1e-10,
 ) -> RealityReport:
     """Which outcomes would a strong measurement yield with certainty?
 
     For each labeled observable, reports the most probable eigenvalue under
     the conditional rule and flags it as an element of reality when its
-    probability reaches 1 within ``tol``.  Several mutually incompatible
+    probability reaches 1 within ``VERDICT_TOL``.  Several mutually incompatible
     observables may qualify at once.  A zero-denominator observable is
     recorded in place rather than aborting the whole report.
     """
-    if not (0 < tol < 0.5):
-        raise ValueError(f"tol must lie in (0, 0.5), got {tol!r}")
     entries = []
     for label, obs in observables:
         try:
@@ -163,7 +162,7 @@ def elements_of_reality(
         prob = max(dist.probabilities)
         idx = dist.probabilities.index(prob)  # first maximum, as np.argmax
         entries.append(
-            RealityEntry(label, dist.eigenvalues[idx], prob, certain=prob >= 1 - tol)
+            RealityEntry(label, dist.eigenvalues[idx], prob, certain=prob >= 1 - VERDICT_TOL)
         )
     return RealityReport(tuple(entries))
 
@@ -181,7 +180,6 @@ def product_rule_audit(
     tsv: TwoStateVector,
     a: LinearOperator,
     b: LinearOperator,
-    tol: float = 1e-10,
 ) -> ProductRuleReport:
     """Compare (AB)_w against A_w·B_w; flags failure when they differ.
 
@@ -192,7 +190,7 @@ def product_rule_audit(
     b_w = weak_value(tsv, b)
     ab_w = weak_value(tsv, a @ b)
     disc = ab_w - a_w * b_w
-    return ProductRuleReport(a_w, b_w, ab_w, disc, failed=abs(disc) > tol)
+    return ProductRuleReport(a_w, b_w, ab_w, disc, failed=abs(disc) > VERDICT_TOL)
 
 
 @dataclass(frozen=True)
@@ -320,7 +318,6 @@ def total_probability_check(
     pre: StateVector,
     intermediate: SpectralObservable,
     final: SpectralObservable,
-    tol: float = 1e-10,
 ) -> TotalProbabilityReport:
     """Verify Σ_f Prob(f)·Prob(a_i|f) = Born(a_i) when the intermediate runs.
 
@@ -356,6 +353,6 @@ def total_probability_check(
         recombined=recombined,
         direct=direct,
         max_abs_error=err,
-        passed=err <= tol,
+        passed=err <= VERDICT_TOL,
     )
 

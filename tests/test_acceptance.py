@@ -75,7 +75,7 @@ def test_criterion_1_spin_chain_identity():
 
 def test_criterion_2_generalized_consistency():
     start = time.perf_counter()
-    random_part = check_recombination_random(SEED + 1, n=1000)
+    random_part = check_recombination_random(SEED + 1)
     mz_part = check_recombination_interferometer()
     elapsed = time.perf_counter() - start
     ok = random_part.status == "pass" and mz_part.status == "pass" and elapsed < 5.0
@@ -111,12 +111,12 @@ def test_criterion_3_conditional_counterexample():
 
 
 def test_criterion_4_swap_symmetry():
-    result = check_swap_symmetry(SEED + 3, n=500)
+    result = check_swap_symmetry(SEED + 3)
     report("4 swap symmetry and weak-value conjugation", result.status == "pass", result.summary)
 
 
 def test_criterion_5_certainty_forces_weak_value():
-    result = check_certain_outcome_weak_value(SEED + 4, n=500)
+    result = check_certain_outcome_weak_value(SEED + 4)
     report("5 certain outcome forces the weak value", result.status == "pass", result.summary)
 
 
@@ -144,19 +144,19 @@ def test_criterion_6_product_rule_failure():
 
 def test_criterion_7_oracle_agreement():
     start = time.perf_counter()
-    result = check_oracle_agreement(SEED + 5, TRIALS, n=50, z=4.0)
+    result = check_oracle_agreement(SEED + 5, TRIALS, z=4.0)
     elapsed = time.perf_counter() - start
     ok = result.status == "pass" and elapsed < 60.0
     report("7 oracle agreement on random scenarios", ok, f"{result.summary}; {elapsed:.2f}s")
 
 
 def test_criterion_8_erasure_retrodiction():
-    result = check_erasure_retrodiction(SEED + 6, TRIALS, n=20, z=4.0)
+    result = check_erasure_retrodiction(SEED + 6, TRIALS, z=4.0)
     report("8 erased-past retrodiction symmetry", result.status == "pass", result.summary)
 
 
 def test_criterion_9_pointer_model():
-    strong = check_pointer_strong(SEED + 7, samples=10_000, z=4.0)
+    strong = check_pointer_strong(SEED + 7, z=4.0)
     weak = check_pointer_weak_convergence()
     ok = strong.status == "pass" and weak.status == "pass"
     report("9 pointer model strong/weak regimes", ok, f"{strong.summary}; {weak.summary}")
