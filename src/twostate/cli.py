@@ -26,6 +26,7 @@ from .algebra import SpectralObservable, StateVector, pauli, spin_observable, sp
 from .checks import run_paper_checks
 from .errors import (
     InsufficientAcceptedTrialsError,
+    PointerGridError,
     TwoStateError,
     ZeroDenominatorError,
     ZeroOverlapError,
@@ -305,7 +306,10 @@ def cmd_pointer_sweep(args) -> int:
     post = parse_state(args.post)
     obs = parse_observable(args.obs)
     wv = weak_value(TwoStateVector(pre, post), obs.operator)
-    pointer = make_gaussian_pointer(sigma=args.sigma, n=args.n, span=args.span * args.sigma)
+    try:
+        pointer = make_gaussian_pointer(sigma=args.sigma, n=args.n, span=args.span * args.sigma)
+    except (PointerGridError, ValueError) as exc:
+        raise CliError(f"pointer grid (--sigma, --span, --n): {exc}") from None
     try:
         couplings = [float(c) for c in args.couplings.split(",") if c]
     except ValueError as exc:
@@ -314,6 +318,15 @@ def cmd_pointer_sweep(args) -> int:
         raise CliError("--couplings must list at least one value")
     if not all(np.isfinite(lam) and lam > 0 for lam in couplings):
         raise CliError(f"--couplings must be finite numbers > 0, got {args.couplings}")
+    # the mean of a grid 64 sigma wide resolves a shift only well above sigma times float epsilon
+    floor = 1e4 * np.finfo(float).eps * args.sigma
+    largest = float(np.max(np.abs(obs.eigenvalues)))
+    for lam in couplings:
+        if not lam * largest > floor:
+            raise CliError(
+                f"--couplings {lam!r} shifts the pointer by at most {lam * largest!r}, not above "
+                f"1e4 * eps * --sigma = {floor!r}: the grid cannot resolve it"
+            )
     rows = []
     for lam in couplings:
         shift = post_selected_mean_shift(pre, post, CouplingSpec(lam, obs), pointer)

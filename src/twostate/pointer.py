@@ -90,6 +90,8 @@ def make_gaussian_pointer(
     dq = span / n
     if not dq <= sigma / 8:
         raise PointerGridError(f"grid too coarse: dq = {dq} > sigma/8 = {sigma / 8}")
+    if dq < np.finfo(float).tiny:  # a subnormal spacing overflows the norm sums and the phase ramp
+        raise PointerGridError(f"sigma {sigma!r} too small: grid spacing {dq!r} is subnormal")
     q = center + (np.arange(n) - (n - 1) / 2) * dq
     amps = np.exp(-(((q - center) / sigma) ** 2) / 4).astype(complex)  # in units of sigma: no overflow
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * dq)

@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -446,6 +447,39 @@ class TestPointerSweep:
         assert (code, err) == (0, "")
         per_coupling = float(out.strip().splitlines()[1].split(",")[2])
         assert per_coupling == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--sigma", "1e155"], "--couplings 0.1 shifts the pointer by at most 0.1"),
+        (["--couplings", "1e-12"], "--couplings 1e-12 shifts the pointer by at most 1e-12"),
+        (["--sigma", "1e-306", "--couplings", "1e-308"], "pointer grid (--sigma, --span, --n): sigma 1e-306 too small"),
+        (["--sigma", "1e-307", "--couplings", "1e-309"], "pointer grid (--sigma, --span, --n): sigma 1e-307 too small"),
+        (["--sigma", "1e-308", "--couplings", "1e-310"], "pointer grid (--sigma, --span, --n): sigma 1e-308 too small"),
+    ], ids=["sigma-1e155", "coupling-1e-12", "sigma-1e-306", "sigma-1e-307", "sigma-1e-308"])
+    def test_unresolvable_sigma_or_coupling_exits_2_without_warning(self, capsys, argv, named):
+        # numpy's overflow warnings come from numpy modules, which the pytest filter does not cover
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "pointer-sweep", "--pre", "up-x", "--post", "spin:1.0", "--obs", "pauli-z", *argv
+            )
+        assert (code, out) == (2, "")
+        assert named in err
+        assert "--sigma" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--sigma", "1e-305", "--couplings", "1e-307"],
+        ["--sigma", "1e-304", "--couplings", "1e-306", "--n", "262144", "--span", "256"],
+        ["--couplings", "1e-11"],
+    ])
+    def test_resolvable_extremes_run_without_warning(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "pointer-sweep", "--pre", "up-x", "--post", "spin:1.0", "--obs", "pauli-z",
+                "--format", "csv", *argv,
+            )
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 2
 
 
 class TestAngles:

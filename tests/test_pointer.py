@@ -1,5 +1,7 @@
 """Pointer measurement model: coupling, readout, strong and weak regimes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,14 @@ class TestGaussianPointer:
             PointerState(p.positions, p.amps, **grid)
         with pytest.raises(PointerGridError, match=f"^{name} must be finite"):
             JointState(joint.amps, joint.positions, **grid)
+
+    @pytest.mark.parametrize("sigma, n", [(1e-306, 4096), (1e-307, 4096), (1e-308, 4096), (1e-305, 262144)])
+    def test_subnormal_spacing_rejected_naming_sigma(self, sigma, n):
+        # a spacing below the smallest normal float overflows the norm sums
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PointerGridError, match=r"^sigma .* too small: grid spacing .* is subnormal"):
+                make_gaussian_pointer(sigma=sigma, n=n)
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e154, 1e155, 1e306])
     def test_extreme_sigma_is_the_unit_pointer_rescaled(self, sigma):
