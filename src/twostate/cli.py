@@ -196,6 +196,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _given(args, *names: str) -> dict:
+    """The named options the user set; the library supplies every other default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 # catalog parameters become --flags of the same name; which_path_stage is --no-which-path
 _BUILTIN_PARAMS = tuple(dict.fromkeys(
     p for name in builtin_names() for p in builtin_parameters(name) if p != "which_path_stage"
@@ -205,9 +210,10 @@ _BUILTIN_PARAMS = tuple(dict.fromkeys(
 def cmd_scenario(args) -> int:
     if bool(args.builtin) == bool(args.file):
         raise CliError("give exactly one of --builtin NAME or --file PATH")
-    params = {
-        name: getattr(args, name) for name in _BUILTIN_PARAMS if getattr(args, name) is not None
-    }
+    oracle = _given(args, "trials", "seed", "z")
+    if args.mode == "analytic" and oracle:
+        raise CliError(f"--{next(iter(oracle))} sets the Monte-Carlo oracle, which --mode analytic does not run")
+    params = _given(args, *_BUILTIN_PARAMS)
     if args.no_which_path:
         params["which_path_stage"] = False
     if args.file and params:
@@ -225,7 +231,7 @@ def cmd_scenario(args) -> int:
         except OSError as exc:
             raise CliError(f"cannot read {args.file}: {exc}") from None
         spec = load_scenario(document)
-    report = run_scenario(spec, mode=args.mode, trials=args.trials, seed=args.seed, z=args.z)
+    report = run_scenario(spec, mode=args.mode, **oracle)
 
     if args.format == "json":
         _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
@@ -291,7 +297,7 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_paper_checks(args) -> int:
-    report = run_paper_checks(trials=args.trials, seed=args.seed, z=args.z)
+    report = run_paper_checks(trials=args.trials, seed=args.seed, **_given(args, "z"))
     if args.format == "json":
         _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     elif args.format == "csv":
@@ -355,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     selections.add_argument("--obs", required=True)
 
     threshold = argparse.ArgumentParser(add_help=False)
-    threshold.add_argument("--z", type=float, default=4.0, help="agreement threshold in standard errors")
+    threshold.add_argument("--z", type=float, help="agreement threshold in standard errors (default 4)")
 
     # not a parent: parents share their Action objects, so scenario's defaults
     # would leak into simulate's and paper-checks'

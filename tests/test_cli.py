@@ -340,6 +340,25 @@ class TestScenario:
         assert out == ""
         assert f"error: {flags[0]} sets a builtin parameter" in err
 
+    @pytest.mark.parametrize("flag", ["--trials", "--seed", "--z"])
+    def test_analytic_mode_rejects_oracle_options(self, capsys, tmp_path, flag):
+        path = tmp_path / "mz.json"
+        path.write_text(json.dumps(MZ_DOC))
+        for source in (["--builtin", "spin-zz-xi"], ["--file", str(path)]):
+            code, out, err = run(capsys, "scenario", *source, "--mode", "analytic", flag, "3")
+            assert (code, out) == (2, "")
+            assert f"{flag} sets the Monte-Carlo oracle, which --mode analytic does not run" in err
+            code, _, _ = run(capsys, "scenario", *source, "--mode", "oracle", flag, "3")
+            assert code == 0
+
+    def test_default_threshold_is_4(self, capsys):
+        default = run(capsys, "scenario", "--builtin", "spin-zz-xi", "--trials", "20000", "--format", "json")
+        explicit = run(capsys, "scenario", "--builtin", "spin-zz-xi", "--trials", "20000", "--format", "json",
+                       "--z", "4")
+        assert default == explicit
+        default = run(capsys, "paper-checks", "--trials", "2000")
+        assert default[1].startswith("validation report  (trials=2000, seed=7, z=4)")
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "scenario", "--mode", "analytic")
         assert code == 2
