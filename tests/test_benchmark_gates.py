@@ -1,0 +1,43 @@
+"""The benchmark's output gates, run at a fraction of its cost.
+
+``perfbench/workloads.py`` holds the gates the benchmark applies to every
+operation: the sha256 of a 100,000-trial ``paper-checks`` report and the
+oracle tallies of the deep-timeline scenarios, both recorded in
+``perfbench/reference.json``.  The report pins elsewhere in the suite run at
+fewer trials, so a change that moves only a 100,000-trial digest would pass
+them.  These tests import the benchmark's own module unchanged and apply its
+gates to one battery seed and to entry 0 of each deep-timeline shape.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _workloads()
+REFERENCE = json.loads((BENCH / "reference.json").read_text())
+
+
+def test_battery_report_digest_at_100000_trials():
+    argv = WORKLOADS.battery_argv(0)
+    assert argv == ["paper-checks", "--trials", "100000", "--seed", "0"]
+    WORKLOADS.battery_check(argv, WORKLOADS.run_cli(argv), REFERENCE)
+
+
+@pytest.mark.parametrize("shape", range(len(WORKLOADS.SHAPES)), ids=[s.name for s in WORKLOADS.SHAPES])
+def test_deep_timeline_tallies(shape):
+    item = (f"{shape}:0", WORKLOADS.scenario_document(shape, 0))
+    WORKLOADS.deep_check(item, WORKLOADS.deep_run(item), REFERENCE)
