@@ -324,15 +324,11 @@ def cmd_pointer_sweep(args) -> int:
         raise CliError("--couplings must list at least one value")
     if not all(np.isfinite(lam) and lam > 0 for lam in couplings):
         raise CliError(f"--couplings must be finite numbers > 0, got {args.couplings}")
-    # the mean of a grid 64 sigma wide resolves a shift only well above sigma times float epsilon
-    floor = 1e4 * np.finfo(float).eps * args.sigma
     largest = float(np.max(np.abs(obs.eigenvalues)))
-    for lam in couplings:
-        if not lam * largest > floor:
-            raise CliError(
-                f"--couplings {lam!r} shifts the pointer by at most {lam * largest!r}, not above "
-                f"1e4 * eps * --sigma = {floor!r}: the grid cannot resolve it"
-            )
+    for lam in couplings:  # the mean of a sigma-scaled grid resolves shifts well above sigma * eps only
+        if not lam * largest > 1e4 * np.finfo(float).eps * args.sigma:
+            raise CliError(f"--couplings {lam!r} shifts the pointer by at most {lam * largest!r}, "
+                           f"not above 1e4 * eps * --sigma: the grid cannot resolve it")
     rows = []
     for lam in couplings:
         shift = post_selected_mean_shift(pre, post, CouplingSpec(lam, obs), pointer)

@@ -34,8 +34,10 @@ where ``<obs>`` is one of ``{"pauli": "x"|"y"|"z"}``,
 
 Counterfactuals are alternative measurements considered one at a time at the
 end of the timeline (several incompatible ones may be listed together); they
-power the element-of-reality and product-rule reports and are only allowed in
-timelines without strong measurement stages.  Angles are radians everywhere.
+power the element-of-reality report.  Weak stages, counterfactuals and
+products read the pure two-state vector, so ``ScenarioSpec`` rejects each of
+them when the spec is built unless the timeline is free of strong measurement
+stages and the selected post branch has rank 1.  Angles are radians everywhere.
 The 50/50 beamsplitter convention used by the interferometer builtins is
 (1/sqrt2)[[1, i], [i, 1]], which makes the dark output port explicit.
 """
@@ -158,20 +160,14 @@ class ScenarioSpec:
                    for i, e in enumerate(self.timeline) if isinstance(e, WeakStage)]
         readers += [(f"counterfactuals[{i}]", "counterfactuals") for i in range(len(self.counterfactuals))]
         readers += [(f"products[{i}]", "products") for i in range(len(self.products))]
-        if not readers:
-            return
-        path, what = readers[0]
-        strong = [i for i, e in enumerate(self.timeline) if isinstance(e, MeasureStage)]
-        if strong:
-            raise ScenarioFormatError(
-                f"{path}: {what} require a timeline free of strong measurement stages; "
-                f"timeline[{strong[0]}] is one"
-            )
+        strong = [f"timeline[{i}] is one" for i, e in enumerate(self.timeline) if isinstance(e, MeasureStage)]
         rank = round(np.trace(self.post_observable.projectors[selected]).real)
-        if rank != 1:
-            raise ScenarioFormatError(
-                f"{path}: {what} require a rank-1 post-selection branch; post.select picks one of rank {rank}"
-            )
+        for path, what in readers[:1]:
+            if strong:
+                raise ScenarioFormatError(f"{path}: {what} require a timeline free of strong measurement stages; {strong[0]}")
+            if rank != 1:
+                raise ScenarioFormatError(f"{path}: {what} require a rank-1 post-selection branch; "
+                                          f"post.select picks one of rank {rank}")
 
 
 # ---------------------------------------------------------------------------
@@ -728,12 +724,10 @@ def analytic_predictions(spec: ScenarioSpec):
     the two-state conditional rule when the stage is the only one.  The
     acceptance probability is Tr(Q ρ) at the end.
 
-    The forward pass also carries ρ's pure factor, the prepared ket, and the
-    backward pass E's, the selected branch's ket.  ``two_state`` maps the
-    position of each weak stage, and ``len(spec.timeline)`` for the end when
-    the spec has counterfactuals or products, to the ``TwoStateVector`` just
-    before it.  ``ScenarioSpec`` guarantees both factors there: no strong
-    stage and a rank-1 selected branch.
+    The passes also carry the pure factors of ρ and E, the prepared and the
+    selected kets.  ``two_state`` maps each weak stage's position, and the
+    end's when the spec has counterfactuals or products, to the
+    ``TwoStateVector`` there; ``ScenarioSpec`` makes both factors exact.
     """
     q_sel = spec.post_observable.projectors[
         spec.post_observable.branch_index(spec.post_select)
@@ -860,11 +854,8 @@ def run_scenario(
     want_oracle = mode in ("oracle", "both")
 
     distributions, acceptance, two_state = analytic_predictions(spec)
-    weak = tuple(
-        _weak_report(stage, two_state[position], validate=want_oracle)
-        for position, stage in enumerate(spec.timeline)
-        if isinstance(stage, WeakStage)
-    )
+    weak = tuple(_weak_report(stage, two_state[i], validate=want_oracle)
+                 for i, stage in enumerate(spec.timeline) if isinstance(stage, WeakStage))
     tsv_end = two_state.get(len(spec.timeline))
     reality = elements_of_reality(tsv_end, spec.counterfactuals) if spec.counterfactuals else None
     audits = tuple((label, product_rule_audit(tsv_end, left, right)) for label, left, right in spec.products)
