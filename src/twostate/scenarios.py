@@ -160,11 +160,13 @@ class ScenarioSpec:
                    for i, e in enumerate(self.timeline) if isinstance(e, WeakStage)]
         readers += [(f"counterfactuals[{i}]", "counterfactuals") for i in range(len(self.counterfactuals))]
         readers += [(f"products[{i}]", "products") for i in range(len(self.products))]
-        strong = [f"timeline[{i}] is one" for i, e in enumerate(self.timeline) if isinstance(e, MeasureStage)]
-        rank = round(np.trace(self.post_observable.projectors[selected]).real)
-        for path, what in readers[:1]:
+        if readers:
+            path, what = readers[0]
+            strong = [i for i, e in enumerate(self.timeline) if isinstance(e, MeasureStage)]
             if strong:
-                raise ScenarioFormatError(f"{path}: {what} require a timeline free of strong measurement stages; {strong[0]}")
+                raise ScenarioFormatError(f"{path}: {what} require a timeline free of strong measurement stages; "
+                                          f"timeline[{strong[0]}] is one")
+            rank = round(np.trace(self.post_observable.projectors[selected]).real)
             if rank != 1:
                 raise ScenarioFormatError(f"{path}: {what} require a rank-1 post-selection branch; "
                                           f"post.select picks one of rank {rank}")
@@ -727,13 +729,15 @@ def analytic_predictions(spec: ScenarioSpec):
     The passes also carry the pure factors of ρ and E, the prepared and the
     selected kets.  ``two_state`` maps each weak stage's position, and the
     end's when the spec has counterfactuals or products, to the
-    ``TwoStateVector`` there; ``ScenarioSpec`` makes both factors exact.
+    ``TwoStateVector`` at that position, where ``ScenarioSpec`` guarantees
+    that ρ and E are pure.
     """
     q_sel = spec.post_observable.projectors[
         spec.post_observable.branch_index(spec.post_select)
     ]
     end = len(spec.timeline)
-    rho, ket, kets = np.outer(spec.pre.amps, spec.pre.amps.conj()), spec.pre.amps, {}
+    rho = np.outer(spec.pre.amps, spec.pre.amps.conj())
+    ket, kets = spec.pre.amps, {}
     branch_states = []  # P_j ρ P_j at each measurement stage, in timeline order
     for position, entry in enumerate(spec.timeline):
         if isinstance(entry, UnitaryStage):
