@@ -7,14 +7,22 @@ oracle tallies of the deep-timeline scenarios, both recorded in
 fewer trials, so a change that moves only a 100,000-trial digest would pass
 them.  These tests import the benchmark's own module unchanged and apply its
 gates to one battery seed and to entry 0 of each deep-timeline shape.
+
+The benchmark also bounds ``peak_rss_mb`` by 10%; the memory guard below
+bounds the traced peak of single ``simulate`` calls so that a sampler that
+holds more at once shows here first.
 """
 
 import importlib.util
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from twostate.montecarlo import simulate
+from twostate.scenarios import builtin, load_scenario
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,3 +49,28 @@ def test_battery_report_digest_at_100000_trials():
 def test_deep_timeline_tallies(shape):
     item = (f"{shape}:0", WORKLOADS.scenario_document(shape, 0))
     WORKLOADS.deep_check(item, WORKLOADS.deep_run(item), REFERENCE)
+
+
+# tracemalloc peak of one simulate call, in MiB, measured with the per-stage
+# path matrix and lexsort tally; a call may hold at most 1 MiB more
+SIMULATE_PEAK_MIB = {"rank1-d8": 2.26, "rank1-d4": 2.23, "qubit": 3.26, "degenerate-d8": 8.02, "erasure": 0.19}
+
+
+def _simulate_peak_mib(spec, trials: int) -> float:
+    tracemalloc.start()
+    try:
+        simulate(spec.pre, list(spec.timeline), (spec.post_observable, spec.post_select), trials, spec.seed)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", range(len(WORKLOADS.SHAPES)), ids=[s.name for s in WORKLOADS.SHAPES])
+def test_deep_timeline_simulate_memory(shape):
+    spec = load_scenario(WORKLOADS.scenario_document(shape, 0))
+    name = WORKLOADS.SHAPES[shape].name
+    assert _simulate_peak_mib(spec, WORKLOADS.DEEP_TRIALS) <= SIMULATE_PEAK_MIB[name] + 1.0
+
+
+def test_erasure_simulate_memory():
+    assert _simulate_peak_mib(builtin("erasure"), 100_000) <= SIMULATE_PEAK_MIB["erasure"] + 1.0

@@ -81,6 +81,11 @@ def random_timeline(seed, dim, n_stages, ranks):
     return pre, stages, (basis_observable(rng, dim, (1,) * dim), 1.0)
 
 
+def builtin_run(name, trials, seed):
+    spec = builtin(name)
+    return simulate(spec.pre, list(spec.timeline), (spec.post_observable, spec.post_select), trials, seed)
+
+
 def ensemble_digest(stats):
     """sha256 over every EnsembleStats field, joint tallies in their reported order."""
     doc = [
@@ -95,6 +100,24 @@ def ensemble_digest(stats):
 
 
 class TestRngDerivation:
+    @pytest.mark.parametrize("chunk", [0, 1, 24, 2**40])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_rekeyed_generator_replays_chunk_rng(self, seed, chunk):
+        # one Philox re-keyed per chunk, after a partial draw of another key,
+        # yields the documented substream
+        bitgen = np.random.Philox(key=np.array([7, 3], dtype=np.uint64))
+        rng = np.random.Generator(bitgen)
+        rng.random(5)
+        rng.integers(2**32, dtype=np.uint32)
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, chunk], np.uint64)},
+            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        expected = chunk_rng(seed, chunk)
+        assert np.array_equal(rng.random((3, 7)), expected.random((3, 7)))
+        assert np.array_equal(rng.random(9), expected.random(9))
+
     def test_golden_stream(self):
         # pins the documented (seed, chunk) -> Philox key derivation
         np.testing.assert_allclose(
@@ -211,6 +234,33 @@ class TestSimulate:
                 assert abs(stat.frequency - 0.5) <= 4 * stat.std_error
 
 
+ALL_REJECTED = "AllRejectedError"
+# (builtin, trials, seed) -> ensemble digest: a single trial, a partial
+# first chunk, one short of and one past a whole chunk, and several chunks
+BUILTIN_DIGESTS = {
+    ("spin-zz-xi", 1, 0): ALL_REJECTED,
+    ("spin-zz-xi", 1, 2**64 - 1): "ee6468b0da579940a63d953c736cfcc0bb57ef90a74b23c8711e28f8beed2095",
+    ("spin-zz-xi", 7, 0): "118e78f26d8c3d06f010029f5e639174f28ae3aeb29c9b9645a4fa6cdf2944ef",
+    ("spin-zz-xi", 7, 2**64 - 1): "d47f82c5b38667a4727006a32ed63aa0ba33f7c56e8711b3c3185d24158793a5",
+    ("spin-zz-xi", 4095, 0): "0a5724e49cf16815a2e550fc7acffa334d389867e3d73e8cfcf78b7fad2c51a5",
+    ("spin-zz-xi", 4095, 2**64 - 1): "f393afe6d5dd7113bc0222a13dc07f3f047b0713df9a8dd4bf7094e1253d8b10",
+    ("spin-zz-xi", 4097, 0): "d39c1ca0e6f3fd8c20835d88fb117427bba202d89a95945cbbea8049dc764677",
+    ("spin-zz-xi", 4097, 2**64 - 1): "c7295983d3c8ce00ad137a94aed89aee14ed4fcfcc1be27a78645a7609ab23c0",
+    ("spin-zz-xi", 12345, 0): "4898f39b55438831235491395b51aa48251fdbf3c89a867a345d344dde43f2b9",
+    ("spin-zz-xi", 12345, 2**64 - 1): "1c0458250e8885727f169f1280590aa5e22a0343d4b9d3150ae81fed12776c18",
+    ("erasure", 1, 0): ALL_REJECTED,
+    ("erasure", 1, 2**64 - 1): ALL_REJECTED,
+    ("erasure", 7, 0): "1c9ead56a27b6eef05ffbdcf4c470e04edf2681921fca20048e625e75cde9bd4",
+    ("erasure", 7, 2**64 - 1): "7aa2fe723815b8f1778bc577454177b192792f79134449581ffda84718021bed",
+    ("erasure", 4095, 0): "9c92a2f216545d51afe4586f3690249391806503fd3e08adbc361ebe0672b2cc",
+    ("erasure", 4095, 2**64 - 1): "a0a62342760374bdec8108cccaaa50cd45002720605157abb4fa68aacc5c2486",
+    ("erasure", 4097, 0): "aad298647b9aa8bf3761915dfde0373dd781c085fa0213f5d3ef42f90044f658",
+    ("erasure", 4097, 2**64 - 1): "94041daa08779561998d618552fed7b978b2c5d7ef7d7fed2dc07484aab3ba2b",
+    ("erasure", 12345, 0): "551693ac22619be4fbe5d1617520834b2307121ea0c6778423debf30d11d2501",
+    ("erasure", 12345, 2**64 - 1): "16792e02ae6634d4cee213007bf8935bfd244d4c29160c910fe963b5f9d98b74",
+}
+
+
 class TestGoldenEnsembles:
     """Complete tallies of four fixed runs, pinned so that any change to the
     sampler's use of the random stream or to its collapse bookkeeping shows."""
@@ -248,6 +298,28 @@ class TestGoldenEnsembles:
         assert stats.stages[0].counts_all == (11350, 8650)
         assert len(stats.joint_accepted) == 15
         assert ensemble_digest(stats) == "e35b5e25a7608cf99d9c55da4c5737603eb23312a3613f7abebbac367b892ccf"
+
+    @pytest.mark.parametrize(("name", "trials", "seed"), list(BUILTIN_DIGESTS))
+    def test_builtin_at_chunk_boundaries(self, name, trials, seed):
+        try:
+            digest = ensemble_digest(builtin_run(name, trials, seed))
+        except AllRejectedError:
+            digest = ALL_REJECTED
+        assert digest == BUILTIN_DIGESTS[name, trials, seed]
+
+    def test_no_measurement_stage(self):
+        stats = builtin_run("reality-pair", 12345, 9)
+        assert stats.stages == ()
+        assert stats.joint_accepted == (((), 6231),)
+        assert stats.post_counts == (6114, 6231)
+        assert ensemble_digest(stats) == "f59b64bd7a02dc7d4e7d2c934a51445c12bf124e07ed81efceb4052b5c91afec"
+
+    def test_sixty_four_stages_outgrow_a_64_bit_path_code(self):
+        # 2**64 stage paths times 2 final outcomes: no stage cap, no overflow
+        stats = simulate(*random_timeline(64, 2, 64, (1, 1)), 8192, 105)
+        assert len(stats.stages) == 64
+        assert stats.accepted == len(stats.joint_accepted) == 4132
+        assert ensemble_digest(stats) == "3f61f1005bf893086ed871a32cb8fd715add80a358d5f478d5926923408d9b04"
 
 
 class TestCompareToAbl:
