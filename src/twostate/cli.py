@@ -312,8 +312,10 @@ def cmd_pointer_sweep(args) -> int:
     post = parse_state(args.post)
     obs = parse_observable(args.obs)
     wv = weak_value(TwoStateVector(pre, post), obs.operator)
+    if not np.isfinite(span := args.span * args.sigma) and np.isfinite([args.span, args.sigma]).all():
+        raise CliError(f"pointer grid (--span × --sigma): {args.span!r} × {args.sigma!r} overflows")
     try:
-        pointer = make_gaussian_pointer(sigma=args.sigma, n=args.n, span=args.span * args.sigma)
+        pointer = make_gaussian_pointer(sigma=args.sigma, n=args.n, span=span)
     except (PointerGridError, ValueError) as exc:
         raise CliError(f"pointer grid (--sigma, --span, --n): {exc}") from None
     try:

@@ -12,11 +12,11 @@ Trials are partitioned into fixed chunks of 4096.  Chunk ``k`` of a run with
 seed ``s``, 0 ≤ s < 2**64, draws from
 ``numpy.random.Generator(Philox(key=[s, k]))`` (Philox is counter-based with a
 128-bit key, so substreams are independent by construction); other seeds are
-rejected rather than reduced.  A sub-run's seed, ``derive_seed(s, offset)``, is
-``s + offset`` mod 2**64.  Within a chunk, one uniform array is consumed per
-measurement stage and one for the final measurement, in timeline order.
-Tallies are plain integer sums, so the result for a given ``(seed, trials)``
-pair is identical no matter how chunks are scheduled.  Golden tests pin the
+rejected rather than reduced.  One generator per call is re-keyed to
+``[s, k]`` with counter 0 at each chunk, which replays that stream.  A
+sub-run's seed, ``derive_seed(s, offset)``, is ``s + offset`` mod 2**64.
+Within a chunk, one uniform array is consumed per measurement stage and one
+for the final measurement, in timeline order.  Golden tests pin the
 derivation and complete tallies of fixed runs.
 
 Branch sampling is inverse-CDF over branches in observable order, with the
@@ -24,34 +24,31 @@ cumulative weights renormalized so the last entry is exactly 1.  Branches of
 Born weight below 1e-15 get exact weight 0, so a null vector is never
 normalized.
 
-Each trial carries an index into a table of distinct states.  A collapse
-onto a rank-1 branch forgets the history, so every parent maps to one child;
-a higher-rank branch keeps one child per (parent, branch).  While all
-reachable states fit in one chunk, the table and its CDFs are built once per
-call; from the first stage where they would not, each chunk keeps a live
-table of the states its trials reach, never more than min(chunk, reached).
-Cost grows with the number of stages, not of collapse paths, and there is no
-cap on paths.
+Each trial carries an index into a table of distinct states; a rank-1
+collapse forgets the history, a higher-rank one keeps one child per (parent,
+branch).  While all reachable states fit in one chunk the tables are built
+once per call; from the first stage where they would not, each chunk keeps a
+live table of the states its trials reach, at most min(chunk, reached).
+
+Each trial also carries a mixed-radix path code: stage 0 is the most
+significant digit, the final outcome the least, and past 2**63 paths it is a
+Python integer.  Tallies are integer sums over the codes, so a result does
+not depend on how chunks are scheduled.  Up to 4096 paths, a bincount per
+chunk fills a table of every path whose marginals and accepted slice give
+every tally; beyond, each chunk's accepted codes are sorted and summed, then
+merged.  Cost grows with the stages, not the paths, and neither is capped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import (
-    EIGENVALUE_TOL,
-    SpectralObservable,
-    StateVector,
-    Unitary,
-)
-from .errors import (
-    AllRejectedError,
-    DimensionMismatchError,
-    InsufficientAcceptedTrialsError,
-)
+from .algebra import EIGENVALUE_TOL, SpectralObservable, StateVector, Unitary
+from .errors import AllRejectedError, DimensionMismatchError, InsufficientAcceptedTrialsError
 from .rules import OutcomeDistribution
 
 CHUNK_SIZE = 4096
@@ -196,7 +193,7 @@ def _sample(cum: np.ndarray, node: np.ndarray, u: np.ndarray) -> np.ndarray:
     uniform; the last entry is 1 and never counts."""
     branch = np.zeros(u.size, dtype=np.intp)
     for column in cum.T[:-1]:
-        branch += u >= column[node]
+        branch += u >= (column[node] if len(column) > 1 else column[0])
     return branch
 
 
@@ -215,25 +212,19 @@ def _children(collapsed, weights, observable, parent, branch):
     return collapsed[b, p] / np.sqrt(weights[p, b])[:, None], index
 
 
-def _tally_paths(paths: np.ndarray, counts: np.ndarray):
-    """Sum ``counts`` over equal columns of ``paths`` (one row per stage);
-    the distinct columns come back in lexicographic order."""
-    order = np.lexsort(paths[::-1]) if len(paths) else np.arange(paths.shape[1])
-    paths, counts = paths[:, order], counts[order]
-    first = np.ones(paths.shape[1], dtype=bool)
-    first[1:] = (paths[:, 1:] != paths[:, :-1]).any(axis=0)
-    starts = np.flatnonzero(first)
-    return paths[:, starts], np.add.reduceat(counts, starts)
+def _tally(codes: np.ndarray, counts: np.ndarray):
+    """Sum ``counts`` over equal ``codes``; the distinct codes come back sorted."""
+    order = np.argsort(codes)
+    codes, counts = codes[order], counts[order]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    return codes[starts], np.add.reduceat(counts, starts)
 
 
 def _static_tables(pre: StateVector, stages: Sequence[Stage], bound: int):
-    """Branch tables shared by every chunk.
-
-    Walks the timeline over all reachable states while their number stays
-    within ``bound``; rank-1 stages keep it at most the branch count.  Returns
-    one (cum, child) pair per measurement stage covered, the state table
-    where the walk stopped, and the stages left for per-chunk tables.
-    """
+    """Branch tables shared by every chunk, built while all reachable states
+    number at most ``bound``: one (cum, child) pair per measurement stage
+    covered, ``child`` flat over (state, branch) and None for the final stage;
+    the state table where the walk stopped; the stages left for live tables."""
     states = pre.amps[None, :]
     tables = []
     for i, stage in enumerate(stages):
@@ -241,15 +232,51 @@ def _static_tables(pre: StateVector, stages: Sequence[Stage], bound: int):
             states = states @ stage.unitary.matrix.T
             continue
         collapsed, weights = _collapse(states, stage.observable)
+        if i == len(stages) - 1:  # no state after the final measurement is read
+            tables.append((_born_cdf(weights), None))
+            break
         parent, branch = np.nonzero(weights >= ZERO_WEIGHT)
         children, index = _children(collapsed, weights, stage.observable, parent, branch)
         if len(children) > bound:
             return tables, states, stages[i:]
         child = np.zeros(weights.shape, dtype=np.intp)
         child[parent, branch] = index
-        tables.append((_born_cdf(weights), child))
+        tables.append((_born_cdf(weights), child.ravel()))
         states = children
     return tables, states, []
+
+
+def _chunk_rngs(seed: int, chunks):
+    """``(k, chunk_rng(seed, k))`` for each k of ``chunks``: one Philox, re-keyed with counter 0."""
+    rng = chunk_rng(seed, 0)
+    state = rng.bit_generator.state
+    for k in chunks:
+        state["state"]["key"][1] = k
+        rng.bit_generator.state = state
+        yield k, rng
+
+
+def _branches(tables, states, tail, rng, m: int):
+    """One chunk of ``m`` trials: each measurement stage's sampled branches
+    in timeline order, the static stages' uniforms drawn 16 stages per call."""
+    node = np.zeros(m, dtype=np.intp)
+    blocks = (rng.random((min(16, len(tables) - i), m)) for i in range(0, len(tables), 16))
+    for (cum, child), u in zip(tables, (u for block in blocks for u in block)):
+        br = _sample(cum, node, u)
+        if child is not None:
+            node = child[node * cum.shape[1] + br]
+        yield br
+    u = None  # frees the last block of uniforms before any live table is built
+    # live-state table: one row per distinct state some trial of this chunk holds
+    for stage in tail:
+        if isinstance(stage, UnitaryStage):
+            states = states @ stage.unitary.matrix.T
+            continue
+        collapsed, weights = _collapse(states, stage.observable)
+        br = _sample(_born_cdf(weights), node, rng.random(m))
+        if stage is not tail[-1]:
+            states, node = _children(collapsed, weights, stage.observable, node, br)
+        yield br
 
 
 def simulate(
@@ -286,61 +313,52 @@ def simulate(
     # the final measurement is sampled like the others, as one more stage
     walk = [*stages, MeasureStage(post_obs, "post")]
     tables, static_states, tail = _static_tables(pre, walk, min(trials, CHUNK_SIZE))
-    n_branches = [st.observable.num_branches for st in measure_stages]
-    path_dtype = np.min_scalar_type(max(n_branches + [post_obs.num_branches]))
-
-    stage_counts_all = [np.zeros(k, dtype=np.int64) for k in n_branches]
-    stage_counts_acc = [np.zeros(k, dtype=np.int64) for k in n_branches]
-    post_counts = np.zeros(post_obs.num_branches, dtype=np.int64)
+    radix = [st.observable.num_branches for st in walk if isinstance(st, MeasureStage)]
+    size = math.prod(radix)  # path codes: mixed radix, stage 0 most significant
+    dense = size <= CHUNK_SIZE  # then one table of every path per call
+    table = np.zeros(size if dense else 0, dtype=np.int64)
+    counts_all = [np.zeros(n, dtype=np.int64) for n in radix]
     joint = []
 
-    n_chunks = (trials + CHUNK_SIZE - 1) // CHUNK_SIZE
-    for k in range(n_chunks):
+    for k, rng in _chunk_rngs(seed, range((trials + CHUNK_SIZE - 1) // CHUNK_SIZE)):
         m = min(CHUNK_SIZE, trials - k * CHUNK_SIZE)
-        rng = chunk_rng(seed, k)
-        node = np.zeros(m, dtype=np.intp)
-        paths = np.empty((len(measure_stages) + 1, m), dtype=path_dtype)
-        for i, (cum, child) in enumerate(tables):
-            paths[i] = br = _sample(cum, node, rng.random(m))
-            node = child[node, br]
-        # live-state table: one row per distinct state some trial of this chunk holds
-        states, i = static_states, len(tables)
-        for stage in tail:
-            if isinstance(stage, UnitaryStage):
-                states = states @ stage.unitary.matrix.T
-                continue
-            collapsed, weights = _collapse(states, stage.observable)
-            paths[i] = br = _sample(_born_cdf(weights), node, rng.random(m))
-            states, node = _children(collapsed, weights, stage.observable, node, br)
-            i += 1
-        accepted = paths[:-1, paths[-1] == sel_idx]
+        code = 0 if size < 2**63 else np.zeros(m, dtype=object)  # Python integers past int64
+        for i, br in enumerate(_branches(tables, static_states, tail, rng, m)):
+            code = code * radix[i] + br
+            if not dense:
+                counts_all[i] += np.bincount(br, minlength=radix[i])
+        if dense:
+            table += np.bincount(code, minlength=size)
+        else:
+            accepted = code[br == sel_idx] // radix[-1]
+            joint.append(_tally(accepted, np.ones(len(accepted), dtype=np.int64)))
 
-        for i, n in enumerate(n_branches):
-            stage_counts_all[i] += np.bincount(paths[i], minlength=n)
-            stage_counts_acc[i] += np.bincount(accepted[i], minlength=n)
-        post_counts += np.bincount(paths[-1], minlength=post_counts.size)
-        joint.append(_tally_paths(accepted, np.ones(accepted.shape[1], dtype=np.int64)))
-
-    accepted_total = int(post_counts[sel_idx])
+    if dense:
+        counts_all = [table.reshape(radix).sum(axis=tuple(np.delete(range(len(radix)), i))) for i in range(len(radix))]
+        joint_counts = table[sel_idx::radix[-1]]  # accepted paths, lexicographic
+        joint_codes = np.flatnonzero(joint_counts)
+        joint_counts = joint_counts[joint_codes]
+    else:
+        joint_codes, joint_counts = _tally(*map(np.concatenate, zip(*joint)))
+    accepted_total = int(counts_all[-1][sel_idx])
     if accepted_total == 0:
         raise AllRejectedError("zero accepted trials; conditional frequencies undefined")
-    joint_paths, joint_counts = zip(*joint)
-    joint_paths, joint_counts = _tally_paths(
-        np.concatenate(joint_paths, axis=1), np.concatenate(joint_counts)
-    )
-
+    # the accepted paths' branch indices, one row per measurement stage
+    paths = np.zeros((len(measure_stages), len(joint_codes)), dtype=np.min_scalar_type(max(radix)))
+    for i in reversed(range(len(measure_stages))):
+        joint_codes, paths[i] = joint_codes // radix[i], joint_codes % radix[i]
     tallies = tuple(
         StageTally(
             label=st.label,
             eigenvalues=tuple(float(e) for e in st.observable.eigenvalues),
-            counts_all=tuple(int(c) for c in stage_counts_all[i]),
-            counts_accepted=tuple(int(c) for c in stage_counts_acc[i]),
+            counts_all=tuple(int(c) for c in counts),
+            counts_accepted=tuple(int(joint_counts[row == j].sum()) for j in range(counts.size)),
         )
-        for i, st in enumerate(measure_stages)
+        for st, counts, row in zip(measure_stages, counts_all, paths)
     )
     joint_accepted = tuple(
         (tuple(tallies[d].eigenvalues[j] for d, j in enumerate(path)), count)
-        for path, count in zip(joint_paths.T.tolist(), joint_counts.tolist())
+        for path, count in zip(paths.T.tolist(), joint_counts.tolist())
     )
     return EnsembleStats(
         trials=trials,
@@ -349,7 +367,7 @@ def simulate(
         stages=tallies,
         joint_accepted=joint_accepted,
         post_eigenvalues=tuple(float(e) for e in post_obs.eigenvalues),
-        post_counts=tuple(int(c) for c in post_counts),
+        post_counts=tuple(int(c) for c in counts_all[-1]),
         selected_eigenvalue=float(selected),
     )
 

@@ -486,6 +486,18 @@ class TestPointerSweep:
         assert "--sigma" in err
 
     @pytest.mark.parametrize("argv", [
+        ["--sigma", "1e307", "--couplings", "1e305"],
+        ["--sigma", "1e300", "--span", "1e10", "--couplings", "1e298"],
+    ])
+    def test_span_times_sigma_must_be_finite(self, capsys, argv):
+        code, out, err = run(
+            capsys, "pointer-sweep", "--pre", "up-x", "--post", "spin:1.0", "--obs", "pauli-z", *argv
+        )
+        assert (code, out) == (2, "")
+        assert "pointer grid (--span × --sigma):" in err
+        assert "overflows" in err
+
+    @pytest.mark.parametrize("argv", [
         ["--sigma", "1e-305", "--couplings", "1e-307"],
         ["--sigma", "1e-304", "--couplings", "1e-306", "--n", "262144", "--span", "256"],
         ["--couplings", "1e-11"],

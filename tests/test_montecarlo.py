@@ -31,6 +31,7 @@ from twostate.montecarlo import (
     MIN_ACCEPTED,
     MeasureStage,
     UnitaryStage,
+    _chunk_rngs,
     chunk_rng,
     compare_counts,
     compare_to_abl,
@@ -100,23 +101,15 @@ def ensemble_digest(stats):
 
 
 class TestRngDerivation:
-    @pytest.mark.parametrize("chunk", [0, 1, 24, 2**40])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-    def test_rekeyed_generator_replays_chunk_rng(self, seed, chunk):
-        # one Philox re-keyed per chunk, after a partial draw of another key,
-        # yields the documented substream
-        bitgen = np.random.Philox(key=np.array([7, 3], dtype=np.uint64))
-        rng = np.random.Generator(bitgen)
-        rng.random(5)
-        rng.integers(2**32, dtype=np.uint32)
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, chunk], np.uint64)},
-            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        expected = chunk_rng(seed, chunk)
-        assert np.array_equal(rng.random((3, 7)), expected.random((3, 7)))
-        assert np.array_equal(rng.random(9), expected.random(9))
+    def test_rekeyed_generator_replays_chunk_rng(self, seed):
+        # simulate's one Philox, re-keyed per chunk after a partial draw,
+        # yields the documented substreams
+        for chunk, rng in _chunk_rngs(seed, [0, 1, 24, 2**40]):
+            expected = chunk_rng(seed, chunk)
+            assert np.array_equal(rng.random((3, 7)), expected.random((3, 7)))
+            assert np.array_equal(rng.random(9), expected.random(9))
+            rng.integers(2**32, dtype=np.uint32)  # leaves half a 64-bit word buffered
 
     def test_golden_stream(self):
         # pins the documented (seed, chunk) -> Philox key derivation
