@@ -334,10 +334,10 @@ def simulate(
             joint.append(_tally(accepted, np.ones(len(accepted), dtype=np.int64)))
 
     if dense:
-        counts_all = [table.reshape(radix).sum(axis=tuple(np.delete(range(len(radix)), i))) for i in range(len(radix))]
-        joint_counts = table[sel_idx::radix[-1]]  # accepted paths, lexicographic
-        joint_codes = np.flatnonzero(joint_counts)
-        joint_counts = joint_counts[joint_codes]
+        counts_all = [np.moveaxis(table.reshape(radix), i, 0).reshape(n, -1).sum(1) for i, n in enumerate(radix)]
+        accepted = table[sel_idx::radix[-1]]  # indexed by the measurement stages' path code
+        joint_codes = np.flatnonzero(accepted)
+        joint_counts = accepted[joint_codes]
     else:
         joint_codes, joint_counts = _tally(*map(np.concatenate, zip(*joint)))
     accepted_total = int(counts_all[-1][sel_idx])
