@@ -68,7 +68,7 @@ from .rules import (
     total_probability_check,
     weak_value,
 )
-from .scenarios import ScenarioSpec, _record, builtin, builtin_names, run_scenario
+from .scenarios import ScenarioSpec, _fmt, _record, builtin, builtin_names, run_scenario
 
 SEED_STREAM_CHUNK = 2**48  # far above any simulate() chunk index
 STACK_ROWS = 64  # random inputs evaluated per stack: keeps a sweep's arrays and drawn cases near 0.3 MB
@@ -87,10 +87,6 @@ class CheckResult:
 
 def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _seed_stream(seed: int) -> np.random.Generator:

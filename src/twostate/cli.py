@@ -34,7 +34,8 @@ from .errors import (
 from .montecarlo import MeasureStage, simulate
 from .pointer import CouplingSpec, make_gaussian_pointer, post_selected_mean_shift
 from .rules import TwoStateVector, abl_probabilities, born_probabilities, weak_value
-from .scenarios import builtin, builtin_names, builtin_parameters, load_scenario, run_scenario
+from .scenarios import (_encode_complex, _fmt, _fmt_complex, builtin, builtin_names,
+                        builtin_parameters, load_scenario, run_scenario)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -89,22 +90,6 @@ def _angles(text: str) -> tuple[float, ...]:
     return angles
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _fmt_complex(z: complex) -> str:
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real:.12g} {sign} {abs(z.imag):.12g}i"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -113,22 +98,32 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit_rows(rows: list[dict], fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", out)
-        return
-    if fmt == "csv":
+def _emit(args, rows: list[dict], document=None, text: str | None = None) -> None:
+    """Write a result in ``--format`` to ``--out``, or stdout: ``rows`` are the CSV,
+    and the JSON and the text table unless ``document`` or ``text`` replaces them."""
+    if args.format == "json":
+        text = json.dumps(rows if document is None else document, indent=2) + "\n"
+    elif args.format == "csv":
+        if not rows:
+            raise CliError(f"{args.command} produced no per-outcome rows to write as CSV")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-        _emit(buf.getvalue(), out)
+        text = buf.getvalue()
+    elif text is None:
+        width = {k: max(len(k), *(len(_cell(r[k])) for r in rows)) for k in rows[0]}
+        lines = ["  ".join(k.ljust(width[k]) for k in rows[0])]
+        for r in rows:
+            lines.append("  ".join(_cell(r[k]).ljust(width[k]) for k in r))
+        text = "\n".join(lines) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
         return
-    width = {k: max(len(k), *(len(_cell(r[k])) for r in rows)) for k in rows[0]}
-    lines = ["  ".join(k.ljust(width[k]) for k in rows[0])]
-    for r in rows:
-        lines.append("  ".join(_cell(r[k]).ljust(width[k]) for k in r))
-    _emit("\n".join(lines) + "\n", out)
+    try:
+        Path(args.out).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write --out {args.out}: {exc}") from None
 
 
 def _distribution_rows(dist) -> list[dict]:
@@ -140,26 +135,22 @@ def _distribution_rows(dist) -> list[dict]:
 
 def cmd_born(args) -> int:
     dist = born_probabilities(parse_state(args.state), parse_observable(args.obs))
-    _emit_rows(_distribution_rows(dist), args.format, args.out)
+    _emit(args, _distribution_rows(dist))
     return EXIT_OK
 
 
 def cmd_abl(args) -> int:
     tsv = TwoStateVector(parse_state(args.pre), parse_state(args.post))
     dist = abl_probabilities(tsv, parse_observable(args.obs))
-    _emit_rows(_distribution_rows(dist), args.format, args.out)
+    _emit(args, _distribution_rows(dist))
     return EXIT_OK
 
 
 def cmd_weak(args) -> int:
     tsv = TwoStateVector(parse_state(args.pre), parse_state(args.post))
     value = weak_value(tsv, parse_observable(args.obs).operator)
-    if args.format == "json":
-        _emit(json.dumps({"weak_value": [value.real, value.imag]}) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(f"re,im\n{_fmt(value.real)},{_fmt(value.imag)}\n", args.out)
-    else:
-        _emit(f"weak value: {_fmt_complex(value)}\n", args.out)
+    re, im = _encode_complex(value)
+    _emit(args, [{"re": re, "im": im}], {"weak_value": [re, im]}, f"weak value: {_fmt_complex(value)}\n")
     return EXIT_OK
 
 
@@ -192,7 +183,7 @@ def cmd_simulate(args) -> int:
                     "count": stat.count,
                 }
             )
-    _emit_rows(rows, args.format, args.out)
+    _emit(args, rows)
     return EXIT_OK
 
 
@@ -232,78 +223,13 @@ def cmd_scenario(args) -> int:
             raise CliError(f"cannot read {args.file}: {exc}") from None
         spec = load_scenario(document)
     report = run_scenario(spec, mode=args.mode, **oracle)
-
-    if args.format == "json":
-        _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
-        return EXIT_OK
-    if args.format == "csv":
-        rows = report.csv_rows()
-        if not rows:
-            raise CliError("scenario produced no per-outcome rows to write as CSV")
-        _emit_rows(rows, "csv", args.out)
-        return EXIT_OK
-
-    lines = [f"scenario: {report.scenario}  (mode={report.mode})"]
-    for note in report.notes:
-        lines.append(f"  note: {note}")
-    if report.acceptance_analytic is not None:
-        lines.append(f"  acceptance probability: {_fmt(report.acceptance_analytic)}")
-    if report.acceptance is not None:
-        a = report.acceptance
-        lines.append(
-            f"  acceptance sampled: {a.frequency:.6f}±{a.std_error:.6f} ({a.count} accepted)"
-        )
-    for st in report.stages:
-        lines.append(f"  stage {st.label}:")
-        for i, eig in enumerate(st.eigenvalues):
-            parts = [f"    {_fmt(eig)}:"]
-            if st.analytic is not None:
-                parts.append(f"analytic {_fmt(st.analytic[i])}")
-            if st.frequencies is not None:
-                parts.append(f"sampled {st.frequencies[i]:.6f}±{st.std_errors[i]:.6f}")
-            if st.z_scores is not None:
-                parts.append(f"z {st.z_scores[i]:.2f}")
-            lines.append(" ".join(parts))
-        if st.passed is not None:
-            lines.append(f"    verdict: {'pass' if st.passed else 'FAIL'}")
-    for w in report.weak:
-        lines.append(f"  weak probe {w.label} (strength {_fmt(w.strength)}): {_fmt_complex(w.value)}")
-        if w.shift_per_strength is not None:
-            lines.append(
-                f"    pointer shift/strength {_fmt(w.shift_per_strength)}, "
-                f"extrapolated {_fmt(w.extrapolated)}, "
-                f"verdict: {'pass' if w.passed else 'FAIL'}"
-            )
-    if report.reality is not None:
-        for e in report.reality.entries:
-            if e.error is not None:
-                lines.append(f"  reality {e.label}: undefined ({e.error})")
-            else:
-                lines.append(
-                    f"  reality {e.label}: eigenvalue {_fmt(e.eigenvalue)} with "
-                    f"p = {_fmt(e.probability)}"
-                    + ("  [element of reality]" if e.certain else "")
-                )
-    for label, audit in report.product_audits:
-        lines.append(
-            f"  product {label}: ({_fmt_complex(audit.ab_weak)}) vs "
-            f"({_fmt_complex(audit.a_weak * audit.b_weak)})"
-            + ("  [product rule fails]" if audit.failed else "")
-        )
-    if report.passed is not None:
-        lines.append(f"verdict: {'pass' if report.passed else 'FAIL'}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(args, report.csv_rows(), report.to_dict(), report.to_text())
     return EXIT_OK
 
 
 def cmd_paper_checks(args) -> int:
     report = run_paper_checks(trials=args.trials, seed=args.seed, **_given(args, "z"))
-    if args.format == "json":
-        _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        _emit_rows(report.csv_rows(), "csv", args.out)
-    else:
-        _emit(report.to_text(), args.out)
+    _emit(args, report.csv_rows(), report.to_dict(), report.to_text())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -344,7 +270,7 @@ def cmd_pointer_sweep(args) -> int:
                 "abs_error": abs(per - wv.real),
             }
         )
-    _emit_rows(rows, args.format, args.out)
+    _emit(args, rows)
     return EXIT_OK
 
 

@@ -626,6 +626,15 @@ def builtin(name: str, **params) -> ScenarioSpec:
 # runner
 
 
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
+
+
+def _fmt_complex(z: complex) -> str:
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{z.real:.12g} {sign} {abs(z.imag):.12g}i"
+
+
 def _record(report) -> dict[str, Any]:
     """A flat report dataclass as a JSON-ready dict, field by field: tuples
     become lists and complex values [re, im]."""
@@ -633,7 +642,7 @@ def _record(report) -> dict[str, Any]:
     for f in fields(report):
         value = getattr(report, f.name)
         if isinstance(value, complex):
-            value = [value.real, value.imag]
+            value = _encode_complex(value)
         elif isinstance(value, tuple):
             value = list(value)
         out[f.name] = value
@@ -709,6 +718,60 @@ class ScenarioReport:
                     }
                 )
         return rows
+
+    def to_text(self) -> str:
+        """The human-readable report: acceptance, each stage's outcomes,
+        weak probes, elements of reality, product audits and the verdict."""
+        lines = [f"scenario: {self.scenario}  (mode={self.mode})"]
+        for note in self.notes:
+            lines.append(f"  note: {note}")
+        if self.acceptance_analytic is not None:
+            lines.append(f"  acceptance probability: {_fmt(self.acceptance_analytic)}")
+        if self.acceptance is not None:
+            a = self.acceptance
+            lines.append(
+                f"  acceptance sampled: {a.frequency:.6f}±{a.std_error:.6f} ({a.count} accepted)"
+            )
+        for st in self.stages:
+            lines.append(f"  stage {st.label}:")
+            for i, eig in enumerate(st.eigenvalues):
+                parts = [f"    {_fmt(eig)}:"]
+                if st.analytic is not None:
+                    parts.append(f"analytic {_fmt(st.analytic[i])}")
+                if st.frequencies is not None:
+                    parts.append(f"sampled {st.frequencies[i]:.6f}±{st.std_errors[i]:.6f}")
+                if st.z_scores is not None:
+                    parts.append(f"z {st.z_scores[i]:.2f}")
+                lines.append(" ".join(parts))
+            if st.passed is not None:
+                lines.append(f"    verdict: {'pass' if st.passed else 'FAIL'}")
+        for w in self.weak:
+            lines.append(f"  weak probe {w.label} (strength {_fmt(w.strength)}): {_fmt_complex(w.value)}")
+            if w.shift_per_strength is not None:
+                lines.append(
+                    f"    pointer shift/strength {_fmt(w.shift_per_strength)}, "
+                    f"extrapolated {_fmt(w.extrapolated)}, "
+                    f"verdict: {'pass' if w.passed else 'FAIL'}"
+                )
+        if self.reality is not None:
+            for e in self.reality.entries:
+                if e.error is not None:
+                    lines.append(f"  reality {e.label}: undefined ({e.error})")
+                else:
+                    lines.append(
+                        f"  reality {e.label}: eigenvalue {_fmt(e.eigenvalue)} with "
+                        f"p = {_fmt(e.probability)}"
+                        + ("  [element of reality]" if e.certain else "")
+                    )
+        for label, audit in self.product_audits:
+            lines.append(
+                f"  product {label}: ({_fmt_complex(audit.ab_weak)}) vs "
+                f"({_fmt_complex(audit.a_weak * audit.b_weak)})"
+                + ("  [product rule fails]" if audit.failed else "")
+            )
+        if self.passed is not None:
+            lines.append(f"verdict: {'pass' if self.passed else 'FAIL'}")
+        return "\n".join(lines) + "\n"
 
 
 def analytic_predictions(spec: ScenarioSpec):

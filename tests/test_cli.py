@@ -128,8 +128,10 @@ class TestWeak:
         assert code == 0
         re, im = json.loads(out)["weak_value"]
         assert re == 0.0 and im == pytest.approx(1.0, abs=1e-15)
+        assert out == json.dumps({"weak_value": [re, im]}, indent=2) + "\n"
+        # full precision and \r\n rows, like every other CSV
         code, out, _ = run(capsys, *argv, "csv")
-        assert (code, out) == (0, "re,im\n0,1\n")
+        assert (code, out) == (0, "re,im\r\n0.0,0.9999999999999997\r\n")
 
 
 class TestBorn:
@@ -523,3 +525,72 @@ class TestAngles:
         assert code == 2
         assert out == ""
         assert err == f"error: bad angle in {text!r}: angles must be finite\n"
+
+
+class TestGuards:
+    @pytest.mark.parametrize("argv, named", [
+        (["born", "--state", "up-z", "--obs", "foo"], "unknown observable 'foo'"),
+        (["born", "--state", "up-z", "--obs", "spin:1:2:3"], "bad angle spec 'spin:1:2:3'"),
+        (["born", "--state", "up-z", "--obs", "spin:abc"], "bad angle in 'spin:abc'"),
+        (["pointer-sweep", *VALID["pointer-sweep"], "--couplings", "0.1,x"], "bad --couplings"),
+        (["pointer-sweep", *VALID["pointer-sweep"], "--couplings", ","],
+         "--couplings must list at least one value"),
+        (["simulate", *VALID["simulate"], "--trials", "0"], "--trials must be >= 1"),
+    ], ids=["obs", "angle-count", "angle-value", "coupling-value", "no-couplings", "trials"])
+    def test_exits_2_naming_the_input(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert named in err
+
+    def test_missing_scenario_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        code, out, err = run(capsys, "scenario", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert f"cannot read {path}" in err
+
+    def test_csv_of_a_scenario_without_measurement_rows(self, capsys, tmp_path):
+        path = tmp_path / "mz.json"
+        path.write_text(json.dumps(MZ_DOC))
+        code, out, err = run(capsys, "scenario", "--file", str(path), "--mode", "analytic", "--format", "csv")
+        assert (code, out, err) == (2, "", "error: scenario produced no per-outcome rows to write as CSV\n")
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, target):
+        path = tmp_path / "missing" / "x.txt" if target == "missing-dir" else tmp_path
+        code, out, err = run(capsys, "born", "--state", "up-z", "--obs", "pauli-x", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write --out {path}: ")
+        assert "Traceback" not in err
+
+
+# one small valid run of every subcommand
+CONTRACT = {
+    "born": ["born", "--state", "up-x", "--obs", "spin:1.0"],
+    "abl": ["abl", "--pre", "up-z", "--post", "up-x", "--obs", "spin:1.0"],
+    "weak": ["weak", "--pre", "up-z", "--post", "up-x", "--obs", "pauli-y"],
+    "simulate": ["simulate", "--pre", "up-x", "--measure", "pauli-z", "--post", "pauli-x", "--trials", "2000"],
+    "scenario": ["scenario", "--builtin", "spin-zz-xi", "--trials", "2000"],
+    "paper-checks": ["paper-checks", "--trials", "2000"],
+    "pointer-sweep": ["pointer-sweep", "--pre", "up-z", "--post", "up-x", "--obs", "pauli-z", "--n", "1024"],
+}
+
+
+class TestOutputContract:
+    def test_covers_every_subcommand(self):
+        assert set(CONTRACT) == set(OPTIONS)
+
+    @pytest.mark.parametrize("command", sorted(CONTRACT))
+    def test_json_csv_and_out(self, capsys, tmp_path, command):
+        outputs = {}
+        for fmt in ("table", "json", "csv"):
+            code, out, err = run(capsys, *CONTRACT[command], "--format", fmt)
+            assert (code, err) == (0, "")
+            path = tmp_path / f"{fmt}.out"
+            assert run(capsys, *CONTRACT[command], "--format", fmt, "--out", str(path)) == (0, "", "")
+            assert path.read_bytes() == out.encode()
+            outputs[fmt] = out
+        json.loads(outputs["json"])
+        rows = list(csv.DictReader(io.StringIO(outputs["csv"], newline="")))
+        assert rows and all(rows[0])
+        lines = outputs["csv"].split("\n")
+        assert lines[-1] == "" and all(line.endswith("\r") for line in lines[:-1])

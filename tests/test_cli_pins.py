@@ -56,7 +56,7 @@ CASES = {
        for mode in ("analytic", "both") for fmt in FORMATS},
 }
 
-# (exit code, sha256 of stdout), recorded before the CLI had one emitter
+# (exit code, sha256 of stdout) of each case
 PINS = {
     "abl-csv": (0, "d4eb3d80d6ed7e349f7b866267644b628a1ac095040b92d6f583a2f8bfbdf918"),
     "abl-json": (0, "5bb3dcb5310ca8f71d7f6779e467bbee51d0dbdf18f86ac96c21b605784f9771"),

@@ -25,6 +25,7 @@ from twostate.algebra import (
 )
 from twostate.errors import (
     AllRejectedError,
+    DimensionMismatchError,
     InsufficientAcceptedTrialsError,
 )
 from twostate.montecarlo import (
@@ -41,7 +42,7 @@ from twostate.montecarlo import (
 from twostate import checks
 from twostate.checks import check_conditional_counterexample
 from twostate.rules import OutcomeDistribution, TwoStateVector, abl_probabilities, born_probabilities
-from twostate.scenarios import ScenarioSpec, builtin, run_scenario
+from twostate.scenarios import ScenarioSpec, WeakStage, builtin, run_scenario
 
 UP_Z = basis_state(2, 0)
 
@@ -173,6 +174,29 @@ class TestSimulate:
         a = simulate(UP_Z, [probe], (pauli("z"), 1.0), 10_000, 17)
         b = simulate(UP_Z, [probe], (pauli("z"), 1.0), 10_000, 18)
         assert a != b
+
+    @pytest.mark.parametrize("stages, post, trials, error, match", [
+        ([], pauli("z"), 0, ValueError, "trials must be >= 1"),
+        ([WeakStage(pauli("z").operator, 0.1, "w")], pauli("z"), 10, TypeError, "unsupported stage type WeakStage"),
+        ([MeasureStage(identity_observable(3), "m")], pauli("z"), 10, DimensionMismatchError,
+         "stage dim 3 vs system dim 2"),
+        ([], identity_observable(3), 10, DimensionMismatchError, "post observable dim 3 vs system dim 2"),
+        ([MeasureStage(pauli("x"), "m"), MeasureStage(pauli("y"), "m")], pauli("z"), 10, ValueError,
+         r"measurement stage labels must be unique, got \['m', 'm'\]"),
+    ])
+    def test_rejects_malformed_runs(self, stages, post, trials, error, match):
+        with pytest.raises(error, match=match):
+            simulate(UP_Z, stages, (post, 1.0), trials, 1)
+
+    def test_conditional_needs_one_matching_label(self):
+        one = simulate(UP_Z, [MeasureStage(pauli("x"), "a")], (pauli("z"), 1.0), 200, 1)
+        assert one.conditional() == one.conditional("a")
+        with pytest.raises(ValueError, match="no measurement stage labeled 'b'"):
+            one.conditional("b")
+        two = simulate(UP_Z, [MeasureStage(pauli("x"), "a"), MeasureStage(pauli("y"), "b")],
+                       (pauli("z"), 1.0), 200, 1)
+        with pytest.raises(ValueError, match="label required when the run has multiple measurement stages"):
+            two.conditional()
 
     def test_all_rejected(self):
         with pytest.raises(AllRejectedError):
@@ -339,6 +363,11 @@ class TestCompareToAbl:
         predicted = abl_probabilities(TwoStateVector(UP_Z, UP_Z), pauli("z"))
         with pytest.raises(InsufficientAcceptedTrialsError):
             compare_to_abl(stats, predicted)
+
+    def test_eigenvalue_mismatch_rejected(self):
+        stats = simulate(UP_Z, [MeasureStage(pauli("z"), "m")], (pauli("z"), 1.0), 200, 3)
+        with pytest.raises(ValueError, match="predicted eigenvalue 2.0 does not match the sampled stage"):
+            compare_to_abl(stats, OutcomeDistribution((2.0, -1.0), (0.5, 0.5)))
 
 
 HALF = OutcomeDistribution((1.0, -1.0), (0.5, 0.5))

@@ -23,10 +23,13 @@ from twostate.algebra import (
     which_path,
 )
 from twostate.errors import ScenarioFormatError, ZeroDenominatorError
-from twostate.montecarlo import MeasureStage, UnitaryStage
-from twostate.rules import TwoStateVector, abl_probabilities
+from twostate.montecarlo import MeasureStage, OutcomeStat, UnitaryStage
+from twostate.rules import ProductRuleReport, RealityEntry, RealityReport, TwoStateVector, abl_probabilities
 from twostate.scenarios import (
+    ScenarioReport,
     ScenarioSpec,
+    StageReport,
+    WeakValueReport,
     WeakStage,
     analytic_predictions,
     builtin,
@@ -754,4 +757,45 @@ class TestReportDigests:
         reports = [run_scenario(spec, mode=mode, trials=5_000, seed=3) for mode in ("analytic", "both")]
         assert _report_digest(reports) == (
             "e7bb6920be340129a043d42c6cb583553a4c578ea91d95a000d518c0e1c85391"
+        )
+
+
+class TestToText:
+    def test_every_line_of_a_hand_built_report(self):
+        # failed verdicts and an undefined reality entry, which no builtin reaches
+        report = ScenarioReport(
+            scenario="hand-built",
+            mode="both",
+            trials=1000,
+            seed=3,
+            acceptance_analytic=0.25,
+            acceptance=OutcomeStat(1.0, 260, 0.26, 0.0138708),
+            stages=(StageReport("m", (1.0, -1.0), (0.5, 0.5), (0.7, 0.3), (0.02, 0.02), (10.0, -10.0), False),
+                    StageReport("n", (1.0,), analytic=(1.0,))),
+            weak=(WeakValueReport("w", 0.05, complex(2, -0.5), 1.9, 2.0000001, False, False),
+                  WeakValueReport("v", 0.1, complex(0, 1))),
+            reality=RealityReport((RealityEntry("a", 1.0, 1.0, True),
+                                   RealityEntry("b", None, None, False, error="post-selection unreachable"))),
+            product_audits=(("ab", ProductRuleReport(1j, 1j, 1 + 0j, 2 + 0j, True)),),
+            notes=("a note",),
+            passed=False,
+        )
+        assert report.to_text() == (
+            "scenario: hand-built  (mode=both)\n"
+            "  note: a note\n"
+            "  acceptance probability: 0.25\n"
+            "  acceptance sampled: 0.260000±0.013871 (260 accepted)\n"
+            "  stage m:\n"
+            "    1: analytic 0.5 sampled 0.700000±0.020000 z 10.00\n"
+            "    -1: analytic 0.5 sampled 0.300000±0.020000 z -10.00\n"
+            "    verdict: FAIL\n"
+            "  stage n:\n"
+            "    1: analytic 1\n"
+            "  weak probe w (strength 0.05): 2 - 0.5i\n"
+            "    pointer shift/strength 1.9, extrapolated 2.0000001, verdict: FAIL\n"
+            "  weak probe v (strength 0.1): 0 + 1i\n"
+            "  reality a: eigenvalue 1 with p = 1  [element of reality]\n"
+            "  reality b: undefined (post-selection unreachable)\n"
+            "  product ab: (1 + 0i) vs (-1 + 0i)  [product rule fails]\n"
+            "verdict: FAIL\n"
         )
