@@ -24,6 +24,8 @@ import pytest
 from twostate.montecarlo import simulate
 from twostate.scenarios import builtin, load_scenario
 
+from test_montecarlo import BOUNDARY_TIMELINES, random_timeline
+
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -52,17 +54,23 @@ def test_deep_timeline_tallies(shape):
 
 
 # tracemalloc peak of one simulate call, in MiB, measured with the per-stage
-# path matrix and lexsort tally; a call may hold at most 1 MiB more
-SIMULATE_PEAK_MIB = {"rank1-d8": 2.26, "rank1-d4": 2.23, "qubit": 3.26, "degenerate-d8": 8.02, "erasure": 0.19}
+# path matrix and lexsort tally (rank2-d4-13: with per-chunk live tables past
+# 4096 states); a call may hold at most 1 MiB more
+SIMULATE_PEAK_MIB = {"rank1-d8": 2.26, "rank1-d4": 2.23, "qubit": 3.26, "degenerate-d8": 8.02, "erasure": 0.19,
+                     "rank2-d4-13": 2.92}
 
 
-def _simulate_peak_mib(spec, trials: int) -> float:
+def _peak_mib(pre, stages, post, trials: int, seed: int) -> float:
     tracemalloc.start()
     try:
-        simulate(spec.pre, list(spec.timeline), (spec.post_observable, spec.post_select), trials, spec.seed)
+        simulate(pre, stages, post, trials, seed)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def _simulate_peak_mib(spec, trials: int) -> float:
+    return _peak_mib(spec.pre, list(spec.timeline), (spec.post_observable, spec.post_select), trials, spec.seed)
 
 
 @pytest.mark.parametrize("shape", range(len(WORKLOADS.SHAPES)), ids=[s.name for s in WORKLOADS.SHAPES])
@@ -74,3 +82,8 @@ def test_deep_timeline_simulate_memory(shape):
 
 def test_erasure_simulate_memory():
     assert _simulate_peak_mib(builtin("erasure"), 100_000) <= SIMULATE_PEAK_MIB["erasure"] + 1.0
+
+
+def test_boundary_timeline_simulate_memory():
+    peak = _peak_mib(*random_timeline(*BOUNDARY_TIMELINES["rank2-d4-13"]), 12345, 5)
+    assert peak <= SIMULATE_PEAK_MIB["rank2-d4-13"] + 1.0

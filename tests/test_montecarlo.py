@@ -277,6 +277,25 @@ BUILTIN_DIGESTS = {
     ("erasure", 12345, 2**64 - 1): "16792e02ae6634d4cee213007bf8935bfd244d4c29160c910fe963b5f9d98b74",
 }
 
+# rank-2 branches on d=4: 2**n states are reachable after n measurement
+# stages.  13 stages reach 8192, past one chunk but within a chunk times the
+# rank-1 post-selection's 4 branches; 15 stages reach 32768, past both.
+BOUNDARY_TIMELINES = {"rank2-d4-13": (106, 4, 13, (2, 2)), "rank2-d4-15": (107, 4, 15, (2, 2))}
+BOUNDARY_DIGESTS = {
+    ("rank2-d4-13", 4095, 0): "980c2819e1febb4e26fd9765ea057b2a056ff43b5a32b2763822ba236919408e",
+    ("rank2-d4-13", 4095, 2**64 - 1): "bdcdf0c76dbd42a384cbc6ff5719ffaefce6a727dd2d14044657700310e02f67",
+    ("rank2-d4-13", 4097, 0): "8e0b2066ca03686f3c1b1133461115e3e47042c20e0eef3abbc0e9141b214dd7",
+    ("rank2-d4-13", 4097, 2**64 - 1): "9799839b71af8a6436fc6211f051a52a1776ac210faa947952cd370c9db5c904",
+    ("rank2-d4-13", 12345, 0): "d4ebd6050b400bdf1cc9b4c037d555b5873eec58ec5ef4c87807992318c53dc3",
+    ("rank2-d4-13", 12345, 2**64 - 1): "b273addc0a0915efc8d1a6cb304a22aada6d95fa43d6db280b30fa63aaf79568",
+    ("rank2-d4-15", 4095, 0): "4b66cd18b49cd1d7f6ec72a96290ccb87b5fa8d1146df7dc7b08f52df00ceaa0",
+    ("rank2-d4-15", 4095, 2**64 - 1): "1760487c8e83391013e82dd22a9bafd823f40f6d74a45c889043433b2fdb584d",
+    ("rank2-d4-15", 4097, 0): "0773cda2809d657d346a56a853f6dcc6da6d641744efd001f0b79f240d2f7939",
+    ("rank2-d4-15", 4097, 2**64 - 1): "2c2c9329c77d12322c52942bb7fc5eb5890cdac0153472421affe86ebe2125e2",
+    ("rank2-d4-15", 12345, 0): "d6b9c3c61da108cedc96a69b21e89b491e979a45115f3e9499a117c464209ed4",
+    ("rank2-d4-15", 12345, 2**64 - 1): "dc3a20e6e24e86f0e98bf87347aedbe633ec73738827b29a56c8d3edc52e9fcb",
+}
+
 
 class TestGoldenEnsembles:
     """Complete tallies of four fixed runs, pinned so that any change to the
@@ -323,6 +342,11 @@ class TestGoldenEnsembles:
         except AllRejectedError:
             digest = ALL_REJECTED
         assert digest == BUILTIN_DIGESTS[name, trials, seed]
+
+    @pytest.mark.parametrize(("name", "trials", "seed"), list(BOUNDARY_DIGESTS))
+    def test_timeline_across_the_table_bound(self, name, trials, seed):
+        stats = simulate(*random_timeline(*BOUNDARY_TIMELINES[name]), trials, seed)
+        assert ensemble_digest(stats) == BOUNDARY_DIGESTS[name, trials, seed]
 
     def test_no_measurement_stage(self):
         stats = builtin_run("reality-pair", 12345, 9)
