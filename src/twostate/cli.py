@@ -221,6 +221,8 @@ def cmd_scenario(args) -> int:
             document = json.loads(Path(args.file).read_text())
         except OSError as exc:
             raise CliError(f"cannot read {args.file}: {exc}") from None
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise CliError(f"cannot read --file {args.file}: {exc}") from None
         spec = load_scenario(document)
     report = run_scenario(spec, mode=args.mode, **oracle)
     _emit(args, report.csv_rows(), report.to_dict(), report.to_text())

@@ -26,9 +26,15 @@ normalized.
 
 Each trial carries an index into a table of distinct states; a rank-1
 collapse forgets the history, a higher-rank one keeps one child per (parent,
-branch).  While all reachable states fit in one chunk the tables are built
-once per call; from the first stage where they would not, each chunk keeps a
-live table of the states its trials reach, at most min(chunk, reached).
+branch).  While the reachable states number at most min(trials, chunk × the
+widest measurement's branch count) the tables are built once per call, so
+the state table never holds more amplitudes than one chunk's widest collapse
+(chunk × branches × dim); from the first stage where they would not, each
+chunk keeps a live table of the states its trials reach, at most
+min(chunk, reached).  Born weights and children are collapsed chunk /
+branches states at a time, at most chunk × dim amplitudes, and children are
+formed only for the reached (parent, branch) pairs, so no (branch, state,
+dim) tensor over a whole table is built.
 
 Each trial also carries a mixed-radix path code: stage 0 is the most
 significant digit, the final outcome the least, and past 2**63 paths it is a
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -126,10 +133,23 @@ class EnsembleStats:
     accepted: int
     seed: int
     stages: tuple[StageTally, ...]
-    joint_accepted: tuple[tuple[tuple[float, ...], int], ...]  # (outcome tuple, count)
+    # each distinct accepted path in path-code order: its branch indices as
+    # uint16, stage-major, and its count as int64
+    joint_paths: bytes
+    joint_counts: bytes
     post_eigenvalues: tuple[float, ...]
     post_counts: tuple[int, ...]
     selected_eigenvalue: float
+
+    @cached_property
+    def joint_accepted(self) -> tuple[tuple[tuple[float, ...], int], ...]:
+        """(outcome tuple, count) per distinct accepted path, in path-code order."""
+        counts = np.frombuffer(self.joint_counts, dtype=np.int64)
+        paths = np.frombuffer(self.joint_paths, dtype=np.uint16).reshape(len(self.stages), counts.size)
+        return tuple(
+            (tuple(self.stages[d].eigenvalues[j] for d, j in enumerate(path)), count)
+            for path, count in zip(paths.T.tolist(), counts.tolist())
+        )
 
     @property
     def acceptance(self) -> OutcomeStat:
@@ -174,18 +194,23 @@ class EnsembleStats:
 def _born_cdf(weights: np.ndarray) -> np.ndarray:
     """Inverse-CDF rows over branches, one per state: weights below
     ZERO_WEIGHT count as 0 and the last entry is exactly 1."""
-    weights = np.where(weights < ZERO_WEIGHT, 0.0, weights)
-    cum = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    cum = np.where(weights < ZERO_WEIGHT, 0.0, weights)
+    cum /= cum.sum(axis=1, keepdims=True)
+    np.cumsum(cum, axis=1, out=cum)
     cum[:, -1] = 1.0
     return cum
 
 
-def _collapse(states: np.ndarray, observable: SpectralObservable):
-    """Unnormalized collapsed states P_j|s⟩ indexed [branch, state] and Born
-    weights indexed [state, branch], for a table of states (one per row)."""
-    collapsed = states @ observable.projectors.transpose(0, 2, 1)
-    weights = (collapsed.real**2 + collapsed.imag**2).sum(axis=2).T
-    return collapsed, weights
+def _born_weights(states: np.ndarray, observable: SpectralObservable) -> np.ndarray:
+    """Born weights ‖P_j|s⟩‖² indexed [state, branch] for a table of states
+    (one per row), collapsed CHUNK_SIZE // branches states at a time, so no
+    block holds more than CHUNK_SIZE × dim amplitudes."""
+    step = CHUNK_SIZE // observable.num_branches
+    weights = np.empty((len(states), observable.num_branches))
+    for r in range(0, len(states), step):
+        collapsed = states[r:r + step] @ observable.projectors.transpose(0, 2, 1)
+        weights[r:r + step] = (collapsed.real**2 + collapsed.imag**2).sum(axis=2).T
+    return weights
 
 
 def _sample(cum: np.ndarray, node: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -197,9 +222,9 @@ def _sample(cum: np.ndarray, node: np.ndarray, u: np.ndarray) -> np.ndarray:
     return branch
 
 
-def _children(collapsed, weights, observable, parent, branch):
-    """Distinct post-collapse states for (parent, branch) pairs, and each
-    pair's index among them.
+def _distinct(weights, observable, parent, branch):
+    """The (parent, branch) pair of each distinct post-collapse state, and
+    each given pair's index among them.
 
     A rank-1 branch forgets the history, so all its pairs share one child;
     a higher-rank branch keeps one child per (parent, branch).
@@ -208,8 +233,19 @@ def _children(collapsed, weights, observable, parent, branch):
     rank_one = np.rint(np.trace(observable.projectors, axis1=1, axis2=2).real) == 1
     key = np.where(rank_one[branch], n_states, parent) * n_branch + branch
     _, first, index = np.unique(key, return_index=True, return_inverse=True)
-    p, b = parent[first], branch[first]
-    return collapsed[b, p] / np.sqrt(weights[p, b])[:, None], index
+    return parent[first], branch[first], index
+
+
+def _children(states, weights, observable, p, b) -> np.ndarray:
+    """The normalized states P_b|s_p⟩ / ‖P_b|s_p⟩‖, one row per (p, b) pair,
+    collapsed in blocks as _born_weights does; each pair keeps its branch."""
+    children = np.empty((len(p), states.shape[1]), dtype=states.dtype)
+    step = CHUNK_SIZE // observable.num_branches
+    for r in range(0, len(p), step):
+        collapsed = states[p[r:r + step]] @ observable.projectors.transpose(0, 2, 1)
+        children[r:r + step] = collapsed[b[r:r + step], np.arange(collapsed.shape[1])]
+    children /= np.sqrt(weights[p, b])[:, None]
+    return children
 
 
 def _tally(codes: np.ndarray, counts: np.ndarray):
@@ -231,18 +267,18 @@ def _static_tables(pre: StateVector, stages: Sequence[Stage], bound: int):
         if isinstance(stage, UnitaryStage):
             states = states @ stage.unitary.matrix.T
             continue
-        collapsed, weights = _collapse(states, stage.observable)
+        weights = _born_weights(states, stage.observable)
         if i == len(stages) - 1:  # no state after the final measurement is read
             tables.append((_born_cdf(weights), None))
             break
         parent, branch = np.nonzero(weights >= ZERO_WEIGHT)
-        children, index = _children(collapsed, weights, stage.observable, parent, branch)
-        if len(children) > bound:
+        p, b, index = _distinct(weights, stage.observable, parent, branch)
+        if len(p) > bound:
             return tables, states, stages[i:]
         child = np.zeros(weights.shape, dtype=np.intp)
         child[parent, branch] = index
         tables.append((_born_cdf(weights), child.ravel()))
-        states = children
+        states = _children(states, weights, stage.observable, p, b)
     return tables, states, []
 
 
@@ -267,15 +303,18 @@ def _branches(tables, states, tail, rng, m: int):
             node = child[node * cum.shape[1] + br]
         yield br
     u = None  # frees the last block of uniforms before any live table is built
-    # live-state table: one row per distinct state some trial of this chunk holds
+    if tail:  # live-state table: one row per distinct state some trial of this chunk holds
+        used, node = np.unique(node, return_inverse=True)
+        states = states[used]
     for stage in tail:
         if isinstance(stage, UnitaryStage):
             states = states @ stage.unitary.matrix.T
             continue
-        collapsed, weights = _collapse(states, stage.observable)
+        weights = _born_weights(states, stage.observable)
         br = _sample(_born_cdf(weights), node, rng.random(m))
         if stage is not tail[-1]:
-            states, node = _children(collapsed, weights, stage.observable, node, br)
+            p, b, node = _distinct(weights, stage.observable, node, br)
+            states = _children(states, weights, stage.observable, p, b)
         yield br
 
 
@@ -312,8 +351,9 @@ def simulate(
 
     # the final measurement is sampled like the others, as one more stage
     walk = [*stages, MeasureStage(post_obs, "post")]
-    tables, static_states, tail = _static_tables(pre, walk, min(trials, CHUNK_SIZE))
     radix = [st.observable.num_branches for st in walk if isinstance(st, MeasureStage)]
+    # the state table holds no more amplitudes than one chunk's widest collapse
+    tables, static_states, tail = _static_tables(pre, walk, min(trials, CHUNK_SIZE * max(radix)))
     size = math.prod(radix)  # path codes: mixed radix, stage 0 most significant
     dense = size <= CHUNK_SIZE  # then one table of every path per call
     table = np.zeros(size if dense else 0, dtype=np.int64)
@@ -344,7 +384,7 @@ def simulate(
     if accepted_total == 0:
         raise AllRejectedError("zero accepted trials; conditional frequencies undefined")
     # the accepted paths' branch indices, one row per measurement stage
-    paths = np.zeros((len(measure_stages), len(joint_codes)), dtype=np.min_scalar_type(max(radix)))
+    paths = np.zeros((len(measure_stages), len(joint_codes)), dtype=np.uint16)
     for i in reversed(range(len(measure_stages))):
         joint_codes, paths[i] = joint_codes // radix[i], joint_codes % radix[i]
     tallies = tuple(
@@ -356,16 +396,13 @@ def simulate(
         )
         for st, counts, row in zip(measure_stages, counts_all, paths)
     )
-    joint_accepted = tuple(
-        (tuple(tallies[d].eigenvalues[j] for d, j in enumerate(path)), count)
-        for path, count in zip(paths.T.tolist(), joint_counts.tolist())
-    )
     return EnsembleStats(
         trials=trials,
         accepted=accepted_total,
         seed=seed,
         stages=tallies,
-        joint_accepted=joint_accepted,
+        joint_paths=paths.tobytes(),
+        joint_counts=joint_counts.tobytes(),
         post_eigenvalues=tuple(float(e) for e in post_obs.eigenvalues),
         post_counts=tuple(int(c) for c in counts_all[-1]),
         selected_eigenvalue=float(selected),

@@ -548,6 +548,17 @@ class TestGuards:
         assert (code, out) == (2, "")
         assert f"cannot read {path}" in err
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["malformed-json", "not-utf-8"])
+    def test_unparsable_scenario_file(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "scenario", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read --file {path}: {reason}")
+
     def test_csv_of_a_scenario_without_measurement_rows(self, capsys, tmp_path):
         path = tmp_path / "mz.json"
         path.write_text(json.dumps(MZ_DOC))

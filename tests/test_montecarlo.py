@@ -39,7 +39,7 @@ from twostate.montecarlo import (
     derive_seed,
     simulate,
 )
-from twostate import checks
+from twostate import checks, scenarios
 from twostate.checks import check_conditional_counterexample
 from twostate.rules import OutcomeDistribution, TwoStateVector, abl_probabilities, born_probabilities
 from twostate.scenarios import ScenarioSpec, WeakStage, builtin, run_scenario
@@ -361,6 +361,41 @@ class TestGoldenEnsembles:
         assert len(stats.stages) == 64
         assert stats.accepted == len(stats.joint_accepted) == 4132
         assert ensemble_digest(stats) == "3f61f1005bf893086ed871a32cb8fd715add80a358d5f478d5926923408d9b04"
+
+
+class TestJointTally:
+    """The (outcome tuple, count) tuple is derived from the compact joint
+    tally on first read; nothing on the scenario path reads it."""
+
+    def test_scenario_run_leaves_the_joint_tuple_unbuilt(self, monkeypatch):
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(simulate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(scenarios, "simulate", recording)
+        run_scenario(builtin("erasure"), mode="both")
+        assert runs and all("joint_accepted" not in vars(stats) for stats in runs)
+
+    def test_joint_tuple_and_branch_conditionals(self):
+        # the erasure golden ensemble at seed 102
+        stats = builtin_run("erasure", 20_000, 102)
+        assert stats.joint_accepted == (
+            ((1.0, -1.0), 2224), ((1.0, 1.0), 2290), ((2.0, -1.0), 2221), ((2.0, 1.0), 2195),
+            ((3.0, -1.0), 319), ((3.0, 1.0), 281), ((4.0, -1.0), 291), ((4.0, 1.0), 292),
+        )
+        counts = {b: [o.count for o in stats.conditional_given("sy", {"bell": b})] for b in (1.0, 2.0, 3.0, 4.0)}
+        assert counts == {1.0: [2224, 2290], 2.0: [2221, 2195], 3.0: [319, 281], 4.0: [291, 292]}
+
+    def test_one_joint_count_apart_compares_unequal(self):
+        stats = builtin_run("erasure", 20_000, 102)
+        counts = np.frombuffer(stats.joint_counts, dtype=np.int64).copy()
+        assert dataclasses.replace(stats, joint_counts=counts.tobytes()) == stats
+        counts[3] += 1
+        moved = dataclasses.replace(stats, joint_counts=counts.tobytes())
+        assert moved != stats
+        assert moved.joint_accepted[3] == ((2.0, 1.0), 2196)
 
 
 class TestCompareToAbl:
