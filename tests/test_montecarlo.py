@@ -279,8 +279,11 @@ BUILTIN_DIGESTS = {
 
 # rank-2 branches on d=4: 2**n states are reachable after n measurement
 # stages.  13 stages reach 8192, past one chunk but within a chunk times the
-# rank-1 post-selection's 4 branches; 15 stages reach 32768, past both.
-BOUNDARY_TIMELINES = {"rank2-d4-13": (106, 4, 13, (2, 2)), "rank2-d4-15": (107, 4, 15, (2, 2))}
+# rank-1 post-selection's 4 branches; 15 stages reach 32768, past both.  At
+# 12,345 trials each chunk of rank2-d4-20 walks its last 8 measurements on
+# live tables, and mixed-d6-16 merges rank-1 children there.
+BOUNDARY_TIMELINES = {"rank2-d4-13": (106, 4, 13, (2, 2)), "rank2-d4-15": (107, 4, 15, (2, 2)),
+                      "rank2-d4-20": (9, 4, 20, (2, 2)), "mixed-d6-16": (11, 6, 16, (2, 2, 1, 1))}
 BOUNDARY_DIGESTS = {
     ("rank2-d4-13", 4095, 0): "980c2819e1febb4e26fd9765ea057b2a056ff43b5a32b2763822ba236919408e",
     ("rank2-d4-13", 4095, 2**64 - 1): "bdcdf0c76dbd42a384cbc6ff5719ffaefce6a727dd2d14044657700310e02f67",
@@ -294,6 +297,10 @@ BOUNDARY_DIGESTS = {
     ("rank2-d4-15", 4097, 2**64 - 1): "2c2c9329c77d12322c52942bb7fc5eb5890cdac0153472421affe86ebe2125e2",
     ("rank2-d4-15", 12345, 0): "d6b9c3c61da108cedc96a69b21e89b491e979a45115f3e9499a117c464209ed4",
     ("rank2-d4-15", 12345, 2**64 - 1): "dc3a20e6e24e86f0e98bf87347aedbe633ec73738827b29a56c8d3edc52e9fcb",
+    ("rank2-d4-20", 12345, 0): "3f1131ae2283d17f9f9f0e5f00875e865f62465103a631d32d9b42c9620f1a0b",
+    ("rank2-d4-20", 12345, 2**64 - 1): "422958718714d5e546688b587d2f0ba3ae2b25dbbf044e223aebb1e4f4948332",
+    ("mixed-d6-16", 12345, 0): "51479b171a4949cce9d4b15ac3f96d05fdeea3bc1a8758003d6c5e1a22d994e6",
+    ("mixed-d6-16", 12345, 2**64 - 1): "e4f09283dd909d3518c35769cc3761d0382e70b7e4f8259fad7af3b59eb02711",
 }
 
 
