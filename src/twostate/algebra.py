@@ -5,11 +5,12 @@ observables are immutable after construction and every function is pure.
 Dimensions of interest are 2..8 (composite systems via Kronecker products),
 so all representations are dense ``complex128`` arrays.
 
-Tolerances follow one convention throughout: structural validation at 1e-10,
-post-construction normalization at 1e-12.  Inputs that violate an invariant
-raise; nothing is silently renormalized except the explicit
-:meth:`StateVector.normalized` path.  The constant observables (:func:`pauli`,
-:func:`which_path`, :func:`bell_basis`) are shared immutable instances.
+Tolerances follow one convention throughout: structural validation at 1e-10.
+A :class:`StateVector` accepts amplitudes whose norm is 1 within 1e-10 and
+divides them by that norm; only :meth:`StateVector.normalized` scales an
+arbitrary nonzero vector.  Inputs that violate an invariant raise.  The
+constant observables (:func:`pauli`, :func:`which_path`, :func:`bell_basis`)
+are shared immutable instances.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from .errors import DimensionMismatchError, NormalizationError, ObservableError
 
 VALIDATE_TOL = 1e-10
-CONSTRUCT_TOL = 1e-12
 DEGENERACY_TOL = 1e-8
 EIGENVALUE_TOL = 1e-9  # an eigenvalue given by value matches a branch within this
 

@@ -49,6 +49,7 @@ from .algebra import (
 from .errors import InsufficientAcceptedTrialsError
 from .montecarlo import (
     MeasureStage,
+    Z_THRESHOLD,
     chunk_rng,
     compare_counts,
     compare_to_abl,
@@ -68,7 +69,7 @@ from .rules import (
     total_probability_check,
     weak_value,
 )
-from .scenarios import ScenarioSpec, _fmt, _record, builtin, builtin_names, run_scenario
+from .scenarios import DEFAULT_SEED, DEFAULT_TRIALS, ScenarioSpec, _fmt, _record, builtin, builtin_names, run_scenario
 
 SEED_STREAM_CHUNK = 2**48  # far above any simulate() chunk index
 STACK_ROWS = 64  # random inputs evaluated per stack: keeps a sweep's arrays and drawn cases near 0.3 MB
@@ -214,7 +215,7 @@ def check_recombination_interferometer() -> CheckResult:
     )
 
 
-def check_conditional_counterexample(seed: int, trials: int, z: float = 4.0) -> CheckResult:
+def check_conditional_counterexample(seed: int, trials: int, z: float = Z_THRESHOLD) -> CheckResult:
     """Conditioning on the later outcome changes the prediction: 0.9 vs 0.75.
 
     Runs the ``spin-zz-xi`` scenario at θ = π/3 with seed
@@ -434,7 +435,7 @@ def check_product_rule_failure() -> CheckResult:
     )
 
 
-def check_oracle_agreement(seed: int, trials: int, z: float = 4.0) -> CheckResult:
+def check_oracle_agreement(seed: int, trials: int, z: float = Z_THRESHOLD) -> CheckResult:
     """Sampled conditionals match the analytic rule across random scenarios."""
     n = 50
     rng = _seed_stream(seed)
@@ -477,7 +478,7 @@ def check_oracle_agreement(seed: int, trials: int, z: float = 4.0) -> CheckResul
     )
 
 
-def check_erasure_retrodiction(seed: int, trials: int, z: float = 4.0) -> CheckResult:
+def check_erasure_retrodiction(seed: int, trials: int, z: float = Z_THRESHOLD) -> CheckResult:
     """After the entangling measurement, the in-between spin-y retrodicts 50/50
     in every branch, for any prepared particle state."""
     n = 20
@@ -523,7 +524,7 @@ def check_erasure_retrodiction(seed: int, trials: int, z: float = 4.0) -> CheckR
     )
 
 
-def check_pointer_strong(seed: int, z: float = 4.0) -> CheckResult:
+def check_pointer_strong(seed: int, z: float = Z_THRESHOLD) -> CheckResult:
     """λ = 10σ lobe frequencies reproduce the conditional probabilities."""
     samples = 10_000
     pre = spin_state(1.1, 0.2)
@@ -571,7 +572,7 @@ def check_pointer_weak_convergence() -> CheckResult:
     )
 
 
-def check_builtin_scenarios(seed: int, trials: int, z: float = 4.0) -> CheckResult:
+def check_builtin_scenarios(seed: int, trials: int, z: float = Z_THRESHOLD) -> CheckResult:
     """Every catalog scenario passes oracle-vs-analytic at the z threshold."""
     failures, starved = [], []
     names = builtin_names()
@@ -628,7 +629,9 @@ class ChecksReport:
         return [_record(r) for r in self.results]
 
 
-def run_paper_checks(trials: int = 100_000, seed: int = 7, z: float = 4.0) -> ChecksReport:
+def run_paper_checks(
+    trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, z: float = Z_THRESHOLD
+) -> ChecksReport:
     """Run the whole battery with one master seed; deterministic output."""
     results = (
         check_spin_chain_recombination(seed),

@@ -31,11 +31,11 @@ from .errors import (
     ZeroDenominatorError,
     ZeroOverlapError,
 )
-from .montecarlo import MeasureStage, simulate
-from .pointer import CouplingSpec, make_gaussian_pointer, post_selected_mean_shift
+from .montecarlo import Z_THRESHOLD, MeasureStage, simulate
+from .pointer import DEFAULT_N, DEFAULT_SPAN_SIGMAS, CouplingSpec, make_gaussian_pointer, post_selected_mean_shift
 from .rules import TwoStateVector, abl_probabilities, born_probabilities, weak_value
-from .scenarios import (_encode_complex, _fmt, _fmt_complex, builtin, builtin_names,
-                        builtin_parameters, load_scenario, run_scenario)
+from .scenarios import (DEFAULT_SEED, DEFAULT_TRIALS, _encode_complex, _fmt, _fmt_complex, builtin,
+                        builtin_names, builtin_parameters, load_scenario, run_scenario)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     selections.add_argument("--obs", required=True)
 
     threshold = argparse.ArgumentParser(add_help=False)
-    threshold.add_argument("--z", type=float, help="agreement threshold in standard errors (default 4)")
+    threshold.add_argument("--z", type=float, help=f"agreement threshold in standard errors (default {Z_THRESHOLD:g})")
 
     # not a parent: parents share their Action objects, so scenario's defaults
     # would leak into simulate's and paper-checks'
@@ -319,14 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", action="append", help="intermediate observable (repeatable)")
     p.add_argument("--post", required=True, help="final observable")
     p.add_argument("--select", type=float, default=1.0, help="post-selected eigenvalue")
-    sampling(p, 100_000, 7)
+    sampling(p, DEFAULT_TRIALS, DEFAULT_SEED)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("scenario", parents=[output, threshold], help="run a builtin or file scenario")
     p.add_argument("--builtin", help=f"one of: {', '.join(builtin_names())}")
     p.add_argument("--file", help="scenario JSON document")
     p.add_argument("--mode", choices=("analytic", "oracle", "both"), default="both")
-    sampling(p, None, None, " (default: the scenario's own; 100000 and 7 for a builtin)")
+    sampling(p, None, None, f" (default: the scenario's own; {DEFAULT_TRIALS} and {DEFAULT_SEED} for a builtin)")
     for name in _BUILTIN_PARAMS:
         p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
     p.add_argument("--no-which-path", action="store_true",
@@ -334,15 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("paper-checks", parents=[output, threshold], help="run the full validation battery")
-    sampling(p, 100_000, 7)
+    sampling(p, DEFAULT_TRIALS, DEFAULT_SEED)
     p.set_defaults(func=cmd_paper_checks)
 
     p = sub.add_parser("pointer-sweep", parents=[selections, output],
                        help="post-selected pointer shifts over a coupling sweep")
     p.add_argument("--couplings", default="0.1,0.05,0.025", help="comma-separated strengths")
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=4096)
-    p.add_argument("--span", type=float, default=64.0, help="grid span in units of sigma")
+    p.add_argument("--n", type=int, default=DEFAULT_N)
+    p.add_argument("--span", type=float, default=DEFAULT_SPAN_SIGMAS, help="grid span in units of sigma")
     p.set_defaults(func=cmd_pointer_sweep)
     return parser
 

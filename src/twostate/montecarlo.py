@@ -26,15 +26,15 @@ normalized.
 
 Each trial carries an index into a table of distinct states; a rank-1
 collapse forgets the history, a higher-rank one keeps one child per (parent,
-branch).  While the reachable states number at most min(trials, chunk × the
-widest measurement's branch count) the tables are built once per call, so
-the state table never holds more amplitudes than one chunk's widest collapse
-(chunk × branches × dim); from the first stage where they would not, each
-chunk keeps a live table of the states its trials reach, at most
-min(chunk, reached).  Born weights and children are collapsed chunk /
-branches states at a time, at most chunk × dim amplitudes, and children are
-formed only for the reached (parent, branch) pairs, so no (branch, state,
-dim) tensor over a whole table is built.
+branch).  The tables are built once per call while states × branches at each
+measurement is at most min(trials, chunk × the widest measurement's branch
+count), so the state table never holds more amplitudes than one chunk's
+widest collapse; from the first measurement past that bound, checked before
+it is weighed, each chunk keeps a live table of the states its trials reach,
+at most min(chunk, reached).  Born weights are collapsed chunk / branches
+states at a time; a child is formed only for a distinct reached (parent,
+branch) pair, by collapsing the parent onto that branch's projector alone,
+chunk rows at a time, so no (branch, state, dim) tensor over a table is built.
 
 Each trial also carries a mixed-radix path code: stage 0 is the most
 significant digit, the final outcome the least, and past 2**63 paths it is a
@@ -61,6 +61,7 @@ from .rules import OutcomeDistribution
 CHUNK_SIZE = 4096
 ZERO_WEIGHT = 1e-15
 MIN_ACCEPTED = 100  # accepted trials below which a distribution is not compared
+Z_THRESHOLD = 4.0  # default agreement threshold, in standard errors
 
 
 @dataclass(frozen=True)
@@ -173,18 +174,20 @@ class EnsembleStats:
     def conditional_given(self, label: str, given: dict[str, float]) -> tuple[OutcomeStat, ...]:
         """Conditional frequencies for one stage, additionally fixing other stages.
 
-        ``given`` maps stage labels to required eigenvalues; counts come from
-        the accepted-run joint tallies.
+        ``given`` maps stage labels to required eigenvalues, each an outcome
+        of its stage (else ValueError); counts come from the accepted-run
+        joint tallies (none match: InsufficientAcceptedTrialsError).
         """
-        labels = [st.label for st in self.stages]
-        target = labels.index(self._stage(label).label)
-        fixed = {labels.index(self._stage(k).label): v for k, v in given.items()}
         st = self._stage(label)
+        target = self.stages.index(st)
+        fixed = {self.stages.index(self._stage(k)): v for k, v in given.items()}
+        for i, v in fixed.items():
+            if not any(abs(e - v) <= EIGENVALUE_TOL for e in self.stages[i].eigenvalues):
+                raise ValueError(f"given eigenvalue {v!r} is not an outcome of stage {self.stages[i].label!r}")
         counts = np.zeros(len(st.eigenvalues), dtype=np.int64)
         for outcome, count in self.joint_accepted:
             if all(abs(outcome[i] - v) <= EIGENVALUE_TOL for i, v in fixed.items()):
-                j = int(np.argmin([abs(e - outcome[target]) for e in st.eigenvalues]))
-                counts[j] += count
+                counts[st.eigenvalues.index(outcome[target])] += count
         total = int(counts.sum())
         if total == 0:
             raise InsufficientAcceptedTrialsError("no accepted trials match the given outcomes")
@@ -222,9 +225,10 @@ def _sample(cum: np.ndarray, node: np.ndarray, u: np.ndarray) -> np.ndarray:
     return branch
 
 
-def _distinct(weights, observable, parent, branch):
-    """The (parent, branch) pair of each distinct post-collapse state, and
-    each given pair's index among them.
+def _children(states, weights, observable, parent, branch):
+    """The distinct normalized states P_b|s_p⟩ / ‖P_b|s_p⟩‖ of the given
+    (parent, branch) pairs, each collapsed onto its own branch's projector
+    alone, CHUNK_SIZE rows at a time, and each given pair's index among them.
 
     A rank-1 branch forgets the history, so all its pairs share one child;
     a higher-rank branch keeps one child per (parent, branch).
@@ -233,19 +237,15 @@ def _distinct(weights, observable, parent, branch):
     rank_one = np.rint(np.trace(observable.projectors, axis1=1, axis2=2).real) == 1
     key = np.where(rank_one[branch], n_states, parent) * n_branch + branch
     _, first, index = np.unique(key, return_index=True, return_inverse=True)
-    return parent[first], branch[first], index
-
-
-def _children(states, weights, observable, p, b) -> np.ndarray:
-    """The normalized states P_b|s_p⟩ / ‖P_b|s_p⟩‖, one row per (p, b) pair,
-    collapsed in blocks as _born_weights does; each pair keeps its branch."""
+    p, b = parent[first], branch[first]
     children = np.empty((len(p), states.shape[1]), dtype=states.dtype)
-    step = CHUNK_SIZE // observable.num_branches
-    for r in range(0, len(p), step):
-        collapsed = states[p[r:r + step]] @ observable.projectors.transpose(0, 2, 1)
-        children[r:r + step] = collapsed[b[r:r + step], np.arange(collapsed.shape[1])]
+    for j, projector in enumerate(observable.projectors):
+        rows = np.flatnonzero(b == j)
+        for r in range(0, len(rows), CHUNK_SIZE):
+            block = rows[r:r + CHUNK_SIZE]
+            children[block] = states[p[block]] @ projector.T
     children /= np.sqrt(weights[p, b])[:, None]
-    return children
+    return children, index
 
 
 def _tally(codes: np.ndarray, counts: np.ndarray):
@@ -257,8 +257,8 @@ def _tally(codes: np.ndarray, counts: np.ndarray):
 
 
 def _static_tables(pre: StateVector, stages: Sequence[Stage], bound: int):
-    """Branch tables shared by every chunk, built while all reachable states
-    number at most ``bound``: one (cum, child) pair per measurement stage
+    """Branch tables shared by every chunk, built while each measurement's
+    states × branches is at most ``bound``: one (cum, child) pair per stage
     covered, ``child`` flat over (state, branch) and None for the final stage;
     the state table where the walk stopped; the stages left for live tables."""
     states = pre.amps[None, :]
@@ -267,18 +267,18 @@ def _static_tables(pre: StateVector, stages: Sequence[Stage], bound: int):
         if isinstance(stage, UnitaryStage):
             states = states @ stage.unitary.matrix.T
             continue
+        final = i == len(stages) - 1  # no state after the final measurement is read
+        if not final and len(states) * stage.observable.num_branches > bound:
+            return tables, states, stages[i:]
         weights = _born_weights(states, stage.observable)
-        if i == len(stages) - 1:  # no state after the final measurement is read
+        if final:
             tables.append((_born_cdf(weights), None))
             break
         parent, branch = np.nonzero(weights >= ZERO_WEIGHT)
-        p, b, index = _distinct(weights, stage.observable, parent, branch)
-        if len(p) > bound:
-            return tables, states, stages[i:]
+        states, index = _children(states, weights, stage.observable, parent, branch)
         child = np.zeros(weights.shape, dtype=np.intp)
         child[parent, branch] = index
         tables.append((_born_cdf(weights), child.ravel()))
-        states = _children(states, weights, stage.observable, p, b)
     return tables, states, []
 
 
@@ -313,8 +313,7 @@ def _branches(tables, states, tail, rng, m: int):
         weights = _born_weights(states, stage.observable)
         br = _sample(_born_cdf(weights), node, rng.random(m))
         if stage is not tail[-1]:
-            p, b, node = _distinct(weights, stage.observable, node, br)
-            states = _children(states, weights, stage.observable, p, b)
+            states, node = _children(states, weights, stage.observable, node, br)
         yield br
 
 
@@ -429,7 +428,7 @@ class ComparisonReport:
 
 
 def compare_counts(
-    predicted: OutcomeDistribution, counts: Sequence[int], total: int, z: float = 4.0
+    predicted: OutcomeDistribution, counts: Sequence[int], total: int, z: float = Z_THRESHOLD
 ) -> tuple[OutcomeComparison, ...]:
     """Per-outcome agreement test of ``counts`` out of ``total`` accepted
     trials, in the order of ``predicted``: |frequency - predicted| ≤ z·SE.
@@ -461,7 +460,7 @@ def compare_counts(
 def compare_to_abl(
     stats: EnsembleStats,
     predicted: OutcomeDistribution,
-    z: float = 4.0,
+    z: float = Z_THRESHOLD,
     stage_label: str | None = None,
 ) -> ComparisonReport:
     """``compare_counts`` of one stage's accepted tallies, matched to

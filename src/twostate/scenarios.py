@@ -81,6 +81,7 @@ from .montecarlo import (
     MeasureStage,
     OutcomeStat,
     UnitaryStage,
+    Z_THRESHOLD,
     compare_to_abl,
     derive_seed,
     simulate,
@@ -910,7 +911,7 @@ def run_scenario(
     mode: str = "both",
     trials: int | None = None,
     seed: int | None = None,
-    z: float = 4.0,
+    z: float = Z_THRESHOLD,
 ) -> ScenarioReport:
     """Run one scenario in 'analytic', 'oracle', or 'both' mode."""
     if mode not in ("analytic", "oracle", "both"):

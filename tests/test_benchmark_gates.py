@@ -55,9 +55,10 @@ def test_deep_timeline_tallies(shape):
 
 # tracemalloc peak of one simulate call, in MiB, measured with the per-stage
 # path matrix and lexsort tally (rank2-d4-13: with per-chunk live tables past
-# 4096 states); a call may hold at most 1 MiB more
+# 4096 states; rank4-d8-16: with the table bound checked before a measurement
+# is weighed); a call may hold at most 1 MiB more
 SIMULATE_PEAK_MIB = {"rank1-d8": 2.26, "rank1-d4": 2.23, "qubit": 3.26, "degenerate-d8": 8.02, "erasure": 0.19,
-                     "rank2-d4-13": 2.92}
+                     "rank2-d4-13": 2.92, "rank4-d8-16": 10.02}
 
 
 def _peak_mib(pre, stages, post, trials: int, seed: int) -> float:
@@ -87,3 +88,10 @@ def test_erasure_simulate_memory():
 def test_boundary_timeline_simulate_memory():
     peak = _peak_mib(*random_timeline(*BOUNDARY_TIMELINES["rank2-d4-13"]), 12345, 5)
     assert peak <= SIMULATE_PEAK_MIB["rank2-d4-13"] + 1.0
+
+
+def test_stopped_static_walk_simulate_memory():
+    # 16 rank-4 stages on d=8: the call-level walk stops at the bound of
+    # 32,768 states, and the chunks walk m15 and the post-selection on live tables
+    peak = _peak_mib(*random_timeline(5, 8, 16, (4, 4)), 40_000, 3)
+    assert peak <= SIMULATE_PEAK_MIB["rank4-d8-16"] + 1.0

@@ -395,6 +395,17 @@ class TestJointTally:
         counts = {b: [o.count for o in stats.conditional_given("sy", {"bell": b})] for b in (1.0, 2.0, 3.0, 4.0)}
         assert counts == {1.0: [2224, 2290], 2.0: [2221, 2195], 3.0: [319, 281], 4.0: [291, 292]}
 
+    def test_given_value_that_is_no_outcome_is_a_value_error(self):
+        stats = builtin_run("erasure", 20_000, 102)
+        with pytest.raises(ValueError, match="given eigenvalue 5.0 is not an outcome of stage 'bell'"):
+            stats.conditional_given("sy", {"bell": 5.0})
+
+    def test_given_outcome_without_accepted_trials_is_starvation(self):
+        stats = builtin_run("erasure", 7, 0)  # no accepted trial took Bell branch 3
+        assert [outcome for outcome, _ in stats.joint_accepted] == [(1.0, -1.0), (1.0, 1.0), (2.0, -1.0)]
+        with pytest.raises(InsufficientAcceptedTrialsError, match="no accepted trials match the given outcomes"):
+            stats.conditional_given("sy", {"bell": 3.0})
+
     def test_one_joint_count_apart_compares_unequal(self):
         stats = builtin_run("erasure", 20_000, 102)
         counts = np.frombuffer(stats.joint_counts, dtype=np.int64).copy()
