@@ -8,9 +8,11 @@ so all representations are dense ``complex128`` arrays.
 Tolerances follow one convention throughout: structural validation at 1e-10.
 A :class:`StateVector` accepts amplitudes whose norm is 1 within 1e-10 and
 divides them by that norm; only :meth:`StateVector.normalized` scales an
-arbitrary nonzero vector.  Inputs that violate an invariant raise.  The
-constant observables (:func:`pauli`, :func:`which_path`, :func:`bell_basis`)
-are shared immutable instances.
+arbitrary nonzero vector.  Inputs that violate an invariant raise.  Every
+eigenvalue given by value in the package names the one branch within
+``EIGENVALUE_TOL`` of it; none or several raise ValueError.  The constant
+observables (:func:`pauli`, :func:`which_path`, :func:`bell_basis`) are shared
+immutable instances.
 """
 
 from __future__ import annotations
@@ -50,6 +52,17 @@ def _as_complex_matrix(values, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
+
+
+def _branch_of(eigenvalues, value: float, owner: str) -> int:
+    """The index of the one eigenvalue within ``EIGENVALUE_TOL`` of ``value``;
+    ValueError, naming ``owner``, when no branch or several are that close."""
+    hits = [j for j, eig in enumerate(eigenvalues) if abs(eig - value) <= EIGENVALUE_TOL]
+    if not hits:
+        raise ValueError(f"eigenvalue {value!r} is not an outcome of {owner}")
+    if len(hits) > 1:
+        raise ValueError(f"eigenvalue {value!r} matches {len(hits)} branches of {owner} within {EIGENVALUE_TOL}")
+    return hits[0]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -279,10 +292,7 @@ class SpectralObservable:
         return LinearOperator(np.einsum("j,jkl->kl", self.eigenvalues, self.projectors))
 
     def branch_index(self, eigenvalue: float) -> int:
-        hits = np.nonzero(np.abs(self.eigenvalues - eigenvalue) <= EIGENVALUE_TOL)[0]
-        if hits.size != 1:
-            raise ValueError(f"eigenvalue {eigenvalue!r} is not a branch of this observable")
-        return int(hits[0])
+        return _branch_of(self.eigenvalues, eigenvalue, "this observable")
 
     @classmethod
     def from_hermitian(cls, matrix) -> "SpectralObservable":

@@ -228,17 +228,15 @@ def check_conditional_counterexample(seed: int, trials: int, z: float = Z_THRESH
         abl_probabilities(TwoStateVector(spec.pre, spec.pre), probe),
         born_probabilities(spec.pre, probe),
     )
-    abl, born = (dist.probability(1.0) for dist in predictions)
+    plus = probe.branch_index(1.0)
+    abl, born = (dist.probabilities[plus] for dist in predictions)
     exact_ok = abs(born - 0.75) <= 1e-12 and abs(abl - 0.9) <= 1e-12
     summary = f"unconditioned {_fmt(born)} vs conditional {_fmt(abl)}; "
     try:
         stats = simulate(
             spec.pre, spec.timeline, (spec.post_observable, spec.post_select), trials, derive_seed(seed, 1)
         )
-        vs_abl, vs_born = (
-            next(o for o in compare_to_abl(stats, dist, z=z).outcomes if abs(o.eigenvalue - 1.0) <= 1e-12)
-            for dist in predictions
-        )
+        vs_abl, vs_born = (compare_to_abl(stats, dist, z=z).outcomes[plus] for dist in predictions)
     except InsufficientAcceptedTrialsError as exc:
         status = "warn" if exact_ok else "fail"
         return CheckResult("conditional-vs-unconditioned", status, summary + f"{exc} at trials={trials}")

@@ -54,7 +54,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import EIGENVALUE_TOL, SpectralObservable, StateVector, Unitary
+from .algebra import SpectralObservable, StateVector, Unitary, _branch_of
 from .errors import AllRejectedError, DimensionMismatchError, InsufficientAcceptedTrialsError
 from .rules import OutcomeDistribution
 
@@ -142,11 +142,15 @@ class EnsembleStats:
     post_counts: tuple[int, ...]
     selected_eigenvalue: float
 
+    def _joint(self) -> tuple[np.ndarray, np.ndarray]:
+        """The accepted paths' branch indices, one row per measurement stage, and their counts."""
+        counts = np.frombuffer(self.joint_counts, dtype=np.int64)
+        return np.frombuffer(self.joint_paths, dtype=np.uint16).reshape(len(self.stages), counts.size), counts
+
     @cached_property
     def joint_accepted(self) -> tuple[tuple[tuple[float, ...], int], ...]:
         """(outcome tuple, count) per distinct accepted path, in path-code order."""
-        counts = np.frombuffer(self.joint_counts, dtype=np.int64)
-        paths = np.frombuffer(self.joint_paths, dtype=np.uint16).reshape(len(self.stages), counts.size)
+        paths, counts = self._joint()
         return tuple(
             (tuple(self.stages[d].eigenvalues[j] for d, j in enumerate(path)), count)
             for path, count in zip(paths.T.tolist(), counts.tolist())
@@ -174,24 +178,30 @@ class EnsembleStats:
     def conditional_given(self, label: str, given: dict[str, float]) -> tuple[OutcomeStat, ...]:
         """Conditional frequencies for one stage, additionally fixing other stages.
 
-        ``given`` maps stage labels to required eigenvalues, each an outcome
-        of its stage (else ValueError); counts come from the accepted-run
-        joint tallies (none match: InsufficientAcceptedTrialsError).
+        ``given`` maps stage labels to required eigenvalues, each naming one
+        branch of its stage (else ValueError); counts come from the
+        accepted-run joint tallies (none match: InsufficientAcceptedTrialsError).
         """
         st = self._stage(label)
-        target = self.stages.index(st)
-        fixed = {self.stages.index(self._stage(k)): v for k, v in given.items()}
-        for i, v in fixed.items():
-            if not any(abs(e - v) <= EIGENVALUE_TOL for e in self.stages[i].eigenvalues):
-                raise ValueError(f"given eigenvalue {v!r} is not an outcome of stage {self.stages[i].label!r}")
-        counts = np.zeros(len(st.eigenvalues), dtype=np.int64)
-        for outcome, count in self.joint_accepted:
-            if all(abs(outcome[i] - v) <= EIGENVALUE_TOL for i, v in fixed.items()):
-                counts[st.eigenvalues.index(outcome[target])] += count
-        total = int(counts.sum())
+        paths, counts = self._joint()
+        keep = np.ones(counts.size, dtype=bool)
+        for name, value in given.items():
+            fixed = self._stage(name)
+            try:
+                branch = _branch_of(fixed.eigenvalues, value, f"stage {fixed.label!r}")
+            except ValueError as exc:
+                raise ValueError(f"given {exc}") from None
+            keep &= paths[self.stages.index(fixed)] == branch
+        matched = _branch_counts(paths[self.stages.index(st)][keep], counts[keep], len(st.eigenvalues))
+        total = sum(matched)
         if total == 0:
             raise InsufficientAcceptedTrialsError("no accepted trials match the given outcomes")
-        return _freq_stats(st.eigenvalues, counts, total)
+        return _freq_stats(st.eigenvalues, matched, total)
+
+
+def _branch_counts(row: np.ndarray, counts: np.ndarray, n: int) -> tuple[int, ...]:
+    """Integer sums of ``counts`` per branch index 0..n-1 given in ``row``."""
+    return tuple(int(counts[row == j].sum()) for j in range(n))
 
 
 def _born_cdf(weights: np.ndarray) -> np.ndarray:
@@ -329,8 +339,12 @@ def simulate(
     Each trial starts in ``pre``, applies unitary stages exactly, samples
     every measurement stage with Born weights and collapses, then samples the
     final observable and is accepted iff the outcome equals the selected
-    eigenvalue.  Raises AllRejectedError when nothing survives.
+    eigenvalue.  Raises AllRejectedError when nothing survives; ValueError
+    when ``trials`` or ``seed`` is no integer (numpy's count, bools do not).
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     post_obs, selected = post
@@ -391,7 +405,7 @@ def simulate(
             label=st.label,
             eigenvalues=tuple(float(e) for e in st.observable.eigenvalues),
             counts_all=tuple(int(c) for c in counts),
-            counts_accepted=tuple(int(joint_counts[row == j].sum()) for j in range(counts.size)),
+            counts_accepted=_branch_counts(row, joint_counts, counts.size),
         )
         for st, counts, row in zip(measure_stages, counts_all, paths)
     )
@@ -468,9 +482,9 @@ def compare_to_abl(
     stage = stats._stage(stage_label)
     counts = []
     for eig in predicted.eigenvalues:
-        hits = [c for e, c in zip(stage.eigenvalues, stage.counts_accepted) if abs(e - eig) <= EIGENVALUE_TOL]
-        if len(hits) != 1:
-            raise ValueError(f"predicted eigenvalue {eig!r} does not match the sampled stage")
-        counts.append(hits[0])
+        try:
+            counts.append(stage.counts_accepted[_branch_of(stage.eigenvalues, eig, f"stage {stage.label!r}")])
+        except ValueError as exc:
+            raise ValueError(f"predicted eigenvalue {eig!r} does not match the sampled stage") from exc
     outcomes = compare_counts(predicted, counts, stats.accepted, z)
     return ComparisonReport(stage.label, stats.accepted, z, outcomes, all(o.passed for o in outcomes))

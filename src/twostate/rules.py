@@ -22,10 +22,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .algebra import (
-    EIGENVALUE_TOL,
     LinearOperator,
     SpectralObservable,
     StateVector,
+    _branch_of,
     _dot,
     _unit_rows,
     inner_product,
@@ -80,10 +80,7 @@ class OutcomeDistribution:
         object.__setattr__(self, "probabilities", clipped)
 
     def probability(self, eigenvalue: float) -> float:
-        for eig, p in zip(self.eigenvalues, self.probabilities):
-            if abs(eig - eigenvalue) <= EIGENVALUE_TOL:
-                return p
-        raise ValueError(f"eigenvalue {eigenvalue!r} not present")
+        return self.probabilities[_branch_of(self.eigenvalues, eigenvalue, "this distribution")]
 
     def as_dict(self) -> dict[float, float]:
         return dict(zip(self.eigenvalues, self.probabilities))

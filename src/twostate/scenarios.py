@@ -134,7 +134,11 @@ class ScenarioSpec:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        """Every check that spans fields, each naming its part by document path."""
+        """Every check that spans fields, and those of trials and seed, each naming its part by document path."""
+        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
+            raise ScenarioFormatError("trials: expected a positive integer")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
+            raise ScenarioFormatError("seed: expected an integer in [0, 2**64)")
         parts = [("pre", self.pre), *((f"timeline[{i}]", e) for i, e in enumerate(self.timeline)),
                  ("post.observable", self.post_observable)]
         parts += [(f"counterfactuals[{i}].observable", obs) for i, (_, obs) in enumerate(self.counterfactuals)]
@@ -154,8 +158,6 @@ class ScenarioSpec:
             if len(set(labels)) != len(labels):
                 raise ScenarioFormatError(f"{path}: labels must be unique, got {labels}")
         selected = _built("post.select", self.post_observable.branch_index, self.post_select)
-        if self.trials < 1:
-            raise ScenarioFormatError("trials: expected a positive integer")
         # weak stages, counterfactuals and products read the pure two-state vector
         readers = [(f"timeline[{i}].weak_measure", "weak stages")
                    for i, e in enumerate(self.timeline) if isinstance(e, WeakStage)]
@@ -351,12 +353,6 @@ def load_scenario(document) -> ScenarioSpec:
             _resolve_operator(entry.get("right"), f"{path}.right"),
         ))
 
-    trials = document.get("trials", DEFAULT_TRIALS)
-    seed = document.get("seed", DEFAULT_SEED)
-    if not isinstance(trials, int) or isinstance(trials, bool):
-        raise ScenarioFormatError("trials: expected a positive integer")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ScenarioFormatError("seed: expected an integer in [0, 2**64)")
     return ScenarioSpec(
         name=name,
         dim=dim,
@@ -365,8 +361,8 @@ def load_scenario(document) -> ScenarioSpec:
         post_observable=post_obs,
         post_select=select,
         params=params,
-        trials=trials,
-        seed=seed,
+        trials=document.get("trials", DEFAULT_TRIALS),
+        seed=document.get("seed", DEFAULT_SEED),
         counterfactuals=tuple(counterfactuals),
         products=tuple(products),
     )

@@ -131,6 +131,11 @@ class TestTensor:
         with pytest.raises(TypeError):
             tensor(UP_Z, LinearOperator(np.eye(2)))
 
+    def test_unitaries_tensor_to_a_unitary(self):
+        out = tensor(beamsplitter(), Unitary(np.eye(2)))
+        assert type(out) is Unitary
+        np.testing.assert_array_equal(out.matrix, np.kron(beamsplitter().matrix, np.eye(2)))
+
 
 class TestSpinState:
     def test_poles(self):
@@ -241,6 +246,32 @@ class TestSpectralObservable:
         obs = identity_observable(3)
         assert obs.num_branches == 1
         np.testing.assert_array_equal(obs.projectors[0], np.eye(3))
+
+    def test_branch_index_refuses_a_value_near_two_branches(self):
+        # the constructor keeps eigenvalues 1e-10 apart; lookups resolve within 1e-9
+        near = SpectralObservable([1.0, 1.0 + 5e-10], [np.diag([1, 0]), np.diag([0, 1])])
+        with pytest.raises(ValueError, match=r"eigenvalue 1\.0 matches 2 branches of this observable within 1e-09"):
+            near.branch_index(1.0)
+        with pytest.raises(ValueError, match=r"eigenvalue 0\.5 is not an outcome of this observable"):
+            near.branch_index(0.5)
+        z = pauli("z")
+        assert z.eigenvalues[z.branch_index(-1.0 + 5e-10)] == -1.0
+
+
+@pytest.mark.parametrize("build, error, match", [
+    pytest.param(lambda: StateVector(np.eye(2)), ValueError, "nonempty 1-d amplitude array", id="2-d-state"),
+    pytest.param(lambda: SpectralObservable([], np.zeros((0, 2, 2))), ObservableError,
+                 "need at least one", id="no-branch"),
+    pytest.param(lambda: SpectralObservable.from_hermitian([[0, 1], [0, 0]]), ObservableError,
+                 "matrix is not Hermitian", id="non-hermitian"),
+    pytest.param(lambda: LinearOperator(np.eye(2)) @ LinearOperator(np.eye(3)), DimensionMismatchError,
+                 "operator dims differ: 2 vs 3", id="matmul-dims"),
+    pytest.param(lambda: LinearOperator(np.eye(3)) + LinearOperator(np.eye(2)), DimensionMismatchError,
+                 "operator dims differ: 3 vs 2", id="add-dims"),
+])
+def test_structure_guards(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def reference_validate(eigenvalues, projectors) -> None:

@@ -188,6 +188,17 @@ class TestSimulate:
         with pytest.raises(error, match=match):
             simulate(UP_Z, stages, (post, 1.0), trials, 1)
 
+    @pytest.mark.parametrize("trials, seed, name", [
+        (True, 1, "trials"), (2.5, 1, "trials"), (10, True, "seed"), (10, 2.5, "seed"), (10, np.float64(1), "seed"),
+    ])
+    def test_trials_and_seed_must_be_integers(self, trials, seed, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            simulate(UP_Z, [], (pauli("z"), 1.0), trials, seed)
+
+    def test_numpy_integer_trials_and_seed_run_as_python_ones(self):
+        args = UP_Z, [MeasureStage(pauli("x"), "a")], (pauli("z"), 1.0)
+        assert simulate(*args, np.int64(300), np.uint64(5)) == simulate(*args, 300, 5)
+
     def test_conditional_needs_one_matching_label(self):
         one = simulate(UP_Z, [MeasureStage(pauli("x"), "a")], (pauli("z"), 1.0), 200, 1)
         assert one.conditional() == one.conditional("a")
@@ -405,6 +416,25 @@ class TestJointTally:
         assert [outcome for outcome, _ in stats.joint_accepted] == [(1.0, -1.0), (1.0, 1.0), (2.0, -1.0)]
         with pytest.raises(InsufficientAcceptedTrialsError, match="no accepted trials match the given outcomes"):
             stats.conditional_given("sy", {"bell": 3.0})
+
+    def test_branch_conditionals_leave_the_joint_tuple_unbuilt(self):
+        stats = builtin_run("erasure", 20_000, 102)
+        counts = {b: [o.count for o in stats.conditional_given("sy", {"bell": b})] for b in (1.0, 2.0, 3.0, 4.0)}
+        assert counts == {1.0: [2224, 2290], 2.0: [2221, 2195], 3.0: [319, 281], 4.0: [291, 292]}
+        assert "joint_accepted" not in vars(stats)
+
+    def test_given_value_near_two_branches_is_a_value_error(self):
+        near = SpectralObservable([1.0, 1.0 + 5e-10], [np.diag([1, 0]), np.diag([0, 1])])
+        stats = simulate(spin_state(1.0), [MeasureStage(near, "a"), MeasureStage(pauli("x"), "b")],
+                         (pauli("z"), 1.0), 20_000, 1)
+        assert stats.stages[0].counts_accepted == (7700, 2334)
+        with pytest.raises(ValueError, match=r"given eigenvalue 1\.0 matches 2 branches of stage 'a'"):
+            stats.conditional_given("b", {"a": 1.0})
+        # a value within 1e-9 of one branch alone resolves to it
+        assert sum(o.count for o in stats.conditional_given("b", {"a": 1.0 - 9e-10})) == 7700
+        assert sum(o.count for o in stats.conditional_given("b", {"a": 1.0 + 1.4e-9})) == 2334
+        with pytest.raises(ValueError, match="predicted eigenvalue 1.0 does not match the sampled stage"):
+            compare_to_abl(stats, OutcomeDistribution((1.0, 1.0 + 2e-9), (0.5, 0.5)), stage_label="a")
 
     def test_one_joint_count_apart_compares_unequal(self):
         stats = builtin_run("erasure", 20_000, 102)

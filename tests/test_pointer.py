@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twostate.algebra import basis_state, pauli, pauli_operator, spin_state
-from twostate.errors import PointerGridError, ZeroOverlapError
+from twostate.errors import DimensionMismatchError, PointerGridError, ZeroOverlapError
 from twostate.montecarlo import chunk_rng
 from twostate.pointer import (
     CouplingSpec,
@@ -233,3 +233,27 @@ class TestMomentumReadout:
         p = make_gaussian_pointer()
         mean = post_selected_momentum_mean(UP_Z, UP_Z, CouplingSpec(0.05, pauli("z")), p)
         assert mean == pytest.approx(0.0, abs=1e-9)
+
+
+GRID = make_gaussian_pointer(0.0, 1.0, 1024, 32.0)
+Q, DQ = GRID.positions, GRID.spacing
+
+
+@pytest.mark.parametrize("build, error, match", [
+    pytest.param(lambda: PointerState(Q, GRID.amps[:-1], DQ, 0.0, 1.0), ValueError,
+                 "positions and amps must be matching 1-d arrays", id="mismatched-arrays"),
+    pytest.param(lambda: PointerState(Q[:255], GRID.amps[:255], DQ, 0.0, 1.0), PointerGridError,
+                 "grid has 255 points; need >= 256", id="under-256-points"),
+    pytest.param(lambda: PointerState(Q, GRID.amps, DQ, 0.0, 3.0), PointerGridError,
+                 "at least 8 sigma on each side", id="under-8-sigma-margin"),
+    pytest.param(lambda: make_gaussian_pointer(sigma=0), ValueError, "sigma must be positive", id="zero-sigma"),
+    pytest.param(lambda: JointState(np.stack([GRID.amps, GRID.amps]), Q, DQ, 0.0, 1.0), PointerGridError,
+                 "joint norm is", id="joint-norm"),
+    pytest.param(lambda: couple(basis_state(3, 0), GRID, CouplingSpec(0.1, pauli("z"))), DimensionMismatchError,
+                 "system dim 3 vs observable dim 2", id="couple-dims"),
+    pytest.param(lambda: post_selected_pointer(couple(UP_Z, GRID, CouplingSpec(0.1, pauli("z"))), basis_state(3, 0)),
+                 DimensionMismatchError, "post dim 3 vs system dim 2", id="post-selected-dims"),
+])
+def test_grid_and_dimension_guards(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

@@ -13,6 +13,7 @@ from twostate.algebra import (
     basis_state,
     beamsplitter,
     detector_basis,
+    identity_observable,
     identity_operator,
     pauli,
     pauli_operator,
@@ -20,7 +21,7 @@ from twostate.algebra import (
     spin_state,
     which_path,
 )
-from twostate.errors import ZeroDenominatorError, ZeroOverlapError
+from twostate.errors import DimensionMismatchError, ZeroDenominatorError, ZeroOverlapError
 from twostate.rules import (
     OutcomeDistribution,
     TwoStateVector,
@@ -445,3 +446,27 @@ class TestOutcomeDistribution:
             clipped = OutcomeDistribution(tuple(range(len(probs))), probs).probabilities
             expected = np.clip(np.array(probs), 0.0, 1.0)
             assert [(p, np.signbit(p)) for p in clipped] == [(p, np.signbit(p)) for p in expected]
+
+    def test_value_near_two_branches_is_refused(self):
+        near = SpectralObservable([1.0, 1.0 + 5e-10], [np.diag([1, 0]), np.diag([0, 1])])
+        dist = abl_probabilities(TwoStateVector(spin_state(0.3), spin_state(1.0)), near)
+        with pytest.raises(ValueError, match="matches 2 branches of this distribution"):
+            dist.probability(1.0 + 5e-10)
+        with pytest.raises(ValueError, match=r"eigenvalue 3\.0 is not an outcome of this distribution"):
+            dist.probability(3.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: TwoStateVector(UP_Z, basis_state(3, 0)), "pre dim 2 vs post dim 3", id="two-state-vector"),
+    pytest.param(lambda: born_probabilities(basis_state(3, 0), pauli("z")), "state dim 3 vs observable dim 2",
+                 id="born"),
+    pytest.param(lambda: abl_probabilities(TwoStateVector(UP_Z, UP_X), identity_observable(3)),
+                 "state dim 2 vs observable dim 3", id="abl"),
+    pytest.param(lambda: weak_value(TwoStateVector(UP_Z, UP_X), identity_operator(3)),
+                 "state dim 2 vs operator dim 3", id="weak-value"),
+    pytest.param(lambda: total_probability_check(UP_Z, pauli("x"), identity_observable(3)),
+                 "dims differ: state 2, intermediate 2, final 3", id="total-probability"),
+])
+def test_dimension_guards(call, match):
+    with pytest.raises(DimensionMismatchError, match=match):
+        call()

@@ -278,6 +278,24 @@ class TestLoader:
             {"label": "p", "left": {"matrix": [[NAN, 0], [0, 1]]}, "right": {"pauli": "z"}}
         ]}, id="nan-product-matrix"),
         pytest.param("trials", {"trials": 0}, id="trials"),
+        pytest.param("pre", {"pre": []}, id="empty-pre"),
+        pytest.param("timeline[0].unitary", {"timeline": [{"unitary": []}]}, id="empty-matrix"),
+        pytest.param("timeline[0].unitary", {"timeline": [{"unitary": [[1, 0], [0]]}]}, id="ragged-matrix-rows"),
+        pytest.param("post.observable", {"post": {"observable": {"pauli": "z", "which_path": {}}, "select": 1}},
+                     id="multi-key-observable"),
+        pytest.param("post.observable.pauli", {"post": {"observable": {"pauli": "w"}, "select": 1}},
+                     id="pauli-axis-w"),
+        pytest.param("post.observable.explicit", {"post": {"observable": {"explicit": []}, "select": 1}},
+                     id="empty-explicit"),
+        pytest.param("post.observable", {"post": {"observable": {"sigma": {}}, "select": 1}},
+                     id="unknown-observable-kind"),
+        pytest.param("dim", {"dim": 0}, id="zero-dim"),
+        pytest.param("dim", {"dim": True}, id="boolean-dim"),
+        pytest.param("timeline[0]", {"timeline": [{"unitary": [[1, 0], [0, 1]], "measure": {}}]},
+                     id="multi-key-stage"),
+        pytest.param("timeline[0]", {"timeline": [{"rotate": {}}]}, id="unknown-stage-kind"),
+        pytest.param("post", {"post": 5}, id="post-not-object"),
+        pytest.param("trials", {"trials": 2.5}, id="fractional-trials"),
     ])
     def test_malformed_document_names_its_field(self, path, fields):
         with pytest.raises(ScenarioFormatError) as info:
@@ -317,6 +335,38 @@ class TestLoader:
         with pytest.raises(ScenarioFormatError, match=r"^post\.select: eigenvalue 0\.5"):
             ScenarioSpec(name="bad", dim=2, pre=basis_state(2, 0), timeline=(),
                          post_observable=pauli("z"), post_select=0.5)
+
+    def test_select_near_two_branches_is_refused(self):
+        near = {"explicit": [{"eigenvalue": 1.0, "projector": [[1, 0], [0, 0]]},
+                             {"eigenvalue": 1.0 + 5e-10, "projector": [[0, 0], [0, 1]]}]}
+        with pytest.raises(ScenarioFormatError) as info:
+            load_scenario(dict(MINIMAL, post={"observable": near, "select": 1.0}))
+        assert str(info.value) == "post.select: eigenvalue 1.0 matches 2 branches of this observable within 1e-09"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("trials", True, "trials: expected a positive integer"),
+        ("trials", 2.5, "trials: expected a positive integer"),
+        ("seed", True, "seed: expected an integer in [0, 2**64)"),
+        ("seed", 2**64, "seed: expected an integer in [0, 2**64)"),
+    ])
+    def test_spec_rejects_non_integer_trials_and_seed(self, field, value, message):
+        with pytest.raises(ScenarioFormatError) as info:
+            ScenarioSpec(name="bad", dim=2, pre=basis_state(2, 0), timeline=(),
+                         post_observable=pauli("z"), post_select=1.0, **{field: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: load_scenario("{"), ScenarioFormatError, "^not valid JSON: ", id="invalid-json"),
+        pytest.param(lambda: load_scenario("[1, 2]"), ScenarioFormatError,
+                     "^scenario document must be a JSON object$", id="non-object-document"),
+        pytest.param(lambda: builtin("erasure", phi=float("inf")), ValueError, "^parameter phi must be finite$",
+                     id="infinite-builtin-parameter"),
+        pytest.param(lambda: run_scenario(builtin("spin-zz-xi"), mode="x"), ValueError, "^unknown mode 'x'$",
+                     id="unknown-mode"),
+    ])
+    def test_rejects_input_outside_any_field(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
 
     STRONG = {"measure": {"observable": {"pauli": "x"}, "label": "m"}}
