@@ -50,6 +50,7 @@ from .errors import InsufficientAcceptedTrialsError
 from .montecarlo import (
     MeasureStage,
     Z_THRESHOLD,
+    _integer,
     chunk_rng,
     compare_counts,
     compare_to_abl,
@@ -69,7 +70,10 @@ from .rules import (
     total_probability_check,
     weak_value,
 )
-from .scenarios import DEFAULT_SEED, DEFAULT_TRIALS, ScenarioSpec, _fmt, _record, builtin, builtin_names, run_scenario
+from .scenarios import (
+    DEFAULT_SEED, DEFAULT_TRIALS, ScenarioSpec, _fmt, _record, analytic_predictions, builtin, builtin_names,
+    run_scenario,
+)
 
 SEED_STREAM_CHUNK = 2**48  # far above any simulate() chunk index
 STACK_ROWS = 64  # random inputs evaluated per stack: keeps a sweep's arrays and drawn cases near 0.3 MB
@@ -224,10 +228,7 @@ def check_conditional_counterexample(seed: int, trials: int, z: float = Z_THRESH
     """
     spec = builtin("spin-zz-xi", theta=np.pi / 3)
     probe = spec.timeline[0].observable
-    predictions = (
-        abl_probabilities(TwoStateVector(spec.pre, spec.pre), probe),
-        born_probabilities(spec.pre, probe),
-    )
+    predictions = (analytic_predictions(spec)[0][0], born_probabilities(spec.pre, probe))
     plus = probe.branch_index(1.0)
     abl, born = (dist.probabilities[plus] for dist in predictions)
     exact_ok = abs(born - 0.75) <= 1e-12 and abs(abl - 0.9) <= 1e-12
@@ -631,6 +632,7 @@ def run_paper_checks(
     trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, z: float = Z_THRESHOLD
 ) -> ChecksReport:
     """Run the whole battery with one master seed; deterministic output."""
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     results = (
         check_spin_chain_recombination(seed),
         check_recombination_random(derive_seed(seed, 1)),

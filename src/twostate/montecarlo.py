@@ -86,14 +86,21 @@ class MeasureStage:
 Stage = Union[UnitaryStage, MeasureStage]
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int, else ValueError naming it as given (numpy's integers count, bools do not)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def derive_seed(seed: int, offset: int) -> int:
     """The seed of a sub-run: ``seed + offset`` reduced mod 2**64."""
-    return (seed + offset) % 2**64
+    return (_integer("seed", seed) + offset) % 2**64
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """The documented substream derivation: (seed, chunk) → Philox key."""
-    if not 0 <= seed < 2**64:
+    if not 0 <= _integer("seed", seed) < 2**64:
         raise ValueError("seed must be an integer in [0, 2**64)")
     key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -304,15 +311,13 @@ def _chunk_rngs(seed: int, chunks):
 
 def _branches(tables, states, tail, rng, m: int):
     """One chunk of ``m`` trials: each measurement stage's sampled branches
-    in timeline order, the static stages' uniforms drawn 16 stages per call."""
+    in timeline order, from one ``rng.random(m)`` per stage."""
     node = np.zeros(m, dtype=np.intp)
-    blocks = (rng.random((min(16, len(tables) - i), m)) for i in range(0, len(tables), 16))
-    for (cum, child), u in zip(tables, (u for block in blocks for u in block)):
-        br = _sample(cum, node, u)
+    for cum, child in tables:
+        br = _sample(cum, node, rng.random(m))
         if child is not None:
             node = child[node * cum.shape[1] + br]
         yield br
-    u = None  # frees the last block of uniforms before any live table is built
     if tail:  # live-state table: one row per distinct state some trial of this chunk holds
         used, node = np.unique(node, return_inverse=True)
         states = states[used]
@@ -342,9 +347,7 @@ def simulate(
     eigenvalue.  Raises AllRejectedError when nothing survives; ValueError
     when ``trials`` or ``seed`` is no integer (numpy's count, bools do not).
     """
-    for name, value in (("trials", trials), ("seed", seed)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     post_obs, selected = post

@@ -3,15 +3,14 @@
 A measurement couples the system observable A to the momentum conjugate to a
 pointer coordinate q, H = g(t) p A, so the time-integrated interaction
 exp(-i λ p A) rigidly translates the pointer by λ·a_j on eigenbranch j.  The
-pointer ready state is a Gaussian of width σ centered at 0 (any center
-works); the measured value is the pointer displacement.  λ ≫ σ separates the
-eigenvalue lobes and realizes an ideal projective measurement; λ ≪ σ leaves
-the system almost undisturbed and the post-selected mean displacement reads
-out λ·Re(A_w).
+pointer ready state is a Gaussian of width σ centered at 0, so the measured
+value is the pointer position.  λ ≫ σ separates the eigenvalue lobes and
+realizes an ideal projective measurement; λ ≪ σ leaves the system almost
+undisturbed and the post-selected mean position reads out λ·Re(A_w).
 
-Translations are performed spectrally (FFT phase ramp), so sub-grid shifts
-are exact up to grid bandwidth; index rounding would bias weak shifts that
-are far smaller than the grid spacing.
+Translations are performed spectrally (FFT phase ramp on the ready state's
+one transform), so sub-grid shifts are exact up to grid bandwidth; index
+rounding would bias weak shifts that are far smaller than the grid spacing.
 """
 
 from __future__ import annotations
@@ -36,12 +35,11 @@ def _check_finite(**values: float) -> None:
 
 @dataclass(frozen=True)
 class PointerState:
-    """A pointer wavefunction on a uniform grid; Σ|amp|²·dq = 1."""
+    """A pointer wavefunction on a uniform grid about 0; Σ|amp|²·dq = 1."""
 
     positions: np.ndarray
     amps: np.ndarray
     spacing: float
-    center: float
     sigma: float
 
     def __post_init__(self):
@@ -51,9 +49,8 @@ class PointerState:
             raise ValueError("positions and amps must be matching 1-d arrays")
         if pos.size < 256:
             raise PointerGridError(f"grid has {pos.size} points; need >= 256")
-        _check_finite(spacing=self.spacing, center=self.center, sigma=self.sigma)
-        margin = min(self.center - pos[0], pos[-1] - self.center)
-        if not margin >= 8 * self.sigma:
+        _check_finite(spacing=self.spacing, sigma=self.sigma)
+        if not min(-pos[0], pos[-1]) >= 8 * self.sigma:
             raise PointerGridError("grid must span at least 8 sigma on each side of center")
         norm = float(np.sum(np.abs(amps) ** 2) * self.spacing)
         if not abs(norm - 1.0) <= NORM_TOL:
@@ -71,16 +68,11 @@ class PointerState:
         return float(np.sum(self.positions * np.abs(self.amps) ** 2) * self.spacing)
 
 
-def make_gaussian_pointer(
-    center: float = 0.0,
-    sigma: float = 1.0,
-    n: int = DEFAULT_N,
-    span: float | None = None,
-) -> PointerState:
-    """Normalized Gaussian ready state of position spread ``sigma``."""
+def make_gaussian_pointer(sigma: float = 1.0, n: int = DEFAULT_N, span: float | None = None) -> PointerState:
+    """Normalized Gaussian ready state of position spread ``sigma``, centered at 0."""
     if span is None:
         span = DEFAULT_SPAN_SIGMAS * sigma
-    _check_finite(center=center, sigma=sigma, span=span)
+    _check_finite(sigma=sigma, span=span)
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     if not span >= 16 * sigma:
@@ -92,10 +84,10 @@ def make_gaussian_pointer(
         raise PointerGridError(f"grid too coarse: dq = {dq} > sigma/8 = {sigma / 8}")
     if dq < np.finfo(float).tiny:  # a subnormal spacing overflows the norm sums and the phase ramp
         raise PointerGridError(f"sigma {sigma!r} too small: grid spacing {dq!r} is subnormal")
-    q = center + (np.arange(n) - (n - 1) / 2) * dq
-    amps = np.exp(-(((q - center) / sigma) ** 2) / 4).astype(complex)  # in units of sigma: no overflow
+    q = (np.arange(n) - (n - 1) / 2) * dq
+    amps = np.exp(-((q / sigma) ** 2) / 4).astype(complex)  # in units of sigma: no overflow
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * dq)
-    return PointerState(q, amps, dq, center, sigma)
+    return PointerState(q, amps, dq, sigma)
 
 
 @dataclass(frozen=True)
@@ -112,18 +104,17 @@ class CouplingSpec:
 
 @dataclass(frozen=True)
 class JointState:
-    """System ⊗ pointer amplitudes, shape (system dim, grid points)."""
+    """System ⊗ pointer amplitudes, shape (system dim, grid points), on ``pointer``'s grid."""
 
     amps: np.ndarray
-    positions: np.ndarray
-    spacing: float
-    center: float
-    sigma: float
+    pointer: PointerState
 
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=complex)
-        _check_finite(spacing=self.spacing, center=self.center, sigma=self.sigma)
-        norm = float(np.sum(np.abs(amps) ** 2) * self.spacing)
+        grid = self.pointer.positions.shape
+        if amps.ndim != 2 or amps.shape[1:] != grid:
+            raise ValueError(f"joint amplitudes of shape {amps.shape} do not fit a pointer grid of shape {grid}")
+        norm = float(np.sum(np.abs(amps) ** 2) * self.pointer.spacing)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise PointerGridError(f"joint norm is {norm!r}, expected 1 within {NORM_TOL}")
         amps = amps.copy()
@@ -133,11 +124,6 @@ class JointState:
     @property
     def system_dim(self) -> int:
         return self.amps.shape[0]
-
-
-def _spectral_shift(amps: np.ndarray, shift: float, spacing: float) -> np.ndarray:
-    freqs = np.fft.fftfreq(amps.size, d=spacing)
-    return np.fft.ifft(np.fft.fft(amps) * np.exp(-2j * np.pi * freqs * shift))
 
 
 def couple(system: StateVector, pointer: PointerState, coupling: CouplingSpec) -> JointState:
@@ -150,13 +136,20 @@ def couple(system: StateVector, pointer: PointerState, coupling: CouplingSpec) -
         raise PointerGridError(
             f"max branch shift {np.max(np.abs(shifts)):.3g} exceeds span/4 = {pointer.span / 4:.3g}"
         )
+    spectrum = np.fft.fft(pointer.amps)  # each branch shifts the ready state by a phase ramp on it
+    freqs = np.fft.fftfreq(spectrum.size, d=pointer.spacing)
+    branches = [proj @ system.amps for proj in obs.projectors]
+    # np.multiply: `*` may swap the spectrum with a large temporary ramp, and complex products round by order
+    waves = [(branch, np.fft.ifft(np.multiply(spectrum, np.exp(-2j * np.pi * freqs * float(shift)))))
+             for branch, shift in zip(branches, shifts) if np.vdot(branch, branch).real >= 1e-30]
+    del spectrum, freqs  # like each wave below, freed once used: JointState's copy of the joint is the peak
     joint = np.zeros((system.dim, pointer.positions.size), dtype=complex)
-    for proj, shift in zip(obs.projectors, shifts):
-        branch = proj @ system.amps
-        if np.vdot(branch, branch).real < 1e-30:
-            continue
-        joint += np.outer(branch, _spectral_shift(pointer.amps, float(shift), pointer.spacing))
-    return JointState(joint, pointer.positions, pointer.spacing, pointer.center, pointer.sigma)
+    while waves:  # row by row, rounding as np.outer does, without its (dim, grid) temporary
+        branch, wave = waves.pop(0)
+        for amp, row in zip(branch, joint):
+            row += amp * wave
+        del wave
+    return JointState(joint, pointer)
 
 
 @dataclass(frozen=True)
@@ -167,12 +160,11 @@ class PointerReadout:
     probabilities: np.ndarray  # per grid cell, sums to 1
     _joint: np.ndarray
 
-    def sample_index(self, rng: np.random.Generator, size: int | None = None):
+    def sample_index(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` grid cells drawn from the marginal distribution."""
         cum = np.cumsum(self.probabilities)
         cum[-1] = 1.0
-        u = rng.random(size if size is not None else 1)
-        idx = np.searchsorted(cum, u, side="right")
-        return idx if size is not None else int(idx[0])
+        return np.searchsorted(cum, rng.random(size), side="right")
 
     def collapse(self, index: int) -> StateVector:
         """System state conditioned on reading the pointer in grid cell ``index``."""
@@ -181,9 +173,9 @@ class PointerReadout:
 
 def readout(joint: JointState) -> PointerReadout:
     """Marginal pointer position distribution of a joint state."""
-    probs = np.sum(np.abs(joint.amps) ** 2, axis=0) * joint.spacing
+    probs = np.sum(np.abs(joint.amps) ** 2, axis=0) * joint.pointer.spacing
     probs = probs / probs.sum()
-    return PointerReadout(joint.positions, probs, joint.amps)
+    return PointerReadout(joint.pointer.positions, probs, joint.amps)
 
 
 def _post_selected_wave(joint: JointState, post: StateVector) -> tuple[np.ndarray, float]:
@@ -191,7 +183,7 @@ def _post_selected_wave(joint: JointState, post: StateVector) -> tuple[np.ndarra
     if post.dim != joint.system_dim:
         raise DimensionMismatchError(f"post dim {post.dim} vs system dim {joint.system_dim}")
     wave = post.amps.conj() @ joint.amps
-    norm = float(np.sum(np.abs(wave) ** 2) * joint.spacing)
+    norm = float(np.sum(np.abs(wave) ** 2) * joint.pointer.spacing)
     if norm < 1e-14:
         raise ZeroOverlapError("post-selection removes all amplitude; pointer undefined")
     return wave, norm
@@ -202,8 +194,8 @@ def post_selected_pointer(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointer wave after projecting the system side onto ⟨post|; (positions, probs)."""
     wave, norm = _post_selected_wave(joint, post)
-    probs = np.abs(wave) ** 2 * joint.spacing / norm
-    return joint.positions, probs
+    probs = np.abs(wave) ** 2 * joint.pointer.spacing / norm
+    return joint.pointer.positions, probs
 
 
 def post_selected_mean_shift(
@@ -219,7 +211,7 @@ def post_selected_mean_shift(
     """
     joint = couple(pre, pointer, coupling)
     positions, probs = post_selected_pointer(joint, post)
-    return float(np.sum(positions * probs)) - pointer.center
+    return float(np.sum(positions * probs))
 
 
 def post_selected_momentum_mean(
@@ -236,6 +228,6 @@ def post_selected_momentum_mean(
     joint = couple(pre, pointer, coupling)
     wave, _ = _post_selected_wave(joint, post)
     spectrum = np.fft.fft(wave)
-    momenta = 2 * np.pi * np.fft.fftfreq(wave.size, d=joint.spacing)
+    momenta = 2 * np.pi * np.fft.fftfreq(wave.size, d=joint.pointer.spacing)
     weights = np.abs(spectrum) ** 2
     return float(np.sum(momenta * weights) / weights.sum())

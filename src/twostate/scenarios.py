@@ -82,6 +82,7 @@ from .montecarlo import (
     OutcomeStat,
     UnitaryStage,
     Z_THRESHOLD,
+    _integer,
     compare_to_abl,
     derive_seed,
     simulate,
@@ -912,8 +913,8 @@ def run_scenario(
     """Run one scenario in 'analytic', 'oracle', or 'both' mode."""
     if mode not in ("analytic", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    trials = spec.trials if trials is None else trials
-    seed = spec.seed if seed is None else seed
+    trials = spec.trials if trials is None else _integer("trials", trials)
+    seed = spec.seed if seed is None else _integer("seed", seed)
     want_analytic = mode in ("analytic", "both")
     want_oracle = mode in ("oracle", "both")
 

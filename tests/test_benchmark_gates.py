@@ -3,10 +3,13 @@
 ``perfbench/workloads.py`` holds the gates the benchmark applies to every
 operation: the sha256 of a 100,000-trial ``paper-checks`` report and the
 oracle tallies of the deep-timeline scenarios, both recorded in
-``perfbench/reference.json``.  The report pins elsewhere in the suite run at
-fewer trials, so a change that moves only a 100,000-trial digest would pass
-them.  These tests import the benchmark's own module unchanged and apply its
-gates to one battery seed and to entry 0 of each deep-timeline shape.
+``perfbench/reference.json``, the closed-form Gaussian-pointer shift at every
+coupling of a ``pointer-sweep``, and direct formulas for each query.  The
+report pins elsewhere in the suite run at fewer trials, so a change that moves
+only a 100,000-trial digest would pass them.  These tests import the
+benchmark's own module unchanged and apply its gates to one battery seed, to
+entry 0 of each deep-timeline shape, to one cycle of pointer inputs and to a
+few query points.
 
 The benchmark also bounds ``peak_rss_mb`` by 10%; the memory guard below
 bounds the traced peak of single ``simulate`` calls so that a sampler that
@@ -51,6 +54,23 @@ def test_battery_report_digest_at_100000_trials():
 def test_deep_timeline_tallies(shape):
     item = (f"{shape}:0", WORKLOADS.scenario_document(shape, 0))
     WORKLOADS.deep_check(item, WORKLOADS.deep_run(item), REFERENCE)
+
+
+POINTER_CYCLE = len(WORKLOADS.POINTER_GRIDS) + 1  # one sweep per grid, then the weak scenario
+
+
+@pytest.mark.parametrize("index", range(POINTER_CYCLE),
+                         ids=[f"sweep-n{n}" for n, _ in WORKLOADS.POINTER_GRIDS] + ["weak"])
+def test_pointer_gate(index):
+    # each sweep shift within 1e-12 of the closed-form Gaussian mean; the weak value within 1e-12
+    item = WORKLOADS.pointer_inputs(0)[index]
+    assert item[0] == ("weak" if index == POINTER_CYCLE - 1 else "sweep")
+    WORKLOADS.pointer_check(item, WORKLOADS.pointer_run(item), REFERENCE)
+
+
+def test_queries_gate():
+    for point in WORKLOADS.query_inputs(0)[:16]:
+        WORKLOADS.query_check(point, WORKLOADS.query_run(point), REFERENCE)
 
 
 # tracemalloc peak of one simulate call, in MiB, measured with the per-stage

@@ -91,6 +91,26 @@ def test_report_json_digest_is_pinned():
     )
 
 
+def test_numpy_integer_seed_derives_the_sub_seeds():
+    report = run_paper_checks(trials=1000, seed=np.int64(3))
+    assert report.to_dict() == run_paper_checks(trials=1000, seed=3).to_dict()
+    assert type(report.seed) is int
+
+
+def test_numpy_integer_trials_report_serializes():
+    report = run_paper_checks(trials=np.int64(1000), seed=3)
+    assert type(report.trials) is int
+    assert json.dumps(report.to_dict()) == json.dumps(run_paper_checks(trials=1000, seed=3).to_dict())
+
+
+@pytest.mark.parametrize("field, value", [("seed", True), ("seed", 2.5), ("trials", True), ("trials", 2.5)])
+def test_non_integer_trials_or_seed_is_named_as_given(field, value):
+    # a bool seed ran as 1 and reported seed=True; a float seed died naming a derived sub-seed
+    with pytest.raises(ValueError) as info:
+        run_paper_checks(**{"trials": 1000, "seed": 3, field: value})
+    assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+
 # summary strings of the four analytic sweeps, recorded before they were
 # evaluated on stacked arrays; they do not depend on the trial budget
 ANALYTIC_ROWS = {

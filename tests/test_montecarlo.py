@@ -199,6 +199,21 @@ class TestSimulate:
         args = UP_Z, [MeasureStage(pauli("x"), "a")], (pauli("z"), 1.0)
         assert simulate(*args, np.int64(300), np.uint64(5)) == simulate(*args, 300, 5)
 
+    def test_numpy_integer_seeds_become_python_ints(self):
+        stats = simulate(UP_Z, [MeasureStage(pauli("x"), "a")], (pauli("z"), 1.0), np.int64(300), np.uint64(5))
+        assert (type(stats.trials), type(stats.seed)) == (int, int)
+
+    def test_derive_seed_takes_a_numpy_integer(self):
+        assert derive_seed(np.int64(2**63 - 1), 1) == 2**63
+        assert derive_seed(np.uint64(2**64 - 1), 2) == 1
+
+    @pytest.mark.parametrize("seed", [3.5, True, np.float64(3)])
+    def test_chunk_rng_names_a_non_integer_seed(self, seed):
+        # 3.5 used to replay the stream of seed 3
+        with pytest.raises(ValueError) as info:
+            chunk_rng(seed, 0)
+        assert str(info.value) == f"seed must be an integer, got {seed!r}"
+
     def test_conditional_needs_one_matching_label(self):
         one = simulate(UP_Z, [MeasureStage(pauli("x"), "a")], (pauli("z"), 1.0), 200, 1)
         assert one.conditional() == one.conditional("a")

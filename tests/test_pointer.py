@@ -1,5 +1,6 @@
 """Pointer measurement model: coupling, readout, strong and weak regimes."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -27,47 +28,40 @@ UP_X = spin_state(np.pi / 2)
 
 class TestGaussianPointer:
     def test_moments(self):
-        p = make_gaussian_pointer(0.0, 1.0, 1024, 32.0)
+        p = make_gaussian_pointer(1.0, 1024, 32.0)
         assert p.mean_position() == pytest.approx(0.0, abs=1e-10)
         var = float(np.sum(p.positions**2 * np.abs(p.amps) ** 2) * p.spacing)
         assert var == pytest.approx(1.0, abs=1e-4)
 
-    def test_translation(self):
-        p = make_gaussian_pointer(3.0, 1.0, 1024, 32.0)
-        assert p.mean_position() == pytest.approx(3.0, abs=1e-10)
-
     def test_norm(self):
-        p = make_gaussian_pointer(0.0, 2.0, 512, 40.0)
+        p = make_gaussian_pointer(2.0, 512, 40.0)
         norm = float(np.sum(np.abs(p.amps) ** 2) * p.spacing)
         assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_too_coarse(self):
         with pytest.raises(PointerGridError, match="coarse"):
-            make_gaussian_pointer(0.0, 0.01, 256, 16 * 0.01 + 10)
+            make_gaussian_pointer(0.01, 256, 16 * 0.01 + 10)
 
     def test_span_floor(self):
         with pytest.raises(PointerGridError):
-            make_gaussian_pointer(0.0, 1.0, 1024, 10.0)
+            make_gaussian_pointer(1.0, 1024, 10.0)
 
     def test_point_floor(self):
         with pytest.raises(PointerGridError):
-            make_gaussian_pointer(0.0, 1.0, 128, 32.0)
+            make_gaussian_pointer(1.0, 128, 32.0)
 
-    @pytest.mark.parametrize("name", ["center", "sigma", "span"])
+    @pytest.mark.parametrize("name", ["sigma", "span"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_parameter_named(self, name, value):
         with pytest.raises(PointerGridError, match=f"^{name} must be finite"):
-            make_gaussian_pointer(**{"center": 0.0, "sigma": 1.0, "span": 64.0, name: value})
+            make_gaussian_pointer(**{"sigma": 1.0, "span": 64.0, name: value})
 
-    @pytest.mark.parametrize("name", ["spacing", "center", "sigma"])
+    @pytest.mark.parametrize("name", ["spacing", "sigma"])
     def test_states_reject_non_finite_grid_values(self, name):
         p = make_gaussian_pointer()
-        joint = couple(UP_X, p, CouplingSpec(0.1, pauli("z")))
-        grid = {"spacing": p.spacing, "center": p.center, "sigma": p.sigma, name: float("nan")}
+        grid = {"spacing": p.spacing, "sigma": p.sigma, name: float("nan")}
         with pytest.raises(PointerGridError, match=f"^{name} must be finite"):
             PointerState(p.positions, p.amps, **grid)
-        with pytest.raises(PointerGridError, match=f"^{name} must be finite"):
-            JointState(joint.amps, joint.positions, **grid)
 
     @pytest.mark.parametrize("sigma, n", [(1e-306, 4096), (1e-307, 4096), (1e-308, 4096), (1e-305, 262144)])
     def test_subnormal_spacing_rejected_naming_sigma(self, sigma, n):
@@ -90,7 +84,7 @@ class TestGaussianPointer:
         amps = p.amps.copy()
         amps[0] = np.nan
         with pytest.raises(PointerGridError, match="norm is nan"):
-            PointerState(p.positions, amps, p.spacing, p.center, p.sigma)
+            PointerState(p.positions, amps, p.spacing, p.sigma)
 
 
 class TestCouple:
@@ -122,7 +116,7 @@ class TestCouple:
         p = make_gaussian_pointer()
         for lam in (0.0, 0.01, 1.0, 10.0):
             joint = couple(spin_state(0.7, 0.1), p, CouplingSpec(lam, pauli("z")))
-            norm = float(np.sum(np.abs(joint.amps) ** 2) * joint.spacing)
+            norm = float(np.sum(np.abs(joint.amps) ** 2) * joint.pointer.spacing)
             assert norm == pytest.approx(1.0, abs=1e-8)
 
     def test_shift_exceeding_margin(self):
@@ -133,6 +127,19 @@ class TestCouple:
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError):
             CouplingSpec(-1.0, pauli("z"))
+
+    def test_joint_state_lives_on_its_pointer(self):
+        p = make_gaussian_pointer()
+        joint = couple(UP_X, p, CouplingSpec(0.1, pauli("z")))
+        assert [field.name for field in dataclasses.fields(joint)] == ["amps", "pointer"]
+        assert joint.pointer is p
+
+    def test_one_forward_transform_per_coupling(self, monkeypatch):
+        # both branches shift the ready state's one spectrum
+        p, fft, sizes = make_gaussian_pointer(), np.fft.fft, []
+        monkeypatch.setattr(np.fft, "fft", lambda a, *args: sizes.append(np.size(a)) or fft(a, *args))
+        couple(UP_X, p, CouplingSpec(0.1, pauli("z")))
+        assert sizes == [p.positions.size]
 
 
 class TestReadout:
@@ -235,20 +242,26 @@ class TestMomentumReadout:
         assert mean == pytest.approx(0.0, abs=1e-9)
 
 
-GRID = make_gaussian_pointer(0.0, 1.0, 1024, 32.0)
+GRID = make_gaussian_pointer(1.0, 1024, 32.0)
 Q, DQ = GRID.positions, GRID.spacing
 
 
 @pytest.mark.parametrize("build, error, match", [
-    pytest.param(lambda: PointerState(Q, GRID.amps[:-1], DQ, 0.0, 1.0), ValueError,
+    pytest.param(lambda: PointerState(Q, GRID.amps[:-1], DQ, 1.0), ValueError,
                  "positions and amps must be matching 1-d arrays", id="mismatched-arrays"),
-    pytest.param(lambda: PointerState(Q[:255], GRID.amps[:255], DQ, 0.0, 1.0), PointerGridError,
+    pytest.param(lambda: PointerState(Q[:255], GRID.amps[:255], DQ, 1.0), PointerGridError,
                  "grid has 255 points; need >= 256", id="under-256-points"),
-    pytest.param(lambda: PointerState(Q, GRID.amps, DQ, 0.0, 3.0), PointerGridError,
+    pytest.param(lambda: PointerState(Q, GRID.amps, DQ, 3.0), PointerGridError,
                  "at least 8 sigma on each side", id="under-8-sigma-margin"),
     pytest.param(lambda: make_gaussian_pointer(sigma=0), ValueError, "sigma must be positive", id="zero-sigma"),
-    pytest.param(lambda: JointState(np.stack([GRID.amps, GRID.amps]), Q, DQ, 0.0, 1.0), PointerGridError,
+    pytest.param(lambda: JointState(np.stack([GRID.amps, GRID.amps]), GRID), PointerGridError,
                  "joint norm is", id="joint-norm"),
+    pytest.param(lambda: JointState(GRID.amps, GRID), ValueError,
+                 r"^joint amplitudes of shape \(1024,\) do not fit a pointer grid of shape \(1024,\)$",
+                 id="joint-1d"),
+    pytest.param(lambda: JointState(np.stack([GRID.amps, 0 * GRID.amps]), make_gaussian_pointer()), ValueError,
+                 r"^joint amplitudes of shape \(2, 1024\) do not fit a pointer grid of shape \(4096,\)$",
+                 id="joint-off-grid"),
     pytest.param(lambda: couple(basis_state(3, 0), GRID, CouplingSpec(0.1, pauli("z"))), DimensionMismatchError,
                  "system dim 3 vs observable dim 2", id="couple-dims"),
     pytest.param(lambda: post_selected_pointer(couple(UP_Z, GRID, CouplingSpec(0.1, pauli("z"))), basis_state(3, 0)),

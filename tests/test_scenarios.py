@@ -726,6 +726,23 @@ class TestRunScenario:
                 post_select=1.0,
             )
 
+    def test_numpy_integer_seed_reaches_the_counterfactual_runs(self):
+        # the counterfactual runs derive their seeds from the given one
+        report = run_scenario(builtin("reality-pair"), trials=1000, seed=np.int64(3))
+        assert report.to_dict() == run_scenario(builtin("reality-pair"), trials=1000, seed=3).to_dict()
+        assert type(report.seed) is int
+
+    def test_numpy_integer_trials_report_serializes(self):
+        report = run_scenario(builtin("spin-zz-xi"), trials=np.int64(1000))
+        assert type(report.trials) is int
+        assert json.dumps(report.to_dict()) == json.dumps(run_scenario(builtin("spin-zz-xi"), trials=1000).to_dict())
+
+    @pytest.mark.parametrize("field, value", [("trials", True), ("trials", 2.5), ("seed", True), ("seed", 2.5)])
+    def test_non_integer_override_is_named_as_given(self, field, value):
+        with pytest.raises(ValueError) as info:
+            run_scenario(builtin("spin-zz-xi"), **{field: value})
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
 
 def _type_skeleton(value):
     """The Python type of every node, so a digest also pins list vs tuple
