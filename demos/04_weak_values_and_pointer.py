@@ -71,7 +71,7 @@ print(f"pre at polar angle 2.6, post at 0.4; weak value of sz = {a_w.real:.6f}")
 print("(outside [-1, +1]!), and the pointer finds it:")
 print(f"   {'coupling':>10} {'shift/coupling':>16} {'error':>12}")
 for lam in (0.4, 0.2, 0.1, 0.05, 0.025):
-    shift = post_selected_mean_shift(pre, post, CouplingSpec(lam, pauli("z")), pointer)
+    shift = post_selected_mean_shift(couple(pre, pointer, CouplingSpec(lam, pauli("z"))), post)
     print(f"   {lam:10.3f} {shift / lam:16.8f} {abs(shift / lam - a_w.real):12.3e}")
 print("the error falls off quadratically in the coupling.")
 
@@ -81,9 +81,8 @@ print("3. The imaginary part lives in the momentum distribution")
 print("=" * 70)
 up_z, up_x = spin_state(0), spin_state(np.pi / 2)
 for pre_s, post_s, label in ((up_z, up_x, "+i"), (up_x, up_z, "-i")):
-    p_mean = post_selected_momentum_mean(
-        pre_s, post_s, CouplingSpec(0.05, pauli("y")), pointer
-    )
+    joint = couple(pre_s, pointer, CouplingSpec(0.05, pauli("y")))
+    p_mean = post_selected_momentum_mean(joint, post_s)
     print(f"   weak value of sy = {label}: post-selected momentum mean {p_mean:+.6f}")
 print("swapping the selections conjugates the weak value; the position shift")
 print("is unchanged while the momentum shift flips sign.")

@@ -28,6 +28,7 @@ from .errors import DimensionMismatchError, NormalizationError, ObservableError
 VALIDATE_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
 EIGENVALUE_TOL = 1e-9  # an eigenvalue given by value matches a branch within this
+ZERO_NORM_FLOOR = 1e-14  # a vector of smaller norm has no direction to normalize to
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -99,7 +100,7 @@ def _unit_rows(amps, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
         amps = np.where(ok[..., None], amps, 0)
     if normalize:
         norm = _norms(amps)
-        ok &= ~(norm < 1e-14)
+        ok &= ~(norm < ZERO_NORM_FLOOR)
         amps = amps / np.where(ok, norm, 1.0)[..., None]
     norm = _norms(amps)
     ok &= ~(np.abs(norm - 1.0) > VALIDATE_TOL)
@@ -170,7 +171,7 @@ class StateVector:
         """Build a state from an arbitrary nonzero amplitude vector."""
         arr = _as_complex_vector(values, "state")
         norm = float(np.linalg.norm(arr))
-        if norm < 1e-14:
+        if norm < ZERO_NORM_FLOOR:
             raise NormalizationError("cannot normalize a (near-)zero vector")
         return cls(arr / norm)
 

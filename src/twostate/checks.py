@@ -57,7 +57,8 @@ from .montecarlo import (
     derive_seed,
     simulate,
 )
-from .pointer import CouplingSpec, make_gaussian_pointer, post_selected_mean_shift, couple, post_selected_pointer
+from .pointer import (CouplingSpec, _sample_cells, couple, make_gaussian_pointer, post_selected_mean_shift,
+                      post_selected_pointer)
 from .rules import (
     OutcomeDistribution,
     TwoStateVector,
@@ -533,10 +534,7 @@ def check_pointer_strong(seed: int, z: float = Z_THRESHOLD) -> CheckResult:
     pointer = make_gaussian_pointer()
     positions, probs = post_selected_pointer(couple(pre, pointer, coupling), post)
     rng = _seed_stream(derive_seed(seed, 1))
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    idx = np.searchsorted(cum, rng.random(samples), side="right")
-    sampled = positions[idx]
+    sampled = positions[_sample_cells(probs, rng, samples)]
     lobes = coupling.strength * obs.eigenvalues
     nearest = np.argmin(np.abs(sampled[:, None] - lobes[None, :]), axis=1)
     predicted = abl_probabilities(TwoStateVector(pre, post), obs)
@@ -559,7 +557,7 @@ def check_pointer_weak_convergence() -> CheckResult:
     pointer = make_gaussian_pointer()
     errors = []
     for lam in (0.1, 0.05, 0.025):
-        shift = post_selected_mean_shift(pre, post, CouplingSpec(lam, obs), pointer)
+        shift = post_selected_mean_shift(couple(pre, pointer, CouplingSpec(lam, obs)), post)
         errors.append(abs(shift / lam - wv.real))
     ratios = [errors[1] / errors[0], errors[2] / errors[1]]
     ok = all(r <= 0.3 for r in ratios)

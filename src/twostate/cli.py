@@ -32,7 +32,8 @@ from .errors import (
     ZeroOverlapError,
 )
 from .montecarlo import Z_THRESHOLD, MeasureStage, simulate
-from .pointer import DEFAULT_N, DEFAULT_SPAN_SIGMAS, CouplingSpec, make_gaussian_pointer, post_selected_mean_shift
+from .pointer import (DEFAULT_N, DEFAULT_SPAN_SIGMAS, CouplingSpec, couple, make_gaussian_pointer,
+                      post_selected_mean_shift)
 from .rules import TwoStateVector, abl_probabilities, born_probabilities, weak_value
 from .scenarios import (DEFAULT_SEED, DEFAULT_TRIALS, _encode_complex, _fmt, _fmt_complex, builtin,
                         builtin_names, builtin_parameters, load_scenario, run_scenario)
@@ -261,7 +262,7 @@ def cmd_pointer_sweep(args) -> int:
                            f"not above 1e4 * eps * --sigma: the grid cannot resolve it")
     rows = []
     for lam in couplings:
-        shift = post_selected_mean_shift(pre, post, CouplingSpec(lam, obs), pointer)
+        shift = post_selected_mean_shift(couple(pre, pointer, CouplingSpec(lam, obs)), post)
         per = shift / lam
         rows.append(
             {

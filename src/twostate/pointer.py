@@ -8,6 +8,9 @@ value is the pointer position.  λ ≫ σ separates the eigenvalue lobes and
 realizes an ideal projective measurement; λ ≪ σ leaves the system almost
 undisturbed and the post-selected mean position reads out λ·Re(A_w).
 
+``couple`` makes the ``JointState`` that ``readout`` and every post-selected
+reading take, so one coupling serves as many readings as a caller needs.
+
 Translations are performed spectrally (FFT phase ramp on the ready state's
 one transform), so sub-grid shifts are exact up to grid bandwidth; index
 rounding would bias weak shifts that are far smaller than the grid spacing.
@@ -152,6 +155,13 @@ def couple(system: StateVector, pointer: PointerState, coupling: CouplingSpec) -
     return JointState(joint, pointer)
 
 
+def _sample_cells(probs: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` grid cells drawn from the per-cell ``probs`` by inverse CDF, one uniform each."""
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return np.searchsorted(cum, rng.random(size), side="right")
+
+
 @dataclass(frozen=True)
 class PointerReadout:
     """Marginal pointer distribution plus the conditional system collapse map."""
@@ -162,9 +172,7 @@ class PointerReadout:
 
     def sample_index(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` grid cells drawn from the marginal distribution."""
-        cum = np.cumsum(self.probabilities)
-        cum[-1] = 1.0
-        return np.searchsorted(cum, rng.random(size), side="right")
+        return _sample_cells(self.probabilities, rng, size)
 
     def collapse(self, index: int) -> StateVector:
         """System state conditioned on reading the pointer in grid cell ``index``."""
@@ -189,43 +197,29 @@ def _post_selected_wave(joint: JointState, post: StateVector) -> tuple[np.ndarra
     return wave, norm
 
 
-def post_selected_pointer(
-    joint: JointState, post: StateVector
-) -> tuple[np.ndarray, np.ndarray]:
+def post_selected_pointer(joint: JointState, post: StateVector) -> tuple[np.ndarray, np.ndarray]:
     """Pointer wave after projecting the system side onto ⟨post|; (positions, probs)."""
     wave, norm = _post_selected_wave(joint, post)
     probs = np.abs(wave) ** 2 * joint.pointer.spacing / norm
     return joint.pointer.positions, probs
 
 
-def post_selected_mean_shift(
-    pre: StateVector,
-    post: StateVector,
-    coupling: CouplingSpec,
-    pointer: PointerState,
-) -> float:
-    """Mean pointer displacement conditioned on post-selecting the system.
+def post_selected_mean_shift(joint: JointState, post: StateVector) -> float:
+    """Mean pointer position of ``joint`` after post-selecting the system on ``post``.
 
     In the weak regime λ ≪ σ, (shift / λ) converges to Re(A_w) with error
     O((λ/σ)²); with pre = post = an eigenstate the shift is λ·a at any λ.
     """
-    joint = couple(pre, pointer, coupling)
     positions, probs = post_selected_pointer(joint, post)
     return float(np.sum(positions * probs))
 
 
-def post_selected_momentum_mean(
-    pre: StateVector,
-    post: StateVector,
-    coupling: CouplingSpec,
-    pointer: PointerState,
-) -> float:
-    """Mean pointer momentum after post-selection.
+def post_selected_momentum_mean(joint: JointState, post: StateVector) -> float:
+    """Mean pointer momentum of ``joint`` after post-selecting the system on ``post``.
 
     The displacement from the (zero) initial momentum mean tracks Im(A_w):
     validated qualitatively by sign, not by a quantitative formula.
     """
-    joint = couple(pre, pointer, coupling)
     wave, _ = _post_selected_wave(joint, post)
     spectrum = np.fft.fft(wave)
     momenta = 2 * np.pi * np.fft.fftfreq(wave.size, d=joint.pointer.spacing)

@@ -88,6 +88,7 @@ from .montecarlo import (
     simulate,
 )
 from .rules import (
+    DENOMINATOR_FLOOR,
     OutcomeDistribution,
     ProductRuleReport,
     RealityReport,
@@ -136,10 +137,15 @@ class ScenarioSpec:
 
     def __post_init__(self):
         """Every check that spans fields, and those of trials and seed, each naming its part by document path."""
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) or self.trials < 1:
-            raise ScenarioFormatError("trials: expected a positive integer")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
-            raise ScenarioFormatError("seed: expected an integer in [0, 2**64)")
+        for name, ok, expected in (("trials", lambda n: n >= 1, "a positive integer"),
+                                   ("seed", lambda n: 0 <= n < 2**64, "an integer in [0, 2**64)")):
+            try:
+                value = _integer(name, getattr(self, name))
+            except ValueError:
+                value = None
+            if value is None or not ok(value):
+                raise ScenarioFormatError(f"{name}: expected {expected}")
+            object.__setattr__(self, name, value)  # a Python int, so that the document serializes
         parts = [("pre", self.pre), *((f"timeline[{i}]", e) for i, e in enumerate(self.timeline)),
                  ("post.observable", self.post_observable)]
         parts += [(f"counterfactuals[{i}].observable", obs) for i, (_, obs) in enumerate(self.counterfactuals)]
@@ -813,7 +819,7 @@ def analytic_predictions(spec: ScenarioSpec):
     if spec.counterfactuals or spec.products:
         kets[end] = StateVector(ket)
     acceptance = float(np.trace(q_sel @ rho).real)
-    if acceptance <= 1e-14:
+    if acceptance <= DENOMINATOR_FLOOR:
         raise ZeroDenominatorError(
             f"scenario {spec.name!r}: post-selection unreachable through every branch"
         )
@@ -856,19 +862,14 @@ def _weak_report(stage: WeakStage, tsv: TwoStateVector, validate: bool) -> WeakV
     obs = SpectralObservable.from_hermitian(stage.operator.matrix)
     lam = min(stage.strength, 0.1, 0.05 / max(1.0, abs(value)))
     pointer = pointer_model.make_gaussian_pointer()
-    shifts = []
-    for li in (lam, lam / 2):
-        s = pointer_model.post_selected_mean_shift(
-            tsv.pre, tsv.post, pointer_model.CouplingSpec(li, obs), pointer
-        )
-        shifts.append(s / li)
+    strengths = (lam, lam / 2)
+    joints = [pointer_model.couple(tsv.pre, pointer, pointer_model.CouplingSpec(li, obs)) for li in strengths]
+    shifts = [pointer_model.post_selected_mean_shift(j, tsv.post) / li for j, li in zip(joints, strengths)]
     extrapolated = (4 * shifts[1] - shifts[0]) / 3
     re_ok = abs(extrapolated - value.real) <= 1e-5 * max(1.0, abs(value.real))
     sign_ok: bool | None = None
-    if abs(value.imag) > 1e-6:
-        p_mean = pointer_model.post_selected_momentum_mean(
-            tsv.pre, tsv.post, pointer_model.CouplingSpec(lam, obs), pointer
-        )
+    if abs(value.imag) > 1e-6:  # the momentum reads the joint coupled at λ
+        p_mean = pointer_model.post_selected_momentum_mean(joints[0], tsv.post)
         sign_ok = bool(np.sign(p_mean) == np.sign(value.imag))
     passed = re_ok and (sign_ok is not False)
     return WeakValueReport(
@@ -913,6 +914,9 @@ def run_scenario(
     """Run one scenario in 'analytic', 'oracle', or 'both' mode."""
     if mode not in ("analytic", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")
+    for name, value in (("trials", trials), ("seed", seed)):
+        if mode == "analytic" and value is not None:
+            raise ValueError(f"{name} overrides the Monte-Carlo oracle, which mode 'analytic' does not run")
     trials = spec.trials if trials is None else _integer("trials", trials)
     seed = spec.seed if seed is None else _integer("seed", seed)
     want_analytic = mode in ("analytic", "both")

@@ -186,19 +186,19 @@ class TestPostSelectedShift:
     def test_eigenstate_exact_at_any_strength(self):
         p = make_gaussian_pointer()
         for lam in (0.01, 1.0, 10.0):
-            shift = post_selected_mean_shift(UP_Z, UP_Z, CouplingSpec(lam, pauli("z")), p)
+            shift = post_selected_mean_shift(couple(UP_Z, p, CouplingSpec(lam, pauli("z"))), UP_Z)
             assert shift == pytest.approx(lam, abs=1e-8)
 
     def test_weak_limit_reads_real_part(self):
         p = make_gaussian_pointer()
-        shift = post_selected_mean_shift(UP_Z, UP_X, CouplingSpec(0.01, pauli("z")), p)
+        shift = post_selected_mean_shift(couple(UP_Z, p, CouplingSpec(0.01, pauli("z"))), UP_X)
         assert shift / 0.01 == pytest.approx(1.0, abs=1e-3)
 
     def test_cross_module_oracle(self):
         pre = spin_state(2 * np.pi / 3)
         wv = weak_value(TwoStateVector(pre, UP_Z), pauli_operator("z"))
         p = make_gaussian_pointer()
-        shift = post_selected_mean_shift(pre, UP_Z, CouplingSpec(0.01, pauli("z")), p)
+        shift = post_selected_mean_shift(couple(pre, p, CouplingSpec(0.01, pauli("z"))), UP_Z)
         assert shift / 0.01 == pytest.approx(wv.real, abs=1e-2)
 
     def test_quadratic_convergence(self):
@@ -207,7 +207,7 @@ class TestPostSelectedShift:
         p = make_gaussian_pointer()
         errors = []
         for lam in (0.1, 0.05, 0.025):
-            shift = post_selected_mean_shift(pre, post, CouplingSpec(lam, pauli("z")), p)
+            shift = post_selected_mean_shift(couple(pre, p, CouplingSpec(lam, pauli("z"))), post)
             errors.append(abs(shift / lam - wv.real))
         assert errors[1] / errors[0] <= 0.3
         assert errors[2] / errors[1] <= 0.3
@@ -216,29 +216,28 @@ class TestPostSelectedShift:
         pre, post = spin_state(0.9, 0.5), spin_state(2.1, -0.3)
         p = make_gaussian_pointer()
         coupling = CouplingSpec(0.05, pauli("z"))
-        forward = post_selected_mean_shift(pre, post, coupling, p)
-        backward = post_selected_mean_shift(post, pre, coupling, p)
+        forward = post_selected_mean_shift(couple(pre, p, coupling), post)
+        backward = post_selected_mean_shift(couple(post, p, coupling), pre)
         assert forward == pytest.approx(backward, abs=1e-8)
 
     def test_orthogonal_selection_rejected(self):
         p = make_gaussian_pointer()
+        joint = couple(UP_Z, p, CouplingSpec(0.01, pauli("z")))
         with pytest.raises(ZeroOverlapError):
-            post_selected_mean_shift(
-                UP_Z, basis_state(2, 1), CouplingSpec(0.01, pauli("z")), p
-            )
+            post_selected_mean_shift(joint, basis_state(2, 1))
 
 
 class TestMomentumReadout:
     def test_sign_tracks_imaginary_part(self):
         p = make_gaussian_pointer()
         coupling = CouplingSpec(0.05, pauli("y"))
-        plus = post_selected_momentum_mean(UP_Z, UP_X, coupling, p)  # A_w = +i
-        minus = post_selected_momentum_mean(UP_X, UP_Z, coupling, p)  # A_w = -i
+        plus = post_selected_momentum_mean(couple(UP_Z, p, coupling), UP_X)  # A_w = +i
+        minus = post_selected_momentum_mean(couple(UP_X, p, coupling), UP_Z)  # A_w = -i
         assert plus > 0 and minus < 0
 
     def test_real_weak_value_leaves_momentum_untouched(self):
         p = make_gaussian_pointer()
-        mean = post_selected_momentum_mean(UP_Z, UP_Z, CouplingSpec(0.05, pauli("z")), p)
+        mean = post_selected_momentum_mean(couple(UP_Z, p, CouplingSpec(0.05, pauli("z"))), UP_Z)
         assert mean == pytest.approx(0.0, abs=1e-9)
 
 
