@@ -137,14 +137,14 @@ class ScenarioSpec:
 
     def __post_init__(self):
         """Every check that spans fields, and those of trials and seed, each naming its part by document path."""
-        for name, ok, expected in (("trials", lambda n: n >= 1, "a positive integer"),
-                                   ("seed", lambda n: 0 <= n < 2**64, "an integer in [0, 2**64)")):
+        for name, low, high, expected in (("trials", 1, np.inf, "a positive integer"),
+                                          ("seed", 0, 2**64, "an integer in [0, 2**64)")):
             try:
                 value = _integer(name, getattr(self, name))
+                if not low <= value < high:
+                    raise ValueError
             except ValueError:
-                value = None
-            if value is None or not ok(value):
-                raise ScenarioFormatError(f"{name}: expected {expected}")
+                raise ScenarioFormatError(f"{name}: expected {expected}") from None
             object.__setattr__(self, name, value)  # a Python int, so that the document serializes
         parts = [("pre", self.pre), *((f"timeline[{i}]", e) for i, e in enumerate(self.timeline)),
                  ("post.observable", self.post_observable)]
