@@ -8,7 +8,10 @@ so all representations are dense ``complex128`` arrays.
 Tolerances follow one convention throughout: structural validation at 1e-10.
 A :class:`StateVector` accepts amplitudes whose norm is 1 within 1e-10 and
 divides them by that norm; only :meth:`StateVector.normalized` scales an
-arbitrary nonzero vector.  Inputs that violate an invariant raise.  Every
+arbitrary nonzero vector.  Inputs that violate an invariant raise.  Each
+value is validated once, when it is built: a state in one pass that takes
+``np.linalg.norm``'s own arithmetic, an observable by whole-stack maxima,
+with its branches examined one by one only to name a failure.  Every
 eigenvalue given by value in the package names the one branch within
 ``EIGENVALUE_TOL`` of it; none or several raise ValueError.  The constant
 observables (:func:`pauli`, :func:`which_path`, :func:`bell_basis`) are shared
@@ -17,7 +20,8 @@ immutable instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterator, Sequence, Union
 
@@ -37,13 +41,21 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
-def _as_complex_vector(values, what: str) -> np.ndarray:
+def _norm(arr: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, op for op: sqrt(re·re + im·im) by ``.dot``."""
+    flat = arr.ravel(order="K")
+    return math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+
+
+def _state_norm(values) -> tuple[np.ndarray, float]:
+    """``values`` as a nonempty 1-d complex array of finite amplitudes, and its norm."""
     arr = np.asarray(values, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{what} must be a nonempty 1-d amplitude array")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} contains non-finite amplitudes")
-    return arr
+        raise ValueError("state must be a nonempty 1-d amplitude array")
+    norm = _norm(arr)
+    if not math.isfinite(norm) and not np.isfinite(arr).all():  # a finite norm has finite terms only
+        raise ValueError("state contains non-finite amplitudes")
+    return arr, norm
 
 
 def _as_complex_matrix(values, what: str) -> np.ndarray:
@@ -157,20 +169,24 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        arr = _as_complex_vector(self.amps, "state")
-        norm = float(np.linalg.norm(arr))
+        arr, norm = _state_norm(self.amps)
         if abs(norm - 1.0) > VALIDATE_TOL:
             raise NormalizationError(
                 f"state norm is {norm!r}; expected 1 within {VALIDATE_TOL} "
                 "(use StateVector.normalized for unnormalized input)"
             )
-        object.__setattr__(self, "amps", _frozen(arr / norm))
+        unit = arr / norm  # a fresh array: frozen without a copy
+        unit.setflags(write=False)
+        object.__setattr__(self, "amps", unit)
 
     @classmethod
     def normalized(cls, values) -> "StateVector":
-        """Build a state from an arbitrary nonzero amplitude vector."""
-        arr = _as_complex_vector(values, "state")
-        norm = float(np.linalg.norm(arr))
+        """Build a state from an arbitrary nonzero amplitude vector.
+
+        The input is checked once and divided by its norm; the constructor
+        then divides the quotient by its own norm, as every stored state is.
+        """
+        arr, norm = _state_norm(values)
         if norm < ZERO_NORM_FLOOR:
             raise NormalizationError("cannot normalize a (near-)zero vector")
         return cls(arr / norm)
@@ -233,6 +249,26 @@ class Unitary(LinearOperator):
         return Unitary(self.matrix.conj().T)
 
 
+def _diagnose_branches(values, products, skew, resolution) -> None:
+    """``SpectralObservable``'s per-branch checks, which raise its first message in branch order."""
+    defective = (np.abs(products).max(axis=(2, 3)) > VALIDATE_TOL).tolist()
+    skewed = (np.abs(skew).max(axis=(1, 2)) > VALIDATE_TOL).tolist()
+    branches = range(len(values))
+    for j in branches:
+        if defective[j][j]:
+            raise ObservableError(f"branch {j}: projector is not idempotent")
+        if skewed[j]:
+            raise ObservableError(f"branch {j}: projector is not Hermitian")
+    for j in branches:
+        for k in range(j + 1, len(values)):
+            if defective[j][k]:
+                raise ObservableError(f"branches {j} and {k}: projectors are not orthogonal")
+            if abs(values[j] - values[k]) <= VALIDATE_TOL:
+                raise ObservableError(f"branches {j} and {k}: eigenvalues coincide")
+    if np.abs(resolution).max() > VALIDATE_TOL:
+        raise ObservableError("projectors do not resolve the identity")
+
+
 @dataclass(frozen=True)
 class SpectralObservable:
     """An observable as (eigenvalue, orthogonal projector) branches resolving identity.
@@ -243,6 +279,7 @@ class SpectralObservable:
 
     eigenvalues: np.ndarray  # (k,) real, distinct
     projectors: np.ndarray  # (k, dim, dim)
+    _values: tuple[float, ...] = field(init=False, repr=False, compare=False)  # the eigenvalues as floats
 
     def __post_init__(self):
         eigs = np.asarray(self.eigenvalues, dtype=float)
@@ -253,27 +290,24 @@ class SpectralObservable:
             raise ObservableError(f"projector stack has shape {projs.shape}, expected (k, d, d)")
         if not np.isfinite(eigs).all() or not np.isfinite(projs).all():
             raise ObservableError("non-finite eigenvalue or projector entry")
-        dim, branches = projs.shape[1], range(eigs.size)
-        # one batched max |P_j P_l - δ_jl P_j|: idempotence on the diagonal, orthogonality off it
+        dim, values = projs.shape[1], eigs.tolist()
+        # one batched |P_j P_l - δ_jl P_j|: idempotence on the diagonal, orthogonality off it
         products = projs[:, None] @ projs[None, :]
         products.reshape(-1, dim, dim)[:: eigs.size + 1] -= projs
-        defective = (np.abs(products).max(axis=(2, 3)) > VALIDATE_TOL).tolist()
-        skewed = (np.abs(projs - projs.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > VALIDATE_TOL).tolist()
-        for j in branches:
-            if defective[j][j]:
-                raise ObservableError(f"branch {j}: projector is not idempotent")
-            if skewed[j]:
-                raise ObservableError(f"branch {j}: projector is not Hermitian")
-        for j in branches:
-            for k in range(j + 1, eigs.size):
-                if defective[j][k]:
-                    raise ObservableError(f"branches {j} and {k}: projectors are not orthogonal")
-                if abs(eigs[j] - eigs[k]) <= VALIDATE_TOL:
-                    raise ObservableError(f"branches {j} and {k}: eigenvalues coincide")
-        if np.abs(projs.sum(axis=0) - np.eye(dim)).max() > VALIDATE_TOL:
-            raise ObservableError("projectors do not resolve the identity")
+        skew = projs - projs.conj().transpose(0, 2, 1)
+        resolution = projs.sum(axis=0) - np.eye(dim)
+        ordered = sorted(values)  # the closest pair of eigenvalues is adjacent in order
+        # whole-stack maxima accept (a NaN fails them); only a failure is traced to its branch
+        if not (
+            np.abs(products).max() <= VALIDATE_TOL
+            and np.abs(skew).max() <= VALIDATE_TOL
+            and all(b - a > VALIDATE_TOL for a, b in zip(ordered, ordered[1:]))
+            and np.abs(resolution).max() <= VALIDATE_TOL
+        ):
+            _diagnose_branches(values, products, skew, resolution)
         object.__setattr__(self, "eigenvalues", _frozen(eigs))
         object.__setattr__(self, "projectors", _frozen(projs))
+        object.__setattr__(self, "_values", tuple(values))
 
     @property
     def dim(self) -> int:

@@ -28,6 +28,7 @@ from .errors import DimensionMismatchError, PointerGridError, ZeroOverlapError
 DEFAULT_N = 4096
 DEFAULT_SPAN_SIGMAS = 64.0
 NORM_TOL = 1e-8
+FILL_BLOCK = 16384  # grid points per product while a joint is filled
 
 
 def _check_finite(**values: float) -> None:
@@ -105,6 +106,18 @@ class CouplingSpec:
             raise ValueError("coupling strength must be finite and >= 0")
 
 
+def _frozen_joint(amps: np.ndarray, pointer: PointerState) -> np.ndarray:
+    """A joint's own complex ``amps``, checked against ``pointer``'s grid and the norm, made read-only."""
+    grid = pointer.positions.shape
+    if amps.ndim != 2 or amps.shape[1:] != grid:
+        raise ValueError(f"joint amplitudes of shape {amps.shape} do not fit a pointer grid of shape {grid}")
+    norm = float(np.sum(np.abs(amps) ** 2) * pointer.spacing)
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise PointerGridError(f"joint norm is {norm!r}, expected 1 within {NORM_TOL}")
+    amps.setflags(write=False)
+    return amps
+
+
 @dataclass(frozen=True)
 class JointState:
     """System ⊗ pointer amplitudes, shape (system dim, grid points), on ``pointer``'s grid."""
@@ -113,16 +126,15 @@ class JointState:
     pointer: PointerState
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        grid = self.pointer.positions.shape
-        if amps.ndim != 2 or amps.shape[1:] != grid:
-            raise ValueError(f"joint amplitudes of shape {amps.shape} do not fit a pointer grid of shape {grid}")
-        norm = float(np.sum(np.abs(amps) ** 2) * self.pointer.spacing)
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise PointerGridError(f"joint norm is {norm!r}, expected 1 within {NORM_TOL}")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", _frozen_joint(np.array(self.amps, dtype=complex, order="C"), self.pointer))
+
+    @classmethod
+    def _adopt(cls, amps: np.ndarray, pointer: PointerState) -> "JointState":
+        """``JointState(amps, pointer)`` for a complex array no one else holds: checked and frozen, not copied."""
+        joint = object.__new__(cls)
+        object.__setattr__(joint, "pointer", pointer)
+        object.__setattr__(joint, "amps", _frozen_joint(amps, pointer))
+        return joint
 
     @property
     def system_dim(self) -> int:
@@ -145,14 +157,15 @@ def couple(system: StateVector, pointer: PointerState, coupling: CouplingSpec) -
     # np.multiply: `*` may swap the spectrum with a large temporary ramp, and complex products round by order
     waves = [(branch, np.fft.ifft(np.multiply(spectrum, np.exp(-2j * np.pi * freqs * float(shift)))))
              for branch, shift in zip(branches, shifts) if np.vdot(branch, branch).real >= 1e-30]
-    del spectrum, freqs  # like each wave below, freed once used: JointState's copy of the joint is the peak
+    del spectrum, freqs  # like each wave below, freed once used; the joint is handed over, not copied
     joint = np.zeros((system.dim, pointer.positions.size), dtype=complex)
-    while waves:  # row by row, rounding as np.outer does, without its (dim, grid) temporary
+    while waves:  # row by row, rounding as np.outer does, in blocks: no (dim, grid) or (grid,) temporary
         branch, wave = waves.pop(0)
         for amp, row in zip(branch, joint):
-            row += amp * wave
+            for start in range(0, wave.size, FILL_BLOCK):
+                row[start : start + FILL_BLOCK] += amp * wave[start : start + FILL_BLOCK]
         del wave
-    return JointState(joint, pointer)
+    return JointState._adopt(joint, pointer)
 
 
 def _sample_cells(probs: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -45,6 +45,9 @@ class TwoStateVector:
     pre: StateVector
     post: StateVector
     overlap: complex = field(init=False)
+    # the ABL distributions given so far, by observable identity; each entry holds its
+    # observable, so the id cannot pass to another object while the entry lives
+    _conditionals: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pre.dim != self.post.dim:
@@ -92,11 +95,22 @@ def born_probabilities(psi: StateVector, observable: SpectralObservable) -> Outc
         raise DimensionMismatchError(f"state dim {psi.dim} vs observable dim {observable.dim}")
     probs = np.einsum("i,kij,j->k", psi.amps.conj(), observable.projectors, psi.amps).real
     total = probs.sum()
-    return OutcomeDistribution(tuple(observable.eigenvalues), tuple(probs / total))
+    return OutcomeDistribution(observable._values, tuple((probs / total).tolist()))
 
 
 def abl_probabilities(tsv: TwoStateVector, observable: SpectralObservable) -> OutcomeDistribution:
-    """Conditional outcome distribution for a measurement between the two selections."""
+    """Conditional outcome distribution for a measurement between the two selections.
+
+    ``tsv`` keeps each distribution it gives, so asking again for the same
+    observable object returns the same distribution without evaluating it.
+    """
+    entry = tsv._conditionals.get(id(observable))
+    if entry is None:
+        entry = tsv._conditionals[id(observable)] = (observable, _abl_distribution(tsv, observable))
+    return entry[1]
+
+
+def _abl_distribution(tsv: TwoStateVector, observable: SpectralObservable) -> OutcomeDistribution:
     if tsv.dim != observable.dim:
         raise DimensionMismatchError(f"state dim {tsv.dim} vs observable dim {observable.dim}")
     amps = np.einsum("i,kij,j->k", tsv.post.amps.conj(), observable.projectors, tsv.pre.amps)
@@ -106,7 +120,7 @@ def abl_probabilities(tsv: TwoStateVector, observable: SpectralObservable) -> Ou
         raise ZeroDenominatorError(
             "post-selection unreachable through every branch of this measurement"
         )
-    return OutcomeDistribution(tuple(observable.eigenvalues), tuple(weights / denom))
+    return OutcomeDistribution(observable._values, tuple((weights / denom).tolist()))
 
 
 def weak_value(tsv: TwoStateVector, operator: LinearOperator) -> complex:

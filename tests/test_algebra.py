@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from twostate.algebra import (
     LinearOperator,
     _hermitian_branches,
+    _norm,
     _spectra_ok,
     _spin_projectors,
     _unit_rows,
@@ -177,6 +178,60 @@ class TestStateVector:
         with pytest.raises(ValueError):
             psi.amps[0] = 0
 
+    def test_does_not_alias_its_input(self):
+        amps = np.array([0.6, 0.8j])
+        psi = StateVector(amps)
+        amps[0] = 1.0
+        assert psi.amps.tolist() == [0.6, 0.8j]
+
+    @pytest.mark.parametrize("values, error, match", [
+        ([[1.0, 0.0]], ValueError, "nonempty 1-d"),
+        ([], ValueError, "nonempty 1-d"),
+        ([np.inf, 0.0], ValueError, "non-finite"),
+        ([1.0, complex(0.0, np.nan)], ValueError, "non-finite"),
+    ])
+    def test_checks_in_order(self, values, error, match):
+        with pytest.raises(error, match=match):
+            StateVector(np.array(values, dtype=complex))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")  # as np.linalg.norm warns
+    def test_overflowing_norm_is_a_norm_error(self):
+        with pytest.raises(NormalizationError, match="state norm is inf"):
+            StateVector(np.array([1e200, 1e200], dtype=complex))
+        with pytest.raises(NormalizationError, match="state norm is 0.0"):
+            StateVector.normalized([1e200, 1e200])
+
+
+def _signed(magnitude: float, negative: bool) -> float:
+    return -magnitude if negative else magnitude
+
+
+# one part of an amplitude: ±0 or a magnitude in [1e-150, 1e150]
+PARTS = st.builds(_signed, st.one_of(st.just(0.0), st.floats(1e-150, 1e150)), st.booleans())
+
+
+class TestNumpyArithmetic:
+    """``StateVector``'s one-pass norm is ``np.linalg.norm``'s arithmetic; a numpy that changes it fails here."""
+
+    @given(
+        parts=st.integers(1, 8).flatmap(lambda d: st.lists(PARTS, min_size=2 * d, max_size=2 * d)),
+        layout=st.sampled_from(["contiguous", "reversed", "strided"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_norm_and_normalized_match_numpy_bit_for_bit(self, parts, layout):
+        x = np.empty(len(parts) // 2, dtype=complex)
+        x.real, x.imag = parts[0::2], parts[1::2]  # each signed zero as drawn
+        x = {"contiguous": x, "reversed": x[::-1].copy()[::-1], "strided": np.repeat(x, 2)[::2]}[layout]
+        norm = np.linalg.norm(x)
+        assert np.float64(_norm(x)).tobytes() == norm.tobytes()
+        if norm < 1e-14:
+            with pytest.raises(NormalizationError, match="zero vector"):
+                StateVector.normalized(x)
+            return
+        y = x / float(norm)
+        y = y / float(np.linalg.norm(y))  # the reference: two divisions, as every normalized state has
+        assert StateVector.normalized(x).amps.tobytes() == y.tobytes()
+
 
 class TestSpectralObservable:
     def test_pauli_z_branches(self):
@@ -307,7 +362,7 @@ DEFECTS = ("none", "scale", "skew", "tilt", "coincide", "drop", "duplicate", "no
 
 @st.composite
 def projector_stacks(draw):
-    """A valid (eigenvalues, projectors) stack, optionally broken in one way.
+    """A valid (eigenvalues, projectors) stack, optionally broken in one or two ways.
 
     Perturbation sizes straddle the 1e-10 tolerance, so both sides of every
     threshold are drawn.
@@ -319,28 +374,31 @@ def projector_stacks(draw):
     cols = np.split(random_unitary(rng, dim).matrix, cuts, axis=1)
     projs = np.array([c @ c.conj().T for c in cols])
     eigs = rng.normal(size=k)
-    defect = draw(st.sampled_from(DEFECTS))
-    eps = draw(st.sampled_from([1e-13, 3e-11, 1e-10, 3e-10, 1e-6, 0.3]))
-    j, l = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
-    if defect == "scale":  # breaks idempotence, then resolution
-        projs[j] *= 1 + eps
-    elif defect == "skew":  # breaks Hermiticity
-        a, b = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
-        projs[j, a, b] += eps * 1j if a == b else eps
-    elif defect == "tilt":  # still a projector, no longer orthogonal to the others
-        v = cols[j][:, 0] + eps * rng.normal(size=dim)
-        v = v / np.linalg.norm(v)
-        projs[j] += np.outer(v, v.conj()) - np.outer(cols[j][:, 0], cols[j][:, 0].conj())
-    elif defect == "coincide" and j != l:  # from 0, so 1e-10 is an exact difference
-        eigs[j], eigs[l] = 0.0, draw(st.sampled_from([0.0, 1e-11, 1e-10, 2e-10]))
-    elif defect == "drop" and k > 1:
-        eigs, projs = np.delete(eigs, j), np.delete(projs, j, axis=0)
-    elif defect == "duplicate":
-        eigs, projs = np.append(eigs, eigs[j] + 1.0), np.concatenate([projs, projs[j:j + 1]])
-    elif defect == "non-finite":
-        projs[j, 0, 0] = draw(st.sampled_from([np.nan, np.inf, complex(0, np.inf)]))
-    elif defect == "noise":  # a generic matrix stack, invalid in several ways at once
-        projs = projs + eps * (rng.normal(size=projs.shape) + 1j * rng.normal(size=projs.shape))
+    # one or two defects, so that a stack which fails several checks must still earn the first message
+    defects = draw(st.lists(st.sampled_from(DEFECTS), min_size=1, max_size=2))
+    for defect in sorted(defects, key=lambda d: d == "non-finite"):  # scaling an infinity would warn
+        k = eigs.size
+        eps = draw(st.sampled_from([1e-13, 3e-11, 1e-10, 3e-10, 1e-6, 0.3]))
+        j, l = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if defect == "scale":  # breaks idempotence, then resolution
+            projs[j] *= 1 + eps
+        elif defect == "skew":  # breaks Hermiticity
+            a, b = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+            projs[j, a, b] += eps * 1j if a == b else eps
+        elif defect == "tilt" and j < len(cols):  # still a projector, no longer orthogonal to the others
+            v = cols[j][:, 0] + eps * rng.normal(size=dim)
+            v = v / np.linalg.norm(v)
+            projs[j] += np.outer(v, v.conj()) - np.outer(cols[j][:, 0], cols[j][:, 0].conj())
+        elif defect == "coincide" and j != l:  # from 0, so 1e-10 is an exact difference
+            eigs[j], eigs[l] = 0.0, draw(st.sampled_from([0.0, 1e-11, 1e-10, 2e-10]))
+        elif defect == "drop" and k > 1:
+            eigs, projs = np.delete(eigs, j), np.delete(projs, j, axis=0)
+        elif defect == "duplicate":
+            eigs, projs = np.append(eigs, eigs[j] + 1.0), np.concatenate([projs, projs[j:j + 1]])
+        elif defect == "non-finite":
+            projs[j, 0, 0] = draw(st.sampled_from([np.nan, np.inf, complex(0, np.inf)]))
+        elif defect == "noise":  # a generic matrix stack, invalid in several ways at once
+            projs = projs + eps * (rng.normal(size=projs.shape) + 1j * rng.normal(size=projs.shape))
     return eigs, projs
 
 

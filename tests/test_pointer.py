@@ -1,6 +1,7 @@
 """Pointer measurement model: coupling, readout, strong and weak regimes."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -243,6 +244,31 @@ class TestMomentumReadout:
 
 GRID = make_gaussian_pointer(1.0, 1024, 32.0)
 Q, DQ = GRID.positions, GRID.spacing
+
+
+class TestJointOwnership:
+    def test_constructor_copies_its_input(self):
+        amps = np.stack([GRID.amps, 0 * GRID.amps])
+        joint = JointState(amps, GRID)
+        amps[0] = 0
+        assert np.array_equal(joint.amps[0], GRID.amps)
+        assert not joint.amps.flags.writeable
+
+    def test_couple_hands_its_joint_over_without_a_copy(self):
+        # a qubit with both branches live on 262,144 points: 4 MiB per wave, 8 MiB for the joint
+        pointer = make_gaussian_pointer(1.0, 262_144)
+        system, coupling = spin_state(0.7, 0.3), CouplingSpec(0.05, pauli("z"))
+        tracemalloc.start()
+        try:
+            joint = couple(system, pointer, coupling)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        wave = pointer.amps.nbytes
+        assert joint.amps.nbytes == 2 * wave and not joint.amps.flags.writeable
+        # the peak is the second branch's transform: spectrum, frequencies, first wave, product and its
+        # inverse; a copy of the joint, or a grid-sized product while it fills, would pass this bound
+        assert peak <= 4 * wave + pointer.positions.nbytes + 2**16
 
 
 @pytest.mark.parametrize("build, error, match", [

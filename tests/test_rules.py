@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+
+from twostate import rules
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -229,6 +231,61 @@ class TestElementsOfReality:
         assert report.elements == ()
 
 
+class TestConditionalMemo:
+    """A ``TwoStateVector`` keeps the ABL distributions it has given, by observable object."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        evaluate = rules._abl_distribution
+        monkeypatch.setattr(rules, "_abl_distribution", lambda tsv, obs: calls.append(obs) or evaluate(tsv, obs))
+        return calls
+
+    def test_repeated_query_returns_the_same_distribution(self, evaluations):
+        tsv, obs = TwoStateVector(spin_state(0.3), spin_state(1.0)), pauli("x")
+        first = abl_probabilities(tsv, obs)
+        assert abl_probabilities(tsv, obs) is first
+        assert evaluations == [obs]
+
+    def test_equal_valued_observables_get_their_own_entries(self, evaluations):
+        tsv, obs = TwoStateVector(spin_state(0.3), spin_state(1.0)), pauli("x")
+        twin = SpectralObservable(obs.eigenvalues, obs.projectors)
+        assert abl_probabilities(tsv, twin) is not abl_probabilities(tsv, obs)
+        assert abl_probabilities(tsv, twin) == abl_probabilities(tsv, obs)
+        assert [id(o) for o in evaluations] == [id(twin), id(obs)]
+
+    def test_zero_denominator_is_raised_on_every_call(self, evaluations):
+        tsv = TwoStateVector(UP_Z, DOWN_Z)
+        for _ in range(2):
+            with pytest.raises(ZeroDenominatorError):
+                abl_probabilities(tsv, pauli("z"))
+        assert len(evaluations) == 2
+
+    def test_swapped_starts_empty(self, evaluations):
+        tsv, obs = TwoStateVector(spin_state(0.3), spin_state(1.0)), pauli("x")
+        abl_probabilities(tsv, obs)
+        swapped = tsv.swapped()
+        assert abl_probabilities(swapped, obs) is not abl_probabilities(tsv, obs)
+        assert len(evaluations) == 2
+
+    def test_reality_report_reuses_the_queries(self, evaluations):
+        tsv = TwoStateVector(UP_Z, UP_X)
+        observables = [("sz", pauli("z")), ("sx", pauli("x"))]
+        dists = [abl_probabilities(tsv, obs) for _, obs in observables]
+        report = elements_of_reality(tsv, observables)
+        assert [e.probability for e in report.entries] == [max(d.probabilities) for d in dists]
+        assert len(evaluations) == 2
+
+    def test_equality_and_repr_ignore_the_memo(self):
+        pre, post = spin_state(0.3), spin_state(1.0)
+        tsv, fresh = TwoStateVector(pre, post), TwoStateVector(pre, post)
+        text = repr(tsv)
+        abl_probabilities(tsv, pauli("x"))
+        assert repr(tsv) == text == repr(fresh)
+        assert "_conditionals" not in text
+        assert tsv == fresh
+
+
 class TestProductRule:
     def test_failure_case(self):
         report = product_rule_audit(
@@ -440,6 +497,28 @@ class TestOutcomeDistribution:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="beyond float noise"):
             OutcomeDistribution((1.0, -1.0), (float("nan"), 1.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rejects_a_non_finite_entry_at_every_position(self, bad, k):
+        for position in range(k):
+            probs = [1.0 / k] * k
+            probs[position] = bad
+            with pytest.raises(ValueError, match="beyond float noise"):
+                OutcomeDistribution(tuple(range(k)), tuple(probs))
+
+    def test_rejects_non_finite_entries_that_cancel_in_the_sum(self):
+        with pytest.raises(ValueError, match="beyond float noise"):
+            OutcomeDistribution((1.0, 2.0, 3.0), (float("inf"), float("-inf"), 1.0))
+
+    @pytest.mark.parametrize("probs, match", [
+        ((1.5, -0.5), "beyond float noise"),  # sums to 1, out of range
+        ((0.6, 0.5), "sum to 1.1"),  # in range, bad sum
+        ((), "sum to 0"),
+    ])
+    def test_message_order(self, probs, match):
+        with pytest.raises(ValueError, match=match):
+            OutcomeDistribution(tuple(range(len(probs))), probs)
 
     def test_clip_matches_numpy_bit_for_bit(self):
         for probs in [(1.0, -0.0), (-0.0, 1.0), (1.0 + 5e-13, -5e-13), (0.25, 0.75), (0.0, 0.5, 0.5)]:

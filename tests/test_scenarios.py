@@ -24,6 +24,7 @@ from twostate.algebra import (
     which_path,
 )
 from twostate import pointer as pointer_model
+from twostate import rules
 from twostate.errors import ScenarioFormatError, ZeroDenominatorError
 from twostate.montecarlo import MeasureStage, OutcomeStat, UnitaryStage
 from twostate.rules import ProductRuleReport, RealityEntry, RealityReport, TwoStateVector, abl_probabilities
@@ -746,6 +747,17 @@ class TestRunScenario:
                 post_observable=pauli("z"),
                 post_select=1.0,
             )
+
+    def test_counterfactual_conditionals_are_evaluated_once(self, monkeypatch):
+        # the reality report and the oracle rows read one ABL distribution per counterfactual
+        spec = builtin("reality-pair")
+        calls = []
+        evaluate = rules._abl_distribution
+        monkeypatch.setattr(rules, "_abl_distribution", lambda tsv, obs: calls.append(obs) or evaluate(tsv, obs))
+        report = run_scenario(spec, mode="both", trials=1000, seed=3)
+        assert [id(obs) for obs in calls] == [id(obs) for _, obs in spec.counterfactuals]
+        rows = [r for r in report.stages if r.label.startswith("counterfactual:")]
+        assert [max(r.analytic) for r in rows] == [e.probability for e in report.reality.entries]
 
     def test_numpy_integer_seed_reaches_the_counterfactual_runs(self):
         # the counterfactual runs derive their seeds from the given one
