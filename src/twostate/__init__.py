@@ -11,14 +11,12 @@ from .algebra import (
     SpectralObservable,
     StateVector,
     Unitary,
-    apply,
     basis_state,
     beamsplitter,
     bell_basis,
     detector_basis,
     expand_observable,
     identity_observable,
-    identity_operator,
     inner_product,
     pauli,
     pauli_operator,

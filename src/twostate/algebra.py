@@ -185,8 +185,14 @@ class StateVector:
 
         The input is checked once and divided by its norm; the constructor
         then divides the quotient by its own norm, as every stored state is.
+        Finite amplitudes whose norm overflows are first divided by their
+        largest part, so only those inputs take a different arithmetic.
         """
-        arr, norm = _state_norm(values)
+        with np.errstate(over="ignore"):
+            arr, norm = _state_norm(values)
+        if math.isinf(norm):  # _state_norm has refused non-finite amplitudes
+            arr = arr / max(np.abs(arr.real).max(), np.abs(arr.imag).max())
+            norm = _norm(arr)
         if norm < ZERO_NORM_FLOOR:
             raise NormalizationError("cannot normalize a (near-)zero vector")
         return cls(arr / norm)
@@ -209,9 +215,6 @@ class LinearOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def adjoint(self) -> "LinearOperator":
-        return LinearOperator(self.matrix.conj().T)
-
     def is_hermitian(self) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= VALIDATE_TOL)
 
@@ -221,18 +224,6 @@ class LinearOperator:
         if self.dim != other.dim:
             raise DimensionMismatchError(f"operator dims differ: {self.dim} vs {other.dim}")
         return LinearOperator(self.matrix @ other.matrix)
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        if not isinstance(other, LinearOperator):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"operator dims differ: {self.dim} vs {other.dim}")
-        return LinearOperator(self.matrix + other.matrix)
-
-    def __mul__(self, scalar) -> "LinearOperator":
-        return LinearOperator(self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -244,9 +235,6 @@ class Unitary(LinearOperator):
         defect = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.dim)))
         if defect > VALIDATE_TOL:
             raise NormalizationError(f"matrix is not unitary: max |U†U - 1| = {defect:.3e}")
-
-    def adjoint(self) -> "Unitary":
-        return Unitary(self.matrix.conj().T)
 
 
 def _diagnose_branches(values, products, skew, resolution) -> None:
@@ -371,13 +359,6 @@ def inner_product(bra: StateVector, ket: StateVector) -> complex:
     return complex(np.vdot(bra.amps, ket.amps))
 
 
-def apply(op: LinearOperator, ket: StateVector) -> np.ndarray:
-    """Apply an operator to a ket; the result may be unnormalized."""
-    if op.dim != ket.dim:
-        raise DimensionMismatchError(f"operator dim {op.dim} vs state dim {ket.dim}")
-    return op.matrix @ ket.amps
-
-
 def tensor(a: Tensorable, b: Tensorable) -> Tensorable:
     """Kronecker product with the first factor as the slow index."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
@@ -398,10 +379,6 @@ def expand_observable(obs: SpectralObservable, before: int = 1, after: int = 1) 
     eye_b, eye_a = np.eye(before), np.eye(after)
     projs = [np.kron(np.kron(eye_b, p), eye_a) for p in obs.projectors]
     return SpectralObservable(obs.eigenvalues.copy(), np.array(projs))
-
-
-def identity_operator(dim: int) -> LinearOperator:
-    return LinearOperator(np.eye(dim, dtype=complex))
 
 
 def identity_observable(dim: int) -> SpectralObservable:

@@ -51,6 +51,7 @@ from .montecarlo import (
     MeasureStage,
     Z_THRESHOLD,
     _integer,
+    _threshold,
     chunk_rng,
     compare_counts,
     compare_to_abl,
@@ -229,7 +230,7 @@ def check_conditional_counterexample(seed: int, trials: int, z: float = Z_THRESH
     """
     spec = builtin("spin-zz-xi", theta=np.pi / 3)
     probe = spec.timeline[0].observable
-    predictions = (analytic_predictions(spec)[0][0], born_probabilities(spec.pre, probe))
+    predictions = (analytic_predictions(spec).distributions[0], born_probabilities(spec.pre, probe))
     plus = probe.branch_index(1.0)
     abl, born = (dist.probabilities[plus] for dist in predictions)
     exact_ok = abs(born - 0.75) <= 1e-12 and abs(abl - 0.9) <= 1e-12
@@ -630,7 +631,7 @@ def run_paper_checks(
     trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED, z: float = Z_THRESHOLD
 ) -> ChecksReport:
     """Run the whole battery with one master seed; deterministic output."""
-    trials, seed = _integer("trials", trials), _integer("seed", seed)
+    trials, seed, z = _integer("trials", trials), _integer("seed", seed), _threshold(z)
     results = (
         check_spin_chain_recombination(seed),
         check_recombination_random(derive_seed(seed, 1)),

@@ -48,6 +48,7 @@ merged.  Cost grows with the stages, not the paths, and neither is capped.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -91,6 +92,13 @@ def _integer(name: str, value) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _threshold(z) -> float:
+    """``z`` as a Python float, else ValueError naming it unless it is a finite number > 0."""
+    if isinstance(z, bool) or not isinstance(z, numbers.Real) or not (math.isfinite(z) and z > 0):
+        raise ValueError(f"z must be a finite number > 0, got {z!r}")
+    return float(z)
 
 
 def derive_seed(seed: int, offset: int) -> int:

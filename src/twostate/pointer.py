@@ -9,7 +9,8 @@ realizes an ideal projective measurement; λ ≪ σ leaves the system almost
 undisturbed and the post-selected mean position reads out λ·Re(A_w).
 
 ``couple`` makes the ``JointState`` that ``readout`` and every post-selected
-reading take, so one coupling serves as many readings as a caller needs.
+reading take, so one coupling serves as many readings as a caller needs;
+``gaussian_pointer_means`` gives the exact post-selected means to check them.
 
 Translations are performed spectrally (FFT phase ramp on the ready state's
 one transform), so sub-grid shifts are exact up to grid bandwidth; index
@@ -29,6 +30,7 @@ DEFAULT_N = 4096
 DEFAULT_SPAN_SIGMAS = 64.0
 NORM_TOL = 1e-8
 FILL_BLOCK = 16384  # grid points per product while a joint is filled
+POST_NORM_FLOOR = 1e-14  # a post-selected pointer of smaller squared norm is undefined
 
 
 def _check_finite(**values: float) -> None:
@@ -67,9 +69,6 @@ class PointerState:
     @property
     def span(self) -> float:
         return float(self.positions[-1] - self.positions[0] + self.spacing)
-
-    def mean_position(self) -> float:
-        return float(np.sum(self.positions * np.abs(self.amps) ** 2) * self.spacing)
 
 
 def make_gaussian_pointer(sigma: float = 1.0, n: int = DEFAULT_N, span: float | None = None) -> PointerState:
@@ -183,10 +182,6 @@ class PointerReadout:
     probabilities: np.ndarray  # per grid cell, sums to 1
     _joint: np.ndarray
 
-    def sample_index(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` grid cells drawn from the marginal distribution."""
-        return _sample_cells(self.probabilities, rng, size)
-
     def collapse(self, index: int) -> StateVector:
         """System state conditioned on reading the pointer in grid cell ``index``."""
         return StateVector.normalized(self._joint[:, index])
@@ -205,7 +200,7 @@ def _post_selected_wave(joint: JointState, post: StateVector) -> tuple[np.ndarra
         raise DimensionMismatchError(f"post dim {post.dim} vs system dim {joint.system_dim}")
     wave = post.amps.conj() @ joint.amps
     norm = float(np.sum(np.abs(wave) ** 2) * joint.pointer.spacing)
-    if norm < 1e-14:
+    if norm < POST_NORM_FLOOR:
         raise ZeroOverlapError("post-selection removes all amplitude; pointer undefined")
     return wave, norm
 
@@ -222,6 +217,7 @@ def post_selected_mean_shift(joint: JointState, post: StateVector) -> float:
 
     In the weak regime λ ≪ σ, (shift / λ) converges to Re(A_w) with error
     O((λ/σ)²); with pre = post = an eigenstate the shift is λ·a at any λ.
+    ``gaussian_pointer_means`` gives its exact value at every λ.
     """
     positions, probs = post_selected_pointer(joint, post)
     return float(np.sum(positions * probs))
@@ -230,11 +226,37 @@ def post_selected_mean_shift(joint: JointState, post: StateVector) -> float:
 def post_selected_momentum_mean(joint: JointState, post: StateVector) -> float:
     """Mean pointer momentum of ``joint`` after post-selecting the system on ``post``.
 
-    The displacement from the (zero) initial momentum mean tracks Im(A_w):
-    validated qualitatively by sign, not by a quantitative formula.
+    The ready state's momentum mean is 0; in the weak regime the
+    post-selected mean goes to λ·Im(A_w)/(2σ²).  ``gaussian_pointer_means``
+    gives its exact value at every λ.
     """
     wave, _ = _post_selected_wave(joint, post)
     spectrum = np.fft.fft(wave)
     momenta = 2 * np.pi * np.fft.fftfreq(wave.size, d=joint.pointer.spacing)
     weights = np.abs(spectrum) ** 2
     return float(np.sum(momenta * weights) / weights.sum())
+
+
+def gaussian_pointer_means(pre: StateVector, post: StateVector, coupling: CouplingSpec,
+                           sigma: float) -> tuple[float, float, float]:
+    """Exact (mean position, mean momentum, squared norm) of a Gaussian pointer post-selected on ``post``.
+
+    The ready state φ of width ``sigma`` is centred at 0, so the post-selected
+    pointer is Σ_j c_j φ(q − x_j), with c_j = ⟨post|P_j|pre⟩ and x_j = λ·a_j.
+    With G_jk = exp(−(x_j − x_k)²/8σ²), the overlap of two shifted copies of φ,
+    N = Σ c̄_j c_k G_jk, ⟨q⟩ = Σ c̄_j c_k G_jk (x_j + x_k)/2 / N and
+    ⟨p⟩ = Σ c̄_j c_k G_jk i(x_j − x_k)/4σ² / N, which go to λ·Re(A_w) and
+    λ·Im(A_w)/(2σ²) as λ → 0 (Jozsa, PRA 76, 044103 (2007)).
+    """
+    obs = coupling.observable
+    if not pre.dim == post.dim == obs.dim:
+        raise DimensionMismatchError(f"pre dim {pre.dim}, post dim {post.dim} vs observable dim {obs.dim}")
+    c = (obs.projectors @ pre.amps) @ post.amps.conj()
+    x = coupling.strength * obs.eigenvalues / sigma  # in units of σ, so that no σ² over- or underflows
+    gap, mid = x[:, None] - x[None, :], (x[:, None] + x[None, :]) / 2
+    weights = np.outer(c.conj(), c) * np.exp(-(gap**2) / 8)
+    norm = float(weights.sum().real)
+    if not norm >= POST_NORM_FLOOR:
+        raise ZeroOverlapError("post-selection removes all amplitude; pointer undefined")
+    shift, momentum = (float((weights * moment).sum().real / norm) for moment in (mid * sigma, 1j * gap / (4 * sigma)))
+    return shift, momentum, norm

@@ -73,6 +73,7 @@ from .errors import (
     AllRejectedError,
     ObservableError,
     NormalizationError,
+    PointerGridError,
     ScenarioFormatError,
     ZeroDenominatorError,
 )
@@ -83,6 +84,7 @@ from .montecarlo import (
     UnitaryStage,
     Z_THRESHOLD,
     _integer,
+    _threshold,
     compare_to_abl,
     derive_seed,
     simulate,
@@ -515,12 +517,8 @@ def _builtin_tandem_mz(
     theta_2b: float = 0.5,
     which_path_stage: float | bool = True,
 ) -> ScenarioSpec:
-    angles = {
-        "theta_1a": _check_angle("theta_1a", theta_1a, 0.0, np.pi / 2),
-        "theta_1b": _check_angle("theta_1b", theta_1b, 0.0, np.pi / 2),
-        "theta_2a": _check_angle("theta_2a", theta_2a, 0.0, np.pi / 2),
-        "theta_2b": _check_angle("theta_2b", theta_2b, 0.0, np.pi / 2),
-    }
+    given = {"theta_1a": theta_1a, "theta_1b": theta_1b, "theta_2a": theta_2a, "theta_2b": theta_2b}
+    angles = {name: _check_angle(name, value, 0.0, np.pi / 2) for name, value in given.items()}
     timeline: list[TimelineEntry] = [
         UnitaryStage(beamsplitter(angles["theta_1a"])),
         UnitaryStage(beamsplitter(angles["theta_1b"])),
@@ -669,9 +667,10 @@ class WeakValueReport:
     label: str
     strength: float
     value: complex
-    shift_per_strength: float | None = None
-    extrapolated: float | None = None
-    momentum_sign_ok: bool | None = None
+    grid_shift: float | None = None
+    exact_shift: float | None = None
+    grid_momentum: float | None = None
+    exact_momentum: float | None = None
     passed: bool | None = None
 
 
@@ -706,22 +705,13 @@ class ScenarioReport:
 
     def csv_rows(self) -> list[dict[str, Any]]:
         """One row per (stage, eigenvalue) for plot-ready output."""
-        rows = []
-        for st in self.stages:
-            for i, eig in enumerate(st.eigenvalues):
-                rows.append(
-                    {
-                        "scenario": self.scenario,
-                        "stage": st.label,
-                        "eigenvalue": eig,
-                        "analytic": None if st.analytic is None else st.analytic[i],
-                        "frequency": None if st.frequencies is None else st.frequencies[i],
-                        "se": None if st.std_errors is None else st.std_errors[i],
-                        "z": None if st.z_scores is None else st.z_scores[i],
-                        "pass": st.passed,
-                    }
-                )
-        return rows
+        def at(values, i):
+            return None if values is None else values[i]
+
+        return [{"scenario": self.scenario, "stage": st.label, "eigenvalue": eig, "analytic": at(st.analytic, i),
+                 "frequency": at(st.frequencies, i), "se": at(st.std_errors, i), "z": at(st.z_scores, i),
+                 "pass": st.passed}
+                for st in self.stages for i, eig in enumerate(st.eigenvalues)]
 
     def to_text(self) -> str:
         """The human-readable report: acceptance, each stage's outcomes,
@@ -751,10 +741,10 @@ class ScenarioReport:
                 lines.append(f"    verdict: {'pass' if st.passed else 'FAIL'}")
         for w in self.weak:
             lines.append(f"  weak probe {w.label} (strength {_fmt(w.strength)}): {_fmt_complex(w.value)}")
-            if w.shift_per_strength is not None:
+            if w.passed is not None:
                 lines.append(
-                    f"    pointer shift/strength {_fmt(w.shift_per_strength)}, "
-                    f"extrapolated {_fmt(w.extrapolated)}, "
+                    f"    pointer shift {_fmt(w.grid_shift)} (exact {_fmt(w.exact_shift)}), "
+                    f"momentum {_fmt(w.grid_momentum)} (exact {_fmt(w.exact_momentum)}), "
                     f"verdict: {'pass' if w.passed else 'FAIL'}"
                 )
         if self.reality is not None:
@@ -778,7 +768,16 @@ class ScenarioReport:
         return "\n".join(lines) + "\n"
 
 
-def analytic_predictions(spec: ScenarioSpec):
+@dataclass(frozen=True)
+class AnalyticPredictions:
+    """What the one analytic pass yields; see ``analytic_predictions``."""
+
+    distributions: list[OutcomeDistribution]  # one per measurement stage, in timeline order
+    acceptance: float  # Tr(Qρ) at the end
+    two_state: dict[int, TwoStateVector]  # by timeline position
+
+
+def analytic_predictions(spec: ScenarioSpec) -> AnalyticPredictions:
     """Conditional outcome distributions per measurement stage, the acceptance
     probability, and the two-state vector wherever the spec reads it.
 
@@ -841,42 +840,33 @@ def analytic_predictions(spec: ScenarioSpec):
         else:
             bras[position] = StateVector(bra)
     two_state = {position: TwoStateVector(ket, bras[position]) for position, ket in kets.items()}
-    return distributions[::-1], acceptance, two_state
+    return AnalyticPredictions(distributions[::-1], acceptance, two_state)
 
 
-def _weak_report(stage: WeakStage, tsv: TwoStateVector, validate: bool) -> WeakValueReport:
-    """The weak value of ``stage`` at ``tsv``, cross-checked against the
-    pointer model when ``validate`` is set.
-
-    Uses two couplings (λ and λ/2) and Richardson-extrapolates the
-    quadratic-in-λ pointer error away; the extrapolation must land on
-    Re(A_w).  The check coupling shrinks with |A_w| so the true expansion
-    parameter λ·|A_w|/σ stays small even for amplified weak values.  When
-    Im(A_w) is appreciable, the post-selected momentum mean must shift with
-    the matching sign.  Pointer validation is only meaningful for Hermitian
-    couplings; any other operator's value is reported unvalidated.
+def _weak_report(position: int, stage: WeakStage, tsv: TwoStateVector, validate: bool) -> WeakValueReport:
+    """The weak value of the stage at ``timeline[position]``; when ``validate``
+    is set, a Hermitian operator couples a Gaussian pointer once, at the
+    stated strength λ, and the grid's post-selected mean shift and momentum
+    must equal ``gaussian_pointer_means`` within 1e-12·max(1, λ·max|a_j|)/N:
+    the grid's rounding grows as the pointer's post-selection probability N
+    shrinks.  A λ beyond the grid raises ScenarioFormatError naming it.
     """
     value = weak_value(tsv, stage.operator)
     if not (validate and stage.operator.is_hermitian()):
         return WeakValueReport(stage.label, stage.strength, value)
-    obs = SpectralObservable.from_hermitian(stage.operator.matrix)
-    lam = min(stage.strength, 0.1, 0.05 / max(1.0, abs(value)))
+    coupling = pointer_model.CouplingSpec(stage.strength, SpectralObservable.from_hermitian(stage.operator.matrix))
     pointer = pointer_model.make_gaussian_pointer()
-    strengths = (lam, lam / 2)
-    joints = [pointer_model.couple(tsv.pre, pointer, pointer_model.CouplingSpec(li, obs)) for li in strengths]
-    shifts = [pointer_model.post_selected_mean_shift(j, tsv.post) / li for j, li in zip(joints, strengths)]
-    extrapolated = (4 * shifts[1] - shifts[0]) / 3
-    re_ok = abs(extrapolated - value.real) <= 1e-5 * max(1.0, abs(value.real))
-    sign_ok: bool | None = None
-    if abs(value.imag) > 1e-6:  # the momentum reads the joint coupled at λ
-        p_mean = pointer_model.post_selected_momentum_mean(joints[0], tsv.post)
-        sign_ok = bool(np.sign(p_mean) == np.sign(value.imag))
-    passed = re_ok and (sign_ok is not False)
-    return WeakValueReport(
-        stage.label, stage.strength, value,
-        shift_per_strength=shifts[0], extrapolated=extrapolated,
-        momentum_sign_ok=sign_ok, passed=passed,
-    )
+    try:
+        joint = pointer_model.couple(tsv.pre, pointer, coupling)
+    except PointerGridError as exc:
+        raise ScenarioFormatError(f"timeline[{position}].weak_measure.strength: {exc}") from None
+    shift = pointer_model.post_selected_mean_shift(joint, tsv.post)
+    momentum = pointer_model.post_selected_momentum_mean(joint, tsv.post)
+    exact_shift, exact_momentum, norm = pointer_model.gaussian_pointer_means(tsv.pre, tsv.post, coupling,
+                                                                             pointer.sigma)
+    tol = 1e-12 * max(1.0, stage.strength * float(np.max(np.abs(coupling.observable.eigenvalues)))) / norm
+    passed = abs(shift - exact_shift) <= tol and abs(momentum - exact_momentum) <= tol
+    return WeakValueReport(stage.label, stage.strength, value, shift, exact_shift, momentum, exact_momentum, passed)
 
 
 def _stage_report(
@@ -909,23 +899,24 @@ def run_scenario(
     mode: str = "both",
     trials: int | None = None,
     seed: int | None = None,
-    z: float = Z_THRESHOLD,
+    z: float | None = None,
 ) -> ScenarioReport:
-    """Run one scenario in 'analytic', 'oracle', or 'both' mode."""
+    """Run one scenario in 'analytic', 'oracle', or 'both' mode; ``z`` defaults to ``Z_THRESHOLD``."""
     if mode not in ("analytic", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    for name, value in (("trials", trials), ("seed", seed)):
+    for name, value in (("trials", trials), ("seed", seed), ("z", z)):
         if mode == "analytic" and value is not None:
             raise ValueError(f"{name} overrides the Monte-Carlo oracle, which mode 'analytic' does not run")
     trials = spec.trials if trials is None else _integer("trials", trials)
     seed = spec.seed if seed is None else _integer("seed", seed)
+    z = Z_THRESHOLD if z is None else _threshold(z)
     want_analytic = mode in ("analytic", "both")
     want_oracle = mode in ("oracle", "both")
 
-    distributions, acceptance, two_state = analytic_predictions(spec)
-    weak = tuple(_weak_report(stage, two_state[i], validate=want_oracle)
+    predictions = analytic_predictions(spec)
+    weak = tuple(_weak_report(i, stage, predictions.two_state[i], validate=want_oracle)
                  for i, stage in enumerate(spec.timeline) if isinstance(stage, WeakStage))
-    tsv_end = two_state.get(len(spec.timeline))
+    tsv_end = predictions.two_state.get(len(spec.timeline))
     reality = elements_of_reality(tsv_end, spec.counterfactuals) if spec.counterfactuals else None
     audits = tuple((label, product_rule_audit(tsv_end, left, right)) for label, left, right in spec.products)
 
@@ -940,7 +931,7 @@ def run_scenario(
             raise AllRejectedError(f"scenario {spec.name!r}: {exc}") from exc
 
     stage_reports = [
-        _stage_report(stage.label, stage, distributions[i] if want_analytic else None, stats, z)
+        _stage_report(stage.label, stage, predictions.distributions[i] if want_analytic else None, stats, z)
         for i, stage in enumerate(e for e in mc_stages if isinstance(e, MeasureStage))
     ]
     # counterfactual observables are validated one at a time by appending the
@@ -964,7 +955,7 @@ def run_scenario(
         mode=mode,
         trials=trials if want_oracle else None,
         seed=seed if want_oracle else None,
-        acceptance_analytic=acceptance if want_analytic else None,
+        acceptance_analytic=predictions.acceptance if want_analytic else None,
         acceptance=stats.acceptance if stats is not None else None,
         stages=tuple(stage_reports),
         weak=weak,

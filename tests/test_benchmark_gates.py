@@ -4,7 +4,8 @@
 operation: the sha256 of a 100,000-trial ``paper-checks`` report and the
 oracle tallies of the deep-timeline scenarios, both recorded in
 ``perfbench/reference.json``, the closed-form Gaussian-pointer shift at every
-coupling of a ``pointer-sweep``, and direct formulas for each query.  The
+coupling of a ``pointer-sweep`` (which must agree with the library's
+``gaussian_pointer_means``), and direct formulas for each query.  The
 report pins elsewhere in the suite run at fewer trials, so a change that moves
 only a 100,000-trial digest would pass them.  These tests import the
 benchmark's own module unchanged and apply its gates to one battery seed, to
@@ -22,9 +23,12 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from twostate.algebra import SpectralObservable, StateVector
 from twostate.montecarlo import simulate
+from twostate.pointer import CouplingSpec, gaussian_pointer_means
 from twostate.scenarios import builtin, load_scenario
 
 from test_montecarlo import BOUNDARY_TIMELINES, random_timeline
@@ -66,6 +70,21 @@ def test_pointer_gate(index):
     item = WORKLOADS.pointer_inputs(0)[index]
     assert item[0] == ("weak" if index == POINTER_CYCLE - 1 else "sweep")
     WORKLOADS.pointer_check(item, WORKLOADS.pointer_run(item), REFERENCE)
+
+
+def test_pointer_closed_form_matches_the_benchmark_copy():
+    # the pointer gate keeps its own copy of the closed-form shift; the library's, which the weak-stage check
+    # reads, must stay in step with it, within the rounding both share (it grows as 1/N)
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        dim = int(rng.integers(2, 5))
+        pre, post = (StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim)) for _ in range(2))
+        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        obs = SpectralObservable.from_hermitian((h + h.conj().T) / 2)
+        lam, sigma = 10 ** rng.uniform(-3, 0.5), 10 ** rng.uniform(-0.5, 0.5)
+        shift, _, norm = gaussian_pointer_means(pre, post, CouplingSpec(lam, obs), sigma)
+        copy = WORKLOADS.gaussian_pointer_shift(pre.amps, post.amps, obs.eigenvalues, obs.projectors, lam, sigma)
+        assert abs(shift - copy) <= 1e-15 * max(1.0, lam * np.abs(obs.eigenvalues).max()) / norm
 
 
 def test_queries_gate():

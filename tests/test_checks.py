@@ -103,6 +103,14 @@ def test_numpy_integer_trials_report_serializes():
     assert json.dumps(report.to_dict()) == json.dumps(run_paper_checks(trials=1000, seed=3).to_dict())
 
 
+@pytest.mark.parametrize("z", [float("nan"), float("inf"), -1.0, 0, True, "4"])
+def test_z_must_be_finite_and_positive(z):
+    # nan or -1 used to run the battery and turn every statistical row to FAIL
+    with pytest.raises(ValueError) as info:
+        run_paper_checks(trials=1000, seed=3, z=z)
+    assert str(info.value) == f"z must be a finite number > 0, got {z!r}"
+
+
 @pytest.mark.parametrize("field, value", [("seed", True), ("seed", 2.5), ("trials", True), ("trials", 2.5)])
 def test_non_integer_trials_or_seed_is_named_as_given(field, value):
     # a bool seed ran as 1 and reported seed=True; a float seed died naming a derived sub-seed

@@ -229,6 +229,23 @@ class TestScenario:
         assert code == 2
         assert "timeline[0].weak_measure.strength" in err
 
+    @pytest.mark.parametrize("mode, exit_code", [("analytic", 0), ("oracle", 2), ("both", 2)])
+    def test_weak_strength_beyond_the_grid(self, capsys, tmp_path, mode, exit_code):
+        # the pointer check couples at the stated strength, whose shift the grid holds up to span/4 = 16 sigma;
+        # the analytic mode reads no pointer
+        doc = dict(MZ_DOC, timeline=[
+            {"weak_measure": {"operator": {"pauli": "z"}, "strength": 1e300, "label": "wz"}}
+        ])
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "scenario", "--file", str(path), "--mode", mode)
+        assert code == exit_code
+        if exit_code:
+            assert out == ""
+            assert err.startswith("error: timeline[0].weak_measure.strength: max branch shift 1e+300 exceeds span/4 = 16")
+        else:
+            assert "weak probe wz (strength 1e+300): 1 + 0i" in out
+
     @pytest.mark.parametrize("field, entry", [
         ("counterfactuals", {"label": "p", "observable": {"pauli": "x"}}),
         ("products", {"label": "p", "left": {"pauli": "x"}, "right": {"pauli": "z"}}),

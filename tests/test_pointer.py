@@ -6,15 +6,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twostate.algebra import basis_state, pauli, pauli_operator, spin_state
+from twostate.algebra import SpectralObservable, StateVector, basis_state, pauli, pauli_operator, spin_state
 from twostate.errors import DimensionMismatchError, PointerGridError, ZeroOverlapError
 from twostate.montecarlo import chunk_rng
 from twostate.pointer import (
     CouplingSpec,
     JointState,
     PointerState,
+    _sample_cells,
     couple,
+    gaussian_pointer_means,
     make_gaussian_pointer,
     post_selected_mean_shift,
     post_selected_momentum_mean,
@@ -27,10 +31,14 @@ UP_Z = basis_state(2, 0)
 UP_X = spin_state(np.pi / 2)
 
 
+def _mean_position(p: PointerState) -> float:
+    return float(np.sum(p.positions * np.abs(p.amps) ** 2) * p.spacing)
+
+
 class TestGaussianPointer:
     def test_moments(self):
         p = make_gaussian_pointer(1.0, 1024, 32.0)
-        assert p.mean_position() == pytest.approx(0.0, abs=1e-10)
+        assert _mean_position(p) == pytest.approx(0.0, abs=1e-10)
         var = float(np.sum(p.positions**2 * np.abs(p.amps) ** 2) * p.spacing)
         assert var == pytest.approx(1.0, abs=1e-4)
 
@@ -78,7 +86,7 @@ class TestGaussianPointer:
         p, unit = make_gaussian_pointer(sigma=sigma), make_gaussian_pointer()
         np.testing.assert_allclose(p.positions / sigma, unit.positions, rtol=1e-13)
         np.testing.assert_allclose(p.amps * np.sqrt(sigma), unit.amps, rtol=1e-12, atol=1e-300)
-        assert abs(p.mean_position()) <= 1e-12 * sigma
+        assert abs(_mean_position(p)) <= 1e-12 * sigma
 
     def test_non_finite_amplitudes_fail_the_norm_check(self):
         p = make_gaussian_pointer()
@@ -149,7 +157,7 @@ class TestReadout:
         joint = couple(UP_X, p, CouplingSpec(10.0, pauli("z")))
         ro = readout(joint)
         rng = chunk_rng(3, 0)
-        idx = ro.sample_index(rng, 500)
+        idx = _sample_cells(ro.probabilities, rng, 500)
         positions = ro.positions[idx]
         for i, pos in zip(idx, positions):
             target = UP_Z if pos > 0 else basis_state(2, 1)
@@ -240,6 +248,65 @@ class TestMomentumReadout:
         p = make_gaussian_pointer()
         mean = post_selected_momentum_mean(couple(UP_Z, p, CouplingSpec(0.05, pauli("z"))), UP_Z)
         assert mean == pytest.approx(0.0, abs=1e-9)
+
+
+def _selections(seed: int, dim: int, overlap: float):
+    """Random pre and post with |⟨post|pre⟩| = ``overlap`` and a random observable with max |a_j| = 1."""
+    rng = np.random.default_rng(seed)
+    pre = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    pre /= np.linalg.norm(pre)
+    perp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    perp -= np.vdot(pre, perp) * pre
+    post = overlap * np.exp(2j * np.pi * rng.random()) * pre + np.sqrt(1 - overlap**2) * perp / np.linalg.norm(perp)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = (m + m.conj().T) / 2
+    obs = SpectralObservable.from_hermitian(h / np.abs(np.linalg.eigvalsh(h)).max())
+    return StateVector.normalized(pre), StateVector.normalized(post), obs
+
+
+class TestExactGaussianPointer:
+    """``gaussian_pointer_means``: the closed form the grid is checked against."""
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4), overlap=st.floats(0.3, 1.0),
+           sigma=st.sampled_from([0.5, 1.0, 2.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_weak_limit_is_the_weak_value_to_second_order(self, seed, dim, overlap, sigma):
+        # shift/λ → Re(A_w) and momentum/λ → Im(A_w)/(2σ²) with an error e(λ) = Kλ² + O(λ⁴): e(λ/2) = e(λ)/4
+        pre, post, obs = _selections(seed, dim, overlap)
+        wv = weak_value(TwoStateVector(pre, post), obs.operator)
+        errors = []
+        for lam in (1e-3 * sigma, 5e-4 * sigma):
+            shift, momentum, _ = gaussian_pointer_means(pre, post, CouplingSpec(lam, obs), sigma)
+            errors.append((shift / lam - wv.real, (momentum / lam - wv.imag / (2 * sigma**2)) * sigma**2))
+        for full, half in zip(*errors):
+            assert abs(full) <= 100 * 1e-3**2
+            assert abs(half - full / 4) <= 1e-10
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4), log_overlap=st.floats(-6, 0),
+           log_reach=st.floats(-6, 0))
+    @settings(max_examples=60, deadline=None)
+    def test_grid_equals_the_closed_form(self, seed, dim, log_overlap, log_reach):
+        # λ·max|a_j| from 1e-6 up to the grid's limit span/4 = 16σ; the grid's rounding grows as 1/N
+        pre, post, obs = _selections(seed, dim, 10**log_overlap)
+        pointer = make_gaussian_pointer()
+        reach = 10**log_reach * pointer.span / 4 * (1 - 1e-15)  # λ·max|a_j|, with max|a_j| = 1 to rounding
+        coupling = CouplingSpec(reach / np.abs(obs.eigenvalues).max(), obs)
+        joint = couple(pre, pointer, coupling)
+        shift, momentum, norm = gaussian_pointer_means(pre, post, coupling, pointer.sigma)
+        tol = 1e-12 * max(1.0, reach) / norm
+        assert abs(post_selected_mean_shift(joint, post) - shift) <= tol
+        assert abs(post_selected_momentum_mean(joint, post) - momentum) <= tol
+        grid_norm = float(np.sum(np.abs(post.amps.conj() @ joint.amps) ** 2) * pointer.spacing)
+        assert abs(grid_norm - norm) <= 1e-14
+
+    def test_eigenstate_shifts_rigidly(self):
+        # pre = post = an eigenstate: shift λ·a, no momentum, N = 1, at any λ
+        for lam in (1e-3, 1.0, 16.0):
+            assert gaussian_pointer_means(UP_Z, UP_Z, CouplingSpec(lam, pauli("z")), 1.0) == (lam, 0.0, 1.0)
+
+    def test_orthogonal_selection_rejected(self):
+        with pytest.raises(ZeroOverlapError):
+            gaussian_pointer_means(UP_Z, basis_state(2, 1), CouplingSpec(0.01, pauli("z")), 1.0)
 
 
 GRID = make_gaussian_pointer(1.0, 1024, 32.0)

@@ -16,7 +16,6 @@ from twostate.algebra import (
     beamsplitter,
     detector_basis,
     identity_observable,
-    identity_operator,
     pauli,
     pauli_operator,
     spin_observable,
@@ -186,7 +185,7 @@ class TestWeakValue:
         a = LinearOperator(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         b = LinearOperator(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
         alpha, beta = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-        combined = weak_value(tsv, alpha * a + beta * b)
+        combined = weak_value(tsv, LinearOperator(alpha * a.matrix + beta * b.matrix))
         assert combined == pytest.approx(
             alpha * weak_value(tsv, a) + beta * weak_value(tsv, b), abs=1e-12
         )
@@ -309,7 +308,7 @@ class TestProductRule:
         rng = np.random.default_rng(9)
         pre, post = random_state(rng, 2), random_state(rng, 2)
         b = LinearOperator(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        report = product_rule_audit(TwoStateVector(pre, post), identity_operator(2), b)
+        report = product_rule_audit(TwoStateVector(pre, post), LinearOperator(np.eye(2)), b)
         assert report.ab_weak == pytest.approx(report.b_weak, abs=1e-12)
         assert not report.failed
 
@@ -541,7 +540,7 @@ class TestOutcomeDistribution:
                  id="born"),
     pytest.param(lambda: abl_probabilities(TwoStateVector(UP_Z, UP_X), identity_observable(3)),
                  "state dim 2 vs observable dim 3", id="abl"),
-    pytest.param(lambda: weak_value(TwoStateVector(UP_Z, UP_X), identity_operator(3)),
+    pytest.param(lambda: weak_value(TwoStateVector(UP_Z, UP_X), LinearOperator(np.eye(3))),
                  "state dim 2 vs operator dim 3", id="weak-value"),
     pytest.param(lambda: total_probability_check(UP_Z, pauli("x"), identity_observable(3)),
                  "dims differ: state 2, intermediate 2, final 3", id="total-probability"),

@@ -480,7 +480,7 @@ class TestAnalyticEnumeration:
                 post_observable=state_projector_observable(post),
                 post_select=1.0,
             )
-            dists, _, _ = analytic_predictions(spec)
+            dists = analytic_predictions(spec).distributions
             expected = abl_probabilities(TwoStateVector(pre, post), obs)
             np.testing.assert_allclose(
                 dists[0].probabilities, expected.probabilities, atol=1e-12
@@ -499,7 +499,7 @@ class TestAnalyticEnumeration:
             post_observable=state_projector_observable(post),
             post_select=1.0,
         )
-        dists, _, _ = analytic_predictions(spec)
+        dists = analytic_predictions(spec).distributions
         pre_t = StateVector(u1.matrix @ pre.amps)
         post_t = StateVector(u2.matrix.conj().T @ post.amps)
         expected = abl_probabilities(TwoStateVector(pre_t, post_t), obs)
@@ -515,7 +515,8 @@ class TestAnalyticEnumeration:
             post_observable=pauli("x"),
             post_select=1.0,
         )
-        dists, acceptance, _ = analytic_predictions(spec)
+        predictions = analytic_predictions(spec)
+        dists, acceptance = predictions.distributions, predictions.acceptance
         # up-z collapses to itself on z (prob 1); then x outcomes 1/2 each; the
         # post-selection keeps only the +x branch
         assert acceptance == pytest.approx(0.5, abs=1e-12)
@@ -657,12 +658,16 @@ class TestRunScenario:
         wv = analytic.weak[0].value
         assert analytic.weak[0].passed is None
         validated = run_scenario(spec, mode="both", trials=1_000, seed=5)
-        assert validated.weak[0].passed is True
-        assert validated.weak[0].value == pytest.approx(wv)
-        assert validated.weak[0].extrapolated == pytest.approx(wv.real, abs=1e-5)
+        weak = validated.weak[0]
+        assert weak.passed is True
+        assert weak.value == pytest.approx(wv)
+        assert weak.grid_shift == pytest.approx(weak.exact_shift, rel=0, abs=1e-12)
+        assert weak.grid_momentum == pytest.approx(weak.exact_momentum, rel=0, abs=1e-12)
+        # λ = 0.05 is weak here: the shift per strength is Re(A_w) to O(λ²)
+        assert weak.exact_shift / 0.05 == pytest.approx(wv.real, abs=1e-2)
 
     def test_weak_stage_couples_once_per_coupling(self, monkeypatch):
-        # A_w = <+x|sy|up-z> / <+x|up-z> = i: the momentum reading shares the λ joint with the λ shift
+        # A_w = <+x|sy|up-z> / <+x|up-z> = i: the shift and the momentum read one joint, coupled at the stated λ
         spec = ScenarioSpec(name="weak-y", dim=2, pre=basis_state(2, 0),
                             timeline=(WeakStage(pauli("y").operator, 0.05, "wy"),),
                             post_observable=pauli("x"), post_select=1.0)
@@ -670,12 +675,15 @@ class TestRunScenario:
         couple = pointer_model.couple
         monkeypatch.setattr(pointer_model, "couple", lambda *args: calls.append(args) or couple(*args))
         weak = run_scenario(spec, mode="both", trials=1_000, seed=5).weak[0]
-        assert weak.value == pytest.approx(1j) and weak.momentum_sign_ok is True
-        assert [coupling.strength for _, _, coupling in calls] == [0.05, 0.025]
+        assert weak.value == pytest.approx(1j) and weak.passed is True
+        assert weak.grid_momentum == pytest.approx(weak.exact_momentum, rel=0, abs=1e-12)
+        assert weak.exact_momentum == pytest.approx(0.05 / 2, rel=0.05**2)  # λ·Im(A_w)/(2σ²), to O(λ²)
+        assert [coupling.strength for _, _, coupling in calls] == [0.05]
 
     def test_weak_stage_validation_survives_amplification(self):
         # near-orthogonal selections push the weak value far outside the
-        # spectrum; the pointer cross-check must still land on it
+        # spectrum: λ·|A_w| = 0.7 is not weak, and the grid still matches the
+        # exact pointer at the stated strength
         spec = ScenarioSpec(
             name="amplified",
             dim=2,
@@ -688,9 +696,8 @@ class TestRunScenario:
         assert abs(report.weak[0].value.real) > 10
         validated = run_scenario(spec, mode="both", trials=1_000, seed=5).weak[0]
         assert validated.passed is True
-        assert validated.extrapolated == pytest.approx(
-            validated.value.real, rel=1e-5
-        )
+        assert validated.grid_shift == pytest.approx(validated.exact_shift, rel=0, abs=1e-12)
+        assert validated.exact_shift / 0.05 == pytest.approx(12.5504478415, abs=1e-9)
 
     def test_non_hermitian_weak_operator_is_reported_unvalidated(self):
         # the pointer model couples Hermitian operators only: the value is
@@ -708,7 +715,7 @@ class TestRunScenario:
         weak = report.weak[0]
         # <+x|σ+|pre> / <+x|pre> with pre = (cos 1/2, sin 1/2)
         assert weak.value == pytest.approx(np.sin(0.5) / (np.cos(0.5) + np.sin(0.5)), abs=1e-15)
-        assert (weak.shift_per_strength, weak.extrapolated, weak.passed) == (None, None, None)
+        assert (weak.grid_shift, weak.exact_shift, weak.grid_momentum, weak.exact_momentum, weak.passed) == (None,) * 5
         assert report.passed is None
 
     def test_weak_stage_rejects_strong_company(self):
@@ -776,7 +783,14 @@ class TestRunScenario:
             run_scenario(builtin("spin-zz-xi"), **{field: value})
         assert str(info.value) == f"{field} must be an integer, got {value!r}"
 
-    @pytest.mark.parametrize("field, value", [("trials", -5), ("seed", -9)])
+    @pytest.mark.parametrize("z", [float("nan"), float("inf"), -1.0, 0, True, "4"])
+    def test_z_must_be_finite_and_positive(self, z):
+        # nan or -1 used to turn every stage verdict to FAIL
+        with pytest.raises(ValueError) as info:
+            run_scenario(builtin("spin-zz-xi"), trials=1000, z=z)
+        assert str(info.value) == f"z must be a finite number > 0, got {z!r}"
+
+    @pytest.mark.parametrize("field, value", [("trials", -5), ("seed", -9), ("z", 4.0)])
     def test_analytic_mode_refuses_oracle_override(self, field, value):
         with pytest.raises(ValueError) as info:
             run_scenario(builtin("spin-zz-xi"), mode="analytic", **{field: value})
@@ -877,7 +891,7 @@ class TestToText:
             acceptance=OutcomeStat(1.0, 260, 0.26, 0.0138708),
             stages=(StageReport("m", (1.0, -1.0), (0.5, 0.5), (0.7, 0.3), (0.02, 0.02), (10.0, -10.0), False),
                     StageReport("n", (1.0,), analytic=(1.0,))),
-            weak=(WeakValueReport("w", 0.05, complex(2, -0.5), 1.9, 2.0000001, False, False),
+            weak=(WeakValueReport("w", 0.05, complex(2, -0.5), 0.0995, 0.0996, -0.0125, -0.0124, False),
                   WeakValueReport("v", 0.1, complex(0, 1))),
             reality=RealityReport((RealityEntry("a", 1.0, 1.0, True),
                                    RealityEntry("b", None, None, False, error="post-selection unreachable"))),
@@ -897,7 +911,7 @@ class TestToText:
             "  stage n:\n"
             "    1: analytic 1\n"
             "  weak probe w (strength 0.05): 2 - 0.5i\n"
-            "    pointer shift/strength 1.9, extrapolated 2.0000001, verdict: FAIL\n"
+            "    pointer shift 0.0995 (exact 0.0996), momentum -0.0125 (exact -0.0124), verdict: FAIL\n"
             "  weak probe v (strength 0.1): 0 + 1i\n"
             "  reality a: eigenvalue 1 with p = 1  [element of reality]\n"
             "  reality b: undefined (post-selection unreachable)\n"
