@@ -128,11 +128,11 @@ PINS = {
     "tandem-mz-oracle-json": (0, "5f726e5c41b1b481ea84bd569b43ab0ac25784786b8036feb84fddc3ef390b05"),
     "tandem-mz-oracle-table": (0, "104ac545c35046234704c7ee52fede9e7f70991a31f6d5909924a47137aed85a"),
     "weak-file-analytic-csv": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "weak-file-analytic-json": (0, "ff89d3fa155f855e74b0d8f43660abfb8da739c0f3121c76584e24ce5a691262"),
+    "weak-file-analytic-json": (0, "9efdbe787010667ddecc598560c79a28c95f0ebf219293faa4c4f150fe865484"),
     "weak-file-analytic-table": (0, "13cc448539c91dc20522139371d1087cdd7c792adca12ced25c157c62da14efe"),
     "weak-file-both-csv": (0, "c141bc4162f8bdee375ec65146032a7a91ddec92caab535bad6a745c5f1e316a"),
-    "weak-file-both-json": (0, "ad88e7699b4d0b41a42e19715470c83c9e018562f519b4289e8a027af511c13e"),
-    "weak-file-both-table": (0, "845bca6892f04bcfc93e25e3b9796a11381eed9823d8eb1c5b3e79ddf17222a4"),
+    "weak-file-both-json": (0, "c7bcaa4fd0e26d2105f72a731539f53dea89daeef21e7d2e68b8a71ba0b3e375"),
+    "weak-file-both-table": (0, "884ea59725355710fc3eef1c13d15e7fc7c9bc8705ff296b0f9e860dccc5fb0c"),
     "weak-table": (0, "068a04a70b3a816b173c9fa8041a64b1bfd5eacda3d028c1648d91d8bd3fde53"),
     "weak-table-spin": (0, "c5b6dd01939d1bd7f99534791d854e9a1c62edb3e9747dfb81ee95ec21cf3659"),
 }

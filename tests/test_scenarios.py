@@ -851,7 +851,7 @@ class TestReportDigests:
         )
         reports = [run_scenario(spec, mode="analytic"), run_scenario(spec, mode="both", trials=5_000, seed=3)]
         assert _report_digest(reports) == (
-            "65b17c9112681a278f65c77f1a617fe63ea9f034d185ffc35fd50bec9d2a68e8"
+            "d033620fc5697cae13faa6645630d634cfdb8a585fa773e014cf56eb04a3a94a"
         )
 
     def test_two_weak_stages_between_unitaries(self):
@@ -875,7 +875,7 @@ class TestReportDigests:
         )
         reports = [run_scenario(spec, mode="analytic"), run_scenario(spec, mode="both", trials=5_000, seed=3)]
         assert _report_digest(reports) == (
-            "e7bb6920be340129a043d42c6cb583553a4c578ea91d95a000d518c0e1c85391"
+            "2467f5f486ce351a3576a0d6f959344955d603d61a8484f4a17075940523e66f"
         )
 
 
