@@ -186,7 +186,7 @@ class StateVector:
         The input is checked once and divided by its norm; the constructor
         then divides the quotient by its own norm, as every stored state is.
         Finite amplitudes whose norm overflows are first divided by their
-        largest part, so only those inputs take a different arithmetic.
+        largest real or imaginary part; no other input changes arithmetic.
         """
         with np.errstate(over="ignore"):
             arr, norm = _state_norm(values)

@@ -95,7 +95,7 @@ def _integer(name: str, value) -> int:
 
 
 def _threshold(z) -> float:
-    """``z`` as a Python float, else ValueError naming it unless it is a finite number > 0."""
+    """``z`` as a Python float; ValueError naming it unless it is a finite number > 0 (a bool is not)."""
     if isinstance(z, bool) or not isinstance(z, numbers.Real) or not (math.isfinite(z) and z > 0):
         raise ValueError(f"z must be a finite number > 0, got {z!r}")
     return float(z)

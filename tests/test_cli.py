@@ -242,7 +242,8 @@ class TestScenario:
         assert code == exit_code
         if exit_code:
             assert out == ""
-            assert err.startswith("error: timeline[0].weak_measure.strength: max branch shift 1e+300 exceeds span/4 = 16")
+            assert err.startswith("error: timeline[0].weak_measure.strength: max branch shift 1e+300 exceeds "
+                                  "span/4 = 16")
         else:
             assert "weak probe wz (strength 1e+300): 1 + 0i" in out
 

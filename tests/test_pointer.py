@@ -271,7 +271,8 @@ class TestExactGaussianPointer:
            sigma=st.sampled_from([0.5, 1.0, 2.0]))
     @settings(max_examples=100, deadline=None)
     def test_weak_limit_is_the_weak_value_to_second_order(self, seed, dim, overlap, sigma):
-        # shift/λ → Re(A_w) and momentum/λ → Im(A_w)/(2σ²) with an error e(λ) = Kλ² + O(λ⁴): e(λ/2) = e(λ)/4
+        # shift/λ → Re(A_w) and momentum/λ → Im(A_w)/(2σ²) with an error e(λ) = Kλ² + O(λ⁴),
+        # so e(λ/2) = e(λ)/4
         pre, post, obs = _selections(seed, dim, overlap)
         wv = weak_value(TwoStateVector(pre, post), obs.operator)
         errors = []

@@ -697,7 +697,10 @@ class TestRunScenario:
         validated = run_scenario(spec, mode="both", trials=1_000, seed=5).weak[0]
         assert validated.passed is True
         assert validated.grid_shift == pytest.approx(validated.exact_shift, rel=0, abs=1e-12)
-        assert validated.exact_shift / 0.05 == pytest.approx(12.5504478415, abs=1e-9)
+        # pre (cos 3/2, sin 3/2), post up-z, σx: shift/λ = sin 3 / (1 + cos 3·exp(-λ²/2)),
+        # 12.55 against Re(A_w) = 14.10
+        expected = np.sin(3) / (1 + np.cos(3) * np.exp(-0.05**2 / 2))
+        assert validated.exact_shift / 0.05 == pytest.approx(expected, rel=1e-12)
 
     def test_non_hermitian_weak_operator_is_reported_unvalidated(self):
         # the pointer model couples Hermitian operators only: the value is
