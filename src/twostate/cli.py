@@ -9,6 +9,9 @@ State and observable shorthands (qubits only; use scenario files for higher
 dimensions): ``up-z``, ``down-z``, ``up-x``, ``down-x``, ``up-y``, ``down-y``,
 ``spin:THETA[:PHI]`` for states; ``pauli-x``, ``pauli-y``, ``pauli-z``,
 ``spin:THETA[:PHI]`` for observables.  Angles are radians.
+
+Each subcommand imports the layers it reads, so importing this module loads
+none of them and a command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -18,12 +21,11 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import SpectralObservable, StateVector, pauli, spin_observable, spin_state
-from .checks import run_paper_checks
 from .errors import (
     InsufficientAcceptedTrialsError,
     PointerGridError,
@@ -31,12 +33,6 @@ from .errors import (
     ZeroDenominatorError,
     ZeroOverlapError,
 )
-from .montecarlo import Z_THRESHOLD, MeasureStage, simulate
-from .pointer import (DEFAULT_N, DEFAULT_SPAN_SIGMAS, CouplingSpec, couple, make_gaussian_pointer,
-                      post_selected_mean_shift)
-from .rules import TwoStateVector, abl_probabilities, born_probabilities, weak_value
-from .scenarios import (DEFAULT_SEED, DEFAULT_TRIALS, _encode_complex, _fmt, _fmt_complex, builtin,
-                        builtin_names, builtin_parameters, load_scenario, run_scenario)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,13 +40,13 @@ EXIT_INPUT = 2
 EXIT_UNDEFINED = 3
 EXIT_REJECTED = 4
 
-_STATES = {
-    "up-z": lambda: spin_state(0.0),
-    "down-z": lambda: spin_state(np.pi),
-    "up-x": lambda: spin_state(np.pi / 2),
-    "down-x": lambda: spin_state(np.pi / 2, np.pi),
-    "up-y": lambda: spin_state(np.pi / 2, np.pi / 2),
-    "down-y": lambda: spin_state(np.pi / 2, -np.pi / 2),
+_STATES = {  # spin_state angles (theta, phi)
+    "up-z": (0.0,),
+    "down-z": (np.pi,),
+    "up-x": (np.pi / 2,),
+    "down-x": (np.pi / 2, np.pi),
+    "up-y": (np.pi / 2, np.pi / 2),
+    "down-y": (np.pi / 2, -np.pi / 2),
 }
 
 
@@ -58,9 +54,11 @@ class CliError(Exception):
     """Input that argparse accepted but the domain rejects; exits 2."""
 
 
-def parse_state(text: str) -> StateVector:
+def parse_state(text: str):
+    from .algebra import spin_state
+
     if text in _STATES:
-        return _STATES[text]()
+        return spin_state(*_STATES[text])
     if text.startswith("spin:"):
         return spin_state(*_angles(text))
     raise CliError(
@@ -68,7 +66,9 @@ def parse_state(text: str) -> StateVector:
     )
 
 
-def parse_observable(text: str) -> SpectralObservable:
+def parse_observable(text: str):
+    from .algebra import pauli, spin_observable
+
     if text.startswith("pauli-") and text[6:] in ("x", "y", "z"):
         return pauli(text[6:])
     if text.startswith("spin:"):
@@ -92,6 +92,8 @@ def _angles(text: str) -> tuple[float, ...]:
 
 
 def _cell(value) -> str:
+    from .scenarios import _fmt
+
     if value is None:
         return ""
     if isinstance(value, float):
@@ -135,12 +137,16 @@ def _distribution_rows(dist) -> list[dict]:
 
 
 def cmd_born(args) -> int:
+    from .rules import born_probabilities
+
     dist = born_probabilities(parse_state(args.state), parse_observable(args.obs))
     _emit(args, _distribution_rows(dist))
     return EXIT_OK
 
 
 def cmd_abl(args) -> int:
+    from .rules import TwoStateVector, abl_probabilities
+
     tsv = TwoStateVector(parse_state(args.pre), parse_state(args.post))
     dist = abl_probabilities(tsv, parse_observable(args.obs))
     _emit(args, _distribution_rows(dist))
@@ -148,6 +154,9 @@ def cmd_abl(args) -> int:
 
 
 def cmd_weak(args) -> int:
+    from .rules import TwoStateVector, weak_value
+    from .scenarios import _encode_complex, _fmt_complex
+
     tsv = TwoStateVector(parse_state(args.pre), parse_state(args.post))
     value = weak_value(tsv, parse_observable(args.obs).operator)
     re, im = _encode_complex(value)
@@ -156,6 +165,8 @@ def cmd_weak(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .montecarlo import MeasureStage, simulate
+
     pre = parse_state(args.pre)
     stages = [
         MeasureStage(parse_observable(text), f"m{i}")
@@ -193,19 +204,25 @@ def _given(args, *names: str) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-# catalog parameters become --flags of the same name; which_path_stage is --no-which-path
-_BUILTIN_PARAMS = tuple(dict.fromkeys(
-    p for name in builtin_names() for p in builtin_parameters(name) if p != "which_path_stage"
-))
+@cache
+def _builtin_params() -> tuple[str, ...]:
+    """Catalog parameters, which become --flags of the same name; which_path_stage is --no-which-path."""
+    from .scenarios import builtin_names, builtin_parameters
+
+    return tuple(dict.fromkeys(
+        p for name in builtin_names() for p in builtin_parameters(name) if p != "which_path_stage"
+    ))
 
 
 def cmd_scenario(args) -> int:
+    from .scenarios import builtin, builtin_names, load_scenario, run_scenario
+
     if bool(args.builtin) == bool(args.file):
         raise CliError("give exactly one of --builtin NAME or --file PATH")
     oracle = _given(args, "trials", "seed", "z")
     if args.mode == "analytic" and oracle:
         raise CliError(f"--{next(iter(oracle))} sets the Monte-Carlo oracle, which --mode analytic does not run")
-    params = _given(args, *_BUILTIN_PARAMS)
+    params = _given(args, *_builtin_params())
     if args.no_which_path:
         params["which_path_stage"] = False
     if args.file and params:
@@ -231,12 +248,17 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_paper_checks(args) -> int:
+    from .checks import run_paper_checks
+
     report = run_paper_checks(trials=args.trials, seed=args.seed, **_given(args, "z"))
     _emit(args, report.csv_rows(), report.to_dict(), report.to_text())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_pointer_sweep(args) -> int:
+    from .pointer import CouplingSpec, couple, make_gaussian_pointer, post_selected_mean_shift
+    from .rules import TwoStateVector, weak_value
+
     pre = parse_state(args.pre)
     post = parse_state(args.post)
     obs = parse_observable(args.obs)
@@ -278,6 +300,10 @@ def cmd_pointer_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .montecarlo import Z_THRESHOLD
+    from .pointer import DEFAULT_N, DEFAULT_SPAN_SIGMAS
+    from .scenarios import DEFAULT_SEED, DEFAULT_TRIALS, builtin_names
+
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("table", "json", "csv"), default="table")
     output.add_argument("--out", help="write output to this path instead of stdout")
@@ -328,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="scenario JSON document")
     p.add_argument("--mode", choices=("analytic", "oracle", "both"), default="both")
     sampling(p, None, None, f" (default: the scenario's own; {DEFAULT_TRIALS} and {DEFAULT_SEED} for a builtin)")
-    for name in _BUILTIN_PARAMS:
+    for name in _builtin_params():
         p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
     p.add_argument("--no-which-path", action="store_true",
                    help="drop the intermediate path detector from interferometer builtins")
@@ -350,6 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    for arg in sys.argv[1:] if argv is None else argv:  # argparse < 3.12 reads --flag=-- as an empty list
+        flag, eq, value = arg.partition("=")
+        if flag.startswith("--") and eq and value == "--":
+            parser.error(f"argument {flag}: expected one argument")
     args = parser.parse_args(argv)
     trials, z = getattr(args, "trials", None), getattr(args, "z", None)
     try:

@@ -560,6 +560,19 @@ class TestGuards:
         assert (code, out) == (2, "")
         assert named in err
 
+    @pytest.mark.parametrize("argv", [
+        ["abl", "--pre=up-z", "--post=--", "--obs=pauli-x"],
+        ["simulate", *VALID["simulate"], "--trials=--"],
+        ["simulate", *VALID["simulate"], "--measure=--"],
+    ], ids=["state", "trials", "repeatable"])
+    def test_a_double_dash_value_exits_2_naming_the_flag(self, capsys, argv):
+        flag = next(arg for arg in argv if arg.endswith("=--"))[:-3]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"error: argument {flag}: expected one argument\n")
+
     def test_missing_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "missing.json"
         code, out, err = run(capsys, "scenario", "--file", str(path))
