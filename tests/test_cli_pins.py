@@ -146,3 +146,11 @@ def test_stdout_bytes_are_pinned(capsys, tmp_path, case):
     code = main(argv)
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINS[case]
+
+
+def test_pointer_sweep_on_a_fine_grid_is_pinned(capsys):
+    # 65,536 points, strong and weak couplings, a complex weak value: every shift the grid makes
+    code = main(["pointer-sweep", "--pre", "spin:1.1:0.2", "--post", "spin:2.0:-0.7", "--obs", "pauli-z",
+                 "--couplings", "0.0125,0.05,1.0,10.0", "--n", "65536", "--span", "256", "--format", "csv"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == (0, "d51c4c742e8d3a4a98c0d6c29fbf8d5cd06979434be1f4f375d11435e24673e2")

@@ -1,6 +1,7 @@
 """Pointer measurement model: coupling, readout, strong and weak regimes."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 import warnings
 
@@ -9,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostate.algebra import SpectralObservable, StateVector, basis_state, pauli, pauli_operator, spin_state
+from twostate.algebra import (
+    SpectralObservable,
+    StateVector,
+    basis_state,
+    pauli,
+    pauli_operator,
+    spin_state,
+    state_projector_observable,
+    which_path,
+)
 from twostate.errors import DimensionMismatchError, PointerGridError, ZeroOverlapError
 from twostate.montecarlo import chunk_rng
 from twostate.pointer import (
@@ -149,6 +159,23 @@ class TestCouple:
         monkeypatch.setattr(np.fft, "fft", lambda a, *args: sizes.append(np.size(a)) or fft(a, *args))
         couple(UP_X, p, CouplingSpec(0.1, pauli("z")))
         assert sizes == [p.positions.size]
+
+
+# sha256 of couple(...).amps.tobytes() on the default grid: which_path's two branches shift by +0 and -0 at
+# λ = 0, and the projector's eigenvalue-0 branch stays put at every λ
+JOINT_PINS = {
+    ("which_path", 0.0): "18ceea8f44a4198cc9b2640029586c0c27bc2699c2ef903ca8bb0eb1cffbfa03",
+    ("which_path", 0.3): "b8097820c89bf53b7400ef9d6cc677b5a38720ffdc0b26043667acdec890ab1e",
+    ("projector", 0.0): "1130bff679a013cc609e4cb6ba81c7acc4420ece110cb3f9ae962c86d4c2d851",
+    ("projector", 0.3): "128237907913a2e4e2b2befefcf289b6723440d9d7462857b7ef64153673a868",
+}
+
+
+@pytest.mark.parametrize("name, strength", sorted(JOINT_PINS))
+def test_joint_bytes_are_pinned(name, strength):
+    obs = which_path() if name == "which_path" else state_projector_observable(spin_state(1.2, 0.4))
+    joint = couple(spin_state(0.7, 0.3), make_gaussian_pointer(1.0, 4096), CouplingSpec(strength, obs))
+    assert hashlib.sha256(joint.amps.tobytes()).hexdigest() == JOINT_PINS[name, strength]
 
 
 class TestReadout:
