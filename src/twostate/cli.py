@@ -28,6 +28,8 @@ import numpy as np
 
 from .errors import (
     InsufficientAcceptedTrialsError,
+    NormalizationError,
+    ObservableError,
     PointerGridError,
     TwoStateError,
     ZeroDenominatorError,
@@ -72,7 +74,11 @@ def parse_observable(text: str):
     if text.startswith("pauli-") and text[6:] in ("x", "y", "z"):
         return pauli(text[6:])
     if text.startswith("spin:"):
-        return spin_observable(*_angles(text))
+        angles = _angles(text)
+        try:  # a huge angle can round the two spin projectors apart
+            return spin_observable(*angles)
+        except (ObservableError, NormalizationError) as exc:
+            raise CliError(f"observable {text!r}: {exc}") from None
     raise CliError(
         f"unknown observable {text!r}; expected pauli-x|pauli-y|pauli-z or spin:THETA[:PHI]"
     )
@@ -282,6 +288,9 @@ def cmd_pointer_sweep(args) -> int:
         if not lam * largest > 1e4 * np.finfo(float).eps * args.sigma:
             raise CliError(f"--couplings {lam!r} shifts the pointer by at most {lam * largest!r}, "
                            f"not above 1e4 * eps * --sigma: the grid cannot resolve it")
+        if lam * largest > pointer.span / 4:  # couple's own bound, checked before any coupling runs
+            raise CliError(f"--couplings {lam!r} shifts the pointer by up to {lam * largest!r}, beyond the "
+                           f"grid's span/4 = {pointer.span / 4!r} (--span × --sigma / 4)")
     rows = []
     for lam in couplings:
         shift = post_selected_mean_shift(couple(pre, pointer, CouplingSpec(lam, obs)), post)

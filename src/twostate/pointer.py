@@ -12,14 +12,15 @@ undisturbed and the post-selected mean position reads out λ·Re(A_w).
 reading take, so one coupling serves as many readings as a caller needs;
 ``gaussian_pointer_means`` gives the exact post-selected means to check them.
 
-Translations are performed spectrally (FFT phase ramp on the ready state's
-one transform), so sub-grid shifts are exact up to grid bandwidth; index
-rounding would bias weak shifts that are far smaller than the grid spacing.
+Translations are performed spectrally (FFT phase ramp on the pointer's own
+transform, taken once), so sub-grid shifts are exact up to grid bandwidth;
+index rounding would bias weak shifts that are far smaller than the grid
+spacing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +48,8 @@ class PointerState:
     amps: np.ndarray
     spacing: float
     sigma: float
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)  # fft(amps): every coupling shifts it
+    phases: np.ndarray = field(init=False, repr=False, compare=False)  # Im(-2j·π·f) at each FFT frequency f
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -63,6 +66,11 @@ class PointerState:
             raise PointerGridError(f"pointer norm is {norm!r}, expected 1 within {NORM_TOL}")
         for name, arr in (("positions", pos), ("amps", amps)):
             arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        spectrum = np.fft.fft(self.amps)  # taken here, not on first use, so couple's peak holds no transform of it
+        phases = (-2j * np.pi * np.fft.fftfreq(amps.size, d=self.spacing)).imag.copy()
+        for name, arr in (("spectrum", spectrum), ("phases", phases)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -140,6 +148,21 @@ class JointState:
         return self.amps.shape[0]
 
 
+def _phase_ramp(phases: np.ndarray, shift: float) -> np.ndarray:
+    """The ramp exp(i·phases·shift), bit for bit as ``np.exp(-2j * np.pi * freqs * shift)`` rounds it.
+
+    That argument is purely imaginary, so a real cos and sin of its imaginary
+    part give the complex exponential; the + 0.0 turns a -0 product into the +0
+    that the complex product makes.
+    """
+    ramp = np.empty(phases.shape, dtype=complex)
+    np.multiply(phases, shift, out=ramp.imag)
+    np.add(ramp.imag, 0.0, out=ramp.imag)
+    np.cos(ramp.imag, out=ramp.real)
+    np.sin(ramp.imag, out=ramp.imag)
+    return ramp
+
+
 def couple(system: StateVector, pointer: PointerState, coupling: CouplingSpec) -> JointState:
     """Entangle system and pointer: Σ_j (P_j|ψ⟩) ⊗ (pointer shifted by λ·a_j)."""
     obs = coupling.observable
@@ -150,20 +173,19 @@ def couple(system: StateVector, pointer: PointerState, coupling: CouplingSpec) -
         raise PointerGridError(
             f"max branch shift {np.max(np.abs(shifts)):.3g} exceeds span/4 = {pointer.span / 4:.3g}"
         )
-    spectrum = np.fft.fft(pointer.amps)  # each branch shifts the ready state by a phase ramp on it
-    freqs = np.fft.fftfreq(spectrum.size, d=pointer.spacing)
-    branches = [proj @ system.amps for proj in obs.projectors]
-    # np.multiply: `*` may swap the spectrum with a large temporary ramp, and complex products round by order
-    waves = [(branch, np.fft.ifft(np.multiply(spectrum, np.exp(-2j * np.pi * freqs * float(shift)))))
-             for branch, shift in zip(branches, shifts) if np.vdot(branch, branch).real >= 1e-30]
-    del spectrum, freqs  # like each wave below, freed once used; the joint is handed over, not copied
     joint = np.zeros((system.dim, pointer.positions.size), dtype=complex)
-    while waves:  # row by row, rounding as np.outer does, in blocks: no (dim, grid) or (grid,) temporary
-        branch, wave = waves.pop(0)
-        for amp, row in zip(branch, joint):
+    for proj, shift in zip(obs.projectors, shifts):
+        branch = proj @ system.amps
+        if not np.vdot(branch, branch).real >= 1e-30:
+            continue
+        ramp = _phase_ramp(pointer.phases, shift)
+        # np.multiply keeps the operand order, and complex products round by order
+        wave = np.fft.ifft(np.multiply(pointer.spectrum, ramp, out=ramp))
+        del ramp
+        for amp, row in zip(branch, joint):  # rounding as np.outer does, in blocks: no (grid,) temporary
             for start in range(0, wave.size, FILL_BLOCK):
                 row[start : start + FILL_BLOCK] += amp * wave[start : start + FILL_BLOCK]
-        del wave
+        del wave  # one wave alive at a time; the joint is handed over, not copied
     return JointState._adopt(joint, pointer)
 
 

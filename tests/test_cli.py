@@ -533,6 +533,21 @@ class TestPointerSweep:
         assert len(out.splitlines()) == 2
 
 
+    def test_couplings_beyond_the_grid_exit_2_before_any_coupling(self, capsys, monkeypatch):
+        # couple's bound is span/4 = 16 sigma on the default grid; a sweep checks every coupling against it first
+        import twostate.pointer
+
+        made = []
+        couple = twostate.pointer.couple
+        monkeypatch.setattr(twostate.pointer, "couple", lambda *args: made.append(args) or couple(*args))
+        code, out, err = run(capsys, "pointer-sweep", *VALID["pointer-sweep"], "--couplings", "0.1,16,100")
+        assert (code, out, made) == (2, "", [])
+        assert err == ("error: --couplings 100.0 shifts the pointer by up to 100.0, beyond the grid's "
+                       "span/4 = 16.0 (--span × --sigma / 4)\n")
+        code, out, err = run(capsys, "pointer-sweep", *VALID["pointer-sweep"], "--couplings", "0.1,16")
+        assert (code, err, len(made)) == (0, "", 2)
+
+
 class TestAngles:
     @pytest.mark.parametrize("flag, text", [
         ("--pre", "spin:nan"), ("--post", "spin:1:inf"), ("--obs", "spin:inf"), ("--obs", "spin:0.3:-inf"),
@@ -543,6 +558,15 @@ class TestAngles:
         assert code == 2
         assert out == ""
         assert err == f"error: bad angle in {text!r}: angles must be finite\n"
+
+
+    @pytest.mark.parametrize("command", ["born", "abl", "weak", "pointer-sweep"])
+    @pytest.mark.parametrize("text", ["spin:1e300", "spin:0.5:1e300"])
+    def test_huge_observable_angle_names_the_observable(self, capsys, command, text):
+        # finite, but so large that the two spin projectors round apart
+        code, out, err = run(capsys, command, *VALID[command][:-1], text)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: observable {text!r}: branches 0 and 1: projectors are not ")
 
 
 class TestGuards:

@@ -1,5 +1,6 @@
 """Pointer measurement model: coupling, readout, strong and weak regimes."""
 
+import copy
 import dataclasses
 import hashlib
 import tracemalloc
@@ -23,9 +24,11 @@ from twostate.algebra import (
 from twostate.errors import DimensionMismatchError, PointerGridError, ZeroOverlapError
 from twostate.montecarlo import chunk_rng
 from twostate.pointer import (
+    FILL_BLOCK,
     CouplingSpec,
     JointState,
     PointerState,
+    _phase_ramp,
     _sample_cells,
     couple,
     gaussian_pointer_means,
@@ -153,12 +156,89 @@ class TestCouple:
         assert [field.name for field in dataclasses.fields(joint)] == ["amps", "pointer"]
         assert joint.pointer is p
 
-    def test_one_forward_transform_per_coupling(self, monkeypatch):
-        # both branches shift the ready state's one spectrum
-        p, fft, sizes = make_gaussian_pointer(), np.fft.fft, []
+    def test_one_forward_transform_per_pointer(self, monkeypatch):
+        # the pointer takes its transform once, and every branch of every coupling shifts that one spectrum
+        fft, sizes = np.fft.fft, []
         monkeypatch.setattr(np.fft, "fft", lambda a, *args: sizes.append(np.size(a)) or fft(a, *args))
-        couple(UP_X, p, CouplingSpec(0.1, pauli("z")))
+        p = make_gaussian_pointer()
         assert sizes == [p.positions.size]
+        for lam in (0.0, 0.1, 1.0):
+            couple(UP_X, p, CouplingSpec(lam, pauli("z")))
+        assert sizes == [p.positions.size]
+
+    def test_stored_transform_is_frozen_and_outside_repr_and_equality(self):
+        p = make_gaussian_pointer(1.0, 1000, 20.0)
+        assert np.array_equal(p.spectrum.view(np.uint64), np.fft.fft(p.amps).view(np.uint64))
+        phases = (-2j * np.pi * np.fft.fftfreq(1000, d=p.spacing)).imag
+        assert np.array_equal(p.phases.view(np.uint64), phases.view(np.uint64))
+        assert p.phases.base is None  # its own 8 bytes a point, not a view into a complex array
+        assert not p.spectrum.flags.writeable and not p.phases.flags.writeable
+        assert [f.name for f in dataclasses.fields(p) if f.init] == ["positions", "amps", "spacing", "sigma"]
+        assert "spectrum" not in repr(p) and "phases" not in repr(p)
+        twin = copy.copy(p)  # shares the four compared fields
+        object.__setattr__(twin, "spectrum", -p.spectrum)
+        object.__setattr__(twin, "phases", -p.phases)
+        assert twin == p
+
+
+def _couple_reference(system: StateVector, pointer: PointerState, coupling: CouplingSpec) -> np.ndarray:
+    """Joint amplitudes by the reference arithmetic: a fresh transform of the ready state and a complex
+    ``np.exp`` ramp on ``fftfreq`` per live branch, each wave filled in as ``couple`` fills it."""
+    obs = coupling.observable
+    spectrum = np.fft.fft(pointer.amps)
+    freqs = np.fft.fftfreq(spectrum.size, d=pointer.spacing)
+    joint = np.zeros((system.dim, spectrum.size), dtype=complex)
+    for proj, shift in zip(obs.projectors, coupling.strength * obs.eigenvalues):
+        branch = proj @ system.amps
+        if np.vdot(branch, branch).real >= 1e-30:
+            wave = np.fft.ifft(np.multiply(spectrum, np.exp(-2j * np.pi * freqs * float(shift))))
+            for amp, row in zip(branch, joint):
+                for start in range(0, wave.size, FILL_BLOCK):
+                    row[start : start + FILL_BLOCK] += amp * wave[start : start + FILL_BLOCK]
+    return joint
+
+
+@st.composite
+def _couplings(draw):
+    """(system, coupling): d 2–4, a random Hermitian observable or exact degenerate branches with eigenvalues
+    that may be 0, and a system in the span of the first few eigenvectors, so later branches may be dead."""
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    if draw(st.booleans()):
+        values = rng.uniform(-2, 2, dim)
+        obs = SpectralObservable.from_hermitian(basis @ np.diag(values) @ basis.conj().T)
+    else:
+        values = draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0]), min_size=dim, max_size=dim))
+        eigs = sorted(set(values))
+        blocks = [basis[:, [v == e for v in values]] for e in eigs]
+        obs = SpectralObservable(np.array(eigs), np.array([b @ b.conj().T for b in blocks]))
+    live = draw(st.integers(1, dim))
+    system = StateVector.normalized(basis[:, :live] @ (rng.normal(size=live) + 1j * rng.normal(size=live)))
+    strength = draw(st.one_of(st.just(0.0), st.floats(0, 1e-6), st.floats(0, 4)))  # shifts up to span/4 = 8
+    return system, CouplingSpec(strength, obs)
+
+
+class TestCoupleArithmetic:
+    """``couple`` rounds every point as the reference arithmetic does, compared bit for bit."""
+
+    @given(n=st.integers(256, 16384), span=st.floats(17, 32), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_ramp_is_the_complex_exponential(self, n, span, data):
+        pointer = make_gaussian_pointer(1.0, n, span)
+        shift = data.draw(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-12]),
+                                    st.floats(-pointer.span / 4, pointer.span / 4)))
+        expected = np.exp(-2j * np.pi * np.fft.fftfreq(n, d=pointer.spacing) * float(shift))
+        assert np.array_equal(_phase_ramp(pointer.phases, shift).view(np.uint64), expected.view(np.uint64))
+
+    @given(case=_couplings(), n=st.integers(256, 2048))
+    @settings(max_examples=150, deadline=None)
+    def test_couple_is_the_reference(self, case, n):
+        system, coupling = case
+        pointer = make_gaussian_pointer(1.0, n, 32.0)
+        joint = couple(system, pointer, coupling)
+        expected = _couple_reference(system, pointer, coupling)
+        assert np.array_equal(joint.amps.view(np.uint64), expected.view(np.uint64))
 
 
 # sha256 of couple(...).amps.tobytes() on the default grid: which_path's two branches shift by +0 and -0 at
@@ -361,9 +441,10 @@ class TestJointOwnership:
             tracemalloc.stop()
         wave = pointer.amps.nbytes
         assert joint.amps.nbytes == 2 * wave and not joint.amps.flags.writeable
-        # the peak is the second branch's transform: spectrum, frequencies, first wave, product and its
-        # inverse; a copy of the joint, or a grid-sized product while it fills, would pass this bound
-        assert peak <= 4 * wave + pointer.positions.nbytes + 2**16
+        # the peak is a branch's inverse transform: the joint, the shifted spectrum and its inverse; a copy of
+        # the joint or the spectrum, the frequencies, a second live wave or a grid-sized product while the
+        # joint fills would exceed this bound
+        assert peak <= 4 * wave + 2**16
 
 
 @pytest.mark.parametrize("build, error, match", [
