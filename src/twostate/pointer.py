@@ -181,7 +181,7 @@ def couple(system: StateVector, pointer: PointerState, coupling: CouplingSpec) -
         ramp = _phase_ramp(pointer.phases, shift)
         # np.multiply keeps the operand order, and complex products round by order
         wave = np.fft.ifft(np.multiply(pointer.spectrum, ramp, out=ramp))
-        del ramp
+        del ramp  # before the fill: the peak holds the joint, one ramp and its inverse
         for amp, row in zip(branch, joint):  # rounding as np.outer does, in blocks: no (grid,) temporary
             for start in range(0, wave.size, FILL_BLOCK):
                 row[start : start + FILL_BLOCK] += amp * wave[start : start + FILL_BLOCK]

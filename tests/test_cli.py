@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+import twostate.pointer
 from twostate.cli import build_parser, main
 
 MZ_DOC = {
@@ -532,11 +533,8 @@ class TestPointerSweep:
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 2
 
-
     def test_couplings_beyond_the_grid_exit_2_before_any_coupling(self, capsys, monkeypatch):
         # couple's bound is span/4 = 16 sigma on the default grid; a sweep checks every coupling against it first
-        import twostate.pointer
-
         made = []
         couple = twostate.pointer.couple
         monkeypatch.setattr(twostate.pointer, "couple", lambda *args: made.append(args) or couple(*args))
@@ -558,7 +556,6 @@ class TestAngles:
         assert code == 2
         assert out == ""
         assert err == f"error: bad angle in {text!r}: angles must be finite\n"
-
 
     @pytest.mark.parametrize("command", ["born", "abl", "weak", "pointer-sweep"])
     @pytest.mark.parametrize("text", ["spin:1e300", "spin:0.5:1e300"])
