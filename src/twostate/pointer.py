@@ -64,13 +64,10 @@ class PointerState:
         norm = float(np.sum(np.abs(amps) ** 2) * self.spacing)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise PointerGridError(f"pointer norm is {norm!r}, expected 1 within {NORM_TOL}")
-        for name, arr in (("positions", pos), ("amps", amps)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        spectrum = np.fft.fft(self.amps)  # taken here, not on first use, so couple's peak holds no transform of it
+        pos, amps = pos.copy(), amps.copy()
         phases = (-2j * np.pi * np.fft.fftfreq(amps.size, d=self.spacing)).imag.copy()
-        for name, arr in (("spectrum", spectrum), ("phases", phases)):
+        # the transform is taken here, not on first use, so that couple's peak holds no transform of the ready state
+        for name, arr in (("positions", pos), ("amps", amps), ("spectrum", np.fft.fft(amps)), ("phases", phases)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
