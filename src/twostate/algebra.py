@@ -233,7 +233,7 @@ class Unitary(LinearOperator):
     def __post_init__(self):
         super().__post_init__()
         defect = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.dim)))
-        if defect > VALIDATE_TOL:
+        if not defect <= VALIDATE_TOL:  # a NaN defect fails
             raise NormalizationError(f"matrix is not unitary: max |U†U - 1| = {defect:.3e}")
 
 

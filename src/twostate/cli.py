@@ -100,8 +100,6 @@ def _angles(text: str) -> tuple[float, ...]:
 def _cell(value) -> str:
     from .scenarios import _fmt
 
-    if value is None:
-        return ""
     if isinstance(value, float):
         return _fmt(value)
     return str(value)
@@ -181,26 +179,12 @@ def cmd_simulate(args) -> int:
     stats = simulate(
         pre, stages, (parse_observable(args.post), args.select), args.trials, args.seed
     )
+    pairs = [("acceptance", stats.acceptance)]
+    pairs += [(st.label, stat) for st in stats.stages for stat in stats.conditional(st.label)]
     rows = [
-        {
-            "stage": "acceptance",
-            "eigenvalue": stats.selected_eigenvalue,
-            "frequency": stats.acceptance.frequency,
-            "se": stats.acceptance.std_error,
-            "count": stats.accepted,
-        }
+        {"stage": label, "eigenvalue": s.eigenvalue, "frequency": s.frequency, "se": s.std_error, "count": s.count}
+        for label, s in pairs
     ]
-    for st in stats.stages:
-        for stat in stats.conditional(st.label):
-            rows.append(
-                {
-                    "stage": st.label,
-                    "eigenvalue": stat.eigenvalue,
-                    "frequency": stat.frequency,
-                    "se": stat.std_error,
-                    "count": stat.count,
-                }
-            )
     _emit(args, rows)
     return EXIT_OK
 

@@ -57,10 +57,9 @@ import numpy as np
 
 from .algebra import SpectralObservable, StateVector, Unitary, _branch_of
 from .errors import AllRejectedError, DimensionMismatchError, InsufficientAcceptedTrialsError
-from .rules import OutcomeDistribution
+from .rules import ZERO_WEIGHT, OutcomeDistribution
 
 CHUNK_SIZE = 4096
-ZERO_WEIGHT = 1e-15
 MIN_ACCEPTED = 100  # accepted trials below which a distribution is not compared
 Z_THRESHOLD = 4.0  # default agreement threshold, in standard errors
 

@@ -7,6 +7,8 @@ pointer ready state is a Gaussian of width σ centered at 0, so the measured
 value is the pointer position.  λ ≫ σ separates the eigenvalue lobes and
 realizes an ideal projective measurement; λ ≪ σ leaves the system almost
 undisturbed and the post-selected mean position reads out λ·Re(A_w).
+``PointerState`` derives its grid, symmetric about 0, from its spacing and
+alone decides which grids resolve σ and hold the pointer.
 
 ``couple`` makes the ``JointState`` that ``readout`` and every post-selected
 reading take, so one coupling serves as many readings as a caller needs;
@@ -40,34 +42,50 @@ def _check_finite(**values: float) -> None:
             raise PointerGridError(f"{name} must be finite, got {value!r}")
 
 
+def _grid(n: int, spacing: float, sigma: float) -> np.ndarray:
+    """The ``n`` points ``spacing`` apart, symmetric about 0, that a pointer of width ``sigma`` lives on.
+
+    The one grid formula and the one judge of a grid, before any arithmetic on it.
+    """
+    if n < 256:
+        raise PointerGridError(f"grid has {n} points; need >= 256")
+    _check_finite(spacing=spacing, sigma=sigma)
+    positions = (np.arange(n) - (n - 1) / 2) * spacing
+    if not positions[-1] >= 8 * sigma:  # the first point is its negation
+        raise PointerGridError("grid must span at least 8 sigma on each side of center")
+    if not spacing <= sigma / 8:
+        raise PointerGridError(f"grid too coarse: dq = {spacing} > sigma/8 = {sigma / 8}")
+    if spacing < np.finfo(float).tiny:  # a subnormal spacing overflows the norm sums and the phase ramp
+        raise PointerGridError(f"sigma {sigma!r} too small: grid spacing {spacing!r} is subnormal")
+    return positions
+
+
 @dataclass(frozen=True)
 class PointerState:
-    """A pointer wavefunction on a uniform grid about 0; Σ|amp|²·dq = 1."""
+    """A pointer wavefunction on ``_grid(amps.size, spacing, sigma)``; Σ|amp|²·dq = 1.
 
-    positions: np.ndarray
+    The grid has >= 256 points, reaches 8σ on each side and resolves σ: spacing <= σ/8, not subnormal.
+    """
+
     amps: np.ndarray
     spacing: float
     sigma: float
+    positions: np.ndarray = field(init=False, repr=False, compare=False)  # derived from amps.size and spacing
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)  # fft(amps): every coupling shifts it
     phases: np.ndarray = field(init=False, repr=False, compare=False)  # Im(-2j·π·f) at each FFT frequency f
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
         amps = np.asarray(self.amps, dtype=complex)
-        if pos.ndim != 1 or pos.shape != amps.shape:
-            raise ValueError("positions and amps must be matching 1-d arrays")
-        if pos.size < 256:
-            raise PointerGridError(f"grid has {pos.size} points; need >= 256")
-        _check_finite(spacing=self.spacing, sigma=self.sigma)
-        if not min(-pos[0], pos[-1]) >= 8 * self.sigma:
-            raise PointerGridError("grid must span at least 8 sigma on each side of center")
+        if amps.ndim != 1:
+            raise ValueError(f"amps must be a 1-d array, got shape {amps.shape}")
+        positions = _grid(amps.size, self.spacing, self.sigma)
         norm = float(np.sum(np.abs(amps) ** 2) * self.spacing)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise PointerGridError(f"pointer norm is {norm!r}, expected 1 within {NORM_TOL}")
-        pos, amps = pos.copy(), amps.copy()
+        amps = amps.copy()
         phases = (-2j * np.pi * np.fft.fftfreq(amps.size, d=self.spacing)).imag.copy()
         # the transform is taken here, not on first use, so that couple's peak holds no transform of the ready state
-        for name, arr in (("positions", pos), ("amps", amps), ("spectrum", np.fft.fft(amps)), ("phases", phases)):
+        for name, arr in (("positions", positions), ("amps", amps), ("spectrum", np.fft.fft(amps)), ("phases", phases)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -77,25 +95,19 @@ class PointerState:
 
 
 def make_gaussian_pointer(sigma: float = 1.0, n: int = DEFAULT_N, span: float | None = None) -> PointerState:
-    """Normalized Gaussian ready state of position spread ``sigma``, centered at 0."""
+    """Normalized Gaussian ready state of position spread ``sigma``, centered at 0; ``PointerState`` judges the grid."""
     if span is None:
         span = DEFAULT_SPAN_SIGMAS * sigma
     _check_finite(sigma=sigma, span=span)
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    if not span >= 16 * sigma:
-        raise PointerGridError(f"span {span} < 16 sigma")
     if n < 256:
         raise PointerGridError(f"n = {n} < 256")
     dq = span / n
-    if not dq <= sigma / 8:
-        raise PointerGridError(f"grid too coarse: dq = {dq} > sigma/8 = {sigma / 8}")
-    if dq < np.finfo(float).tiny:  # a subnormal spacing overflows the norm sums and the phase ramp
-        raise PointerGridError(f"sigma {sigma!r} too small: grid spacing {dq!r} is subnormal")
-    q = (np.arange(n) - (n - 1) / 2) * dq
+    q = _grid(n, dq, sigma)
     amps = np.exp(-((q / sigma) ** 2) / 4).astype(complex)  # in units of sigma: no overflow
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * dq)
-    return PointerState(q, amps, dq, sigma)
+    return PointerState(amps, dq, sigma)
 
 
 @dataclass(frozen=True)
@@ -250,10 +262,8 @@ def post_selected_momentum_mean(joint: JointState, post: StateVector) -> float:
     gives its exact value at every λ.
     """
     wave, _ = _post_selected_wave(joint, post)
-    spectrum = np.fft.fft(wave)
-    momenta = 2 * np.pi * np.fft.fftfreq(wave.size, d=joint.pointer.spacing)
-    weights = np.abs(spectrum) ** 2
-    return float(np.sum(momenta * weights) / weights.sum())
+    weights = np.abs(np.fft.fft(wave)) ** 2
+    return float(np.sum(-joint.pointer.phases * weights) / weights.sum())
 
 
 def gaussian_pointer_means(pre: StateVector, post: StateVector, coupling: CouplingSpec,

@@ -36,6 +36,7 @@ DENOMINATOR_FLOOR = 1e-14
 OVERLAP_FLOOR = 1e-14
 PROBABILITY_SLACK = 1e-12  # tolerated negative float noise, clipped on output
 VERDICT_TOL = 1e-10  # certainty, product-rule failure and recombination verdicts
+ZERO_WEIGHT = 1e-15  # a branch of smaller weight is dead, here and in the Monte-Carlo oracle
 
 
 @dataclass(frozen=True)
@@ -279,7 +280,7 @@ class _Recombination(NamedTuple):
     """
 
     final: np.ndarray  # (n, m) Prob(f) with the intermediate measurement performed
-    live: np.ndarray  # (n, m) final branches with weight above 1e-15
+    live: np.ndarray  # (n, m) final branches with weight above ZERO_WEIGHT
     unreachable: np.ndarray  # (n, m) live rank-1 branches that StateVector or the ABL rule may reject
     conditionals: np.ndarray  # (n, m, k)
     recombined: np.ndarray  # (n, k)
@@ -301,7 +302,7 @@ def _recombination(pre: np.ndarray, mid_projs: np.ndarray, fin_projs: np.ndarray
         projected = (fin_projs[:, :, None] @ branch_states[:, None, ..., None])[..., 0]  # (n, m, k, d)
         weights = np.clip(_dot(branch_states.conj()[:, None], projected).real, 0.0, None)
         final = weights.sum(axis=-1)
-        live = final > 1e-15
+        live = final > ZERO_WEIGHT
         rank_one = np.rint(np.trace(fin_projs, axis1=-2, axis2=-1).real) == 1
         vals, vecs = np.linalg.eigh(fin_projs)
         posts = np.take_along_axis(vecs, vals.argmax(axis=-1)[..., None, None], axis=-1)[..., 0]

@@ -242,9 +242,12 @@ def _label_from(body: Mapping, path: str) -> str:
 
 def _built(path: str, build, *args):
     """``build(*args)``, with a rejected value raised as a ScenarioFormatError
-    naming ``path``: the one place a library error becomes a format error."""
+    naming ``path``: the one place a library error becomes a format error.
+    A huge entry overflows the constructor's checks, which then refuse it; numpy
+    is not to warn about that on the way."""
     try:
-        return build(*args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return build(*args)
     except (ObservableError, NormalizationError, ValueError) as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
 

@@ -504,6 +504,13 @@ class TestUnitary:
         with pytest.raises(NormalizationError):
             Unitary(np.array([[1, 1], [0, 1]], dtype=complex))
 
+    def test_rejects_a_matrix_whose_defect_is_nan(self):
+        # U†U overflows to inf - inf here; a NaN defect must fail the check, not pass it
+        huge = np.array([[-1e308j, -1e308j], [-1e308j, 1e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NormalizationError, match=r"^matrix is not unitary: max \|U†U - 1\| = nan$"):
+                Unitary(huge)
+
     @given(dim=st.integers(2, 6), seed=st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
     def test_adjoint_inverts(self, dim, seed):

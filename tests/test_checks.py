@@ -1,5 +1,6 @@
 """Validation battery: statuses, low-power degradation, determinism."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -173,3 +174,89 @@ def test_analytic_rows_are_unchanged_through_the_scalar_fallback(monkeypatch):
         check_certain_outcome_weak_value(derive_seed(seed, 4)),
     )
     assert tuple(r.summary for r in rows) == ANALYTIC_ROWS[seed]
+
+
+class TestScalarFallbacks:
+    """Each sweep's scalar path, reached by patching the stacked helper its row calls (seed 7's sub-seeds)."""
+
+    @staticmethod
+    def _counted(monkeypatch, name):
+        calls, real = [], getattr(checks, name)
+        monkeypatch.setattr(checks, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    @staticmethod
+    def _first_row_suspect(monkeypatch):
+        real = checks._recombination
+        def patched(*args):
+            r = real(*args)
+            return r._replace(suspect=r.suspect | (np.arange(r.suspect.size) == 0))
+        monkeypatch.setattr(checks, "_recombination", patched)
+
+    def test_spin_chain_rebuilds_a_suspect_row_through_the_scalar_rule(self, monkeypatch):
+        unpatched = check_spin_chain_recombination(7)
+        self._first_row_suspect(monkeypatch)
+        calls = self._counted(monkeypatch, "total_probability_check")
+        assert check_spin_chain_recombination(7) == unpatched
+        assert len(calls) == 2  # the suspect row, then the (pi/3, pi/2) pin
+
+    def test_recombination_random_returns_the_scalar_rules_fail(self, monkeypatch):
+        # the scalar rule passes every valid triple, so its FAIL is reached only with the rule itself patched
+        real = checks.total_probability_check
+        self._first_row_suspect(monkeypatch)
+        monkeypatch.setattr(checks, "total_probability_check",
+                            lambda *args: dataclasses.replace(real(*args), max_abs_error=2e-10, passed=False))
+        assert check_recombination_random(derive_seed(7, 1)) == checks.CheckResult(
+            "recombination-random-qubits", "fail", "recombination error 2.000e-10 exceeds 1e-10")
+
+    def test_swap_symmetry_runs_the_scalar_rules_where_the_stack_refuses(self, monkeypatch):
+        unpatched = check_swap_symmetry(derive_seed(7, 3))
+        real = checks._weak_values
+        def first_refused(post, matrices, pre):
+            weak, ok = real(post, matrices, pre)
+            return weak, ok & (np.arange(ok.size) > 0)
+        monkeypatch.setattr(checks, "_weak_values", first_refused)
+        calls = self._counted(monkeypatch, "weak_value")
+        assert check_swap_symmetry(derive_seed(7, 3)) == unpatched
+        assert len(calls) == 2 * 16  # both orders of each stack's first case: 500 cases in 8 stacks, 2 dimensions
+
+    def test_certain_outcome_merges_an_irregular_draw_through_from_hermitian(self, monkeypatch):
+        unpatched = check_certain_outcome_weak_value(derive_seed(7, 4))
+        real, calls = checks._hermitian_branches, []
+        def fifth_irregular(mat):
+            calls.append(mat)
+            eigs, projs, regular = real(mat)
+            return eigs, projs, regular and len(calls) != 5
+        monkeypatch.setattr(checks, "_hermitian_branches", fifth_irregular)
+        assert check_certain_outcome_weak_value(derive_seed(7, 4)) == unpatched
+        assert len(calls) >= 500
+
+    def test_certain_outcome_skips_a_kind_2_draw_of_fewer_than_3_branches(self, monkeypatch):
+        # the third draw is kind 2; a matrix with a doubled eigenvalue merges to 2 branches and is drawn again
+        real, drawn, skipped = checks._random_hermitian, [], []
+        def degenerate_third(rng, dim):
+            drawn.append(real(rng, dim))
+            return np.diag([1.0, 1.0] + [2.0] * (dim - 2)) if len(drawn) == 3 else drawn[-1]
+        real_scenario = checks._certain_scenario
+        def watched(rng, kind):
+            case = real_scenario(rng, kind)
+            if case is None:
+                skipped.append(kind)
+            return case
+        monkeypatch.setattr(checks, "_random_hermitian", degenerate_third)
+        monkeypatch.setattr(checks, "_certain_scenario", watched)
+        result = check_certain_outcome_weak_value(derive_seed(7, 4))
+        assert skipped == [2] and len(drawn) == 501
+        assert result.status == "pass"
+        assert result.summary.endswith(" over 500 scenarios (tol 1e-9)")
+
+    def test_certain_outcome_fails_a_scenario_that_is_not_certain(self, monkeypatch):
+        real = checks._abl_rows
+        def first_halved(posts, projs, pre):
+            probs, ok = real(posts, projs, pre)
+            return probs * np.where(np.arange(len(probs)) == 0, 0.5, 1.0)[:, None, None], ok
+        monkeypatch.setattr(checks, "_abl_rows", first_halved)
+        result = check_certain_outcome_weak_value(derive_seed(7, 4))
+        assert (result.name, result.status) == ("certain-outcome-weak-value", "fail")
+        p = float(result.summary.removeprefix("constructed scenario is not certain: p = "))
+        assert abs(p - 0.5) <= 1e-12

@@ -518,6 +518,20 @@ class TestPointerSweep:
         assert "pointer grid (--span × --sigma):" in err
         assert "overflows" in err
 
+    @pytest.mark.parametrize("span, code", [("15", 2), ("16", 2), ("16.003", 2), ("16.004", 0)])
+    def test_span_floor_is_the_8_sigma_reach(self, capsys, span, code):
+        # the outermost of 4096 points reaches 8 sigma from span 16·4096/4095 = 16.0039 on; one rule says so
+        code_, out, err = run(
+            capsys, "pointer-sweep", "--pre", "up-x", "--post", "spin:1.0", "--obs", "pauli-z", "--span", span,
+            "--format", "csv",
+        )
+        assert code_ == code
+        if code:
+            assert err == ("error: pointer grid (--sigma, --span, --n): "
+                           "grid must span at least 8 sigma on each side of center\n")
+        else:
+            assert err == "" and out.startswith("coupling,shift,")
+
     @pytest.mark.parametrize("argv", [
         ["--sigma", "1e-305", "--couplings", "1e-307"],
         ["--sigma", "1e-304", "--couplings", "1e-306", "--n", "262144", "--span", "256"],

@@ -83,7 +83,7 @@ class TestGaussianPointer:
         p = make_gaussian_pointer()
         grid = {"spacing": p.spacing, "sigma": p.sigma, name: float("nan")}
         with pytest.raises(PointerGridError, match=f"^{name} must be finite"):
-            PointerState(p.positions, p.amps, **grid)
+            PointerState(p.amps, **grid)
 
     @pytest.mark.parametrize("sigma, n", [(1e-306, 4096), (1e-307, 4096), (1e-308, 4096), (1e-305, 262144)])
     def test_subnormal_spacing_rejected_naming_sigma(self, sigma, n):
@@ -106,7 +106,73 @@ class TestGaussianPointer:
         amps = p.amps.copy()
         amps[0] = np.nan
         with pytest.raises(PointerGridError, match="norm is nan"):
-            PointerState(p.positions, amps, p.spacing, p.sigma)
+            PointerState(amps, p.spacing, p.sigma)
+
+
+def _parent_pointer(sigma: float, n: int, span: float) -> dict | None:
+    """The Gaussian ready state as the pointer built it when ``make_gaussian_pointer`` refused spans under 16σ
+    and ``PointerState`` took any ``positions``: every array and float it held, or None where it refused."""
+    dq = span / n
+    if not span >= 16 * sigma or not dq <= sigma / 8 or dq < np.finfo(float).tiny:
+        return None
+    q = (np.arange(n) - (n - 1) / 2) * dq
+    amps = np.exp(-((q / sigma) ** 2) / 4).astype(complex)
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * dq)
+    if not min(-q[0], q[-1]) >= 8 * sigma:
+        return None
+    phases = (-2j * np.pi * np.fft.fftfreq(n, d=dq)).imag
+    return {"positions": q, "amps": amps, "spacing": dq, "sigma": sigma, "spectrum": np.fft.fft(amps),
+            "phases": phases, "span": float(q[-1] - q[0] + dq)}
+
+
+def _bits(value) -> np.ndarray:
+    return np.ascontiguousarray(value).view(np.uint64)
+
+
+class TestPointerOwnsItsGrid:
+    """``PointerState`` derives its positions from the spacing and is the only judge of its grid."""
+
+    @given(sigma=st.one_of(st.sampled_from([1.0, 2.0, 0.37, 3e-5, 1e100, 1e-300, 1e-306]), st.floats(1e-3, 1e3)),
+           n=st.one_of(st.sampled_from([256, 257, 4096, 4097]), st.integers(256, 4096)),
+           reach=st.one_of(st.floats(12, 600), st.floats(600, 1e7),
+                           st.sampled_from([15.0, 16.0, 16.003, 16.004]),
+                           st.sampled_from([-1, 0, 1]).map(lambda k: ("floor", k))))
+    @settings(max_examples=300, deadline=None)
+    def test_builds_the_parent_grids_bit_for_bit(self, sigma, n, reach):
+        # reach is the span in units of sigma, or ("floor", k): k ulps from 16·n/(n-1), the least that reaches 8σ;
+        # spans far too coarse for sigma/8 underflow the Gaussian's norm sum, so they must be refused before it
+        if isinstance(reach, tuple):
+            floor = 16 * n / (n - 1)
+            reach = float(np.nextafter(floor, np.inf) if reach[1] > 0 else np.nextafter(floor, 0) if reach[1] else floor)
+        expected = _parent_pointer(sigma, n, reach * sigma)
+        try:
+            pointer = make_gaussian_pointer(sigma, n, reach * sigma)
+        except PointerGridError:
+            assert expected is None
+            return
+        assert expected is not None
+        for name, value in expected.items():
+            assert np.array_equal(_bits(getattr(pointer, name)), _bits(value)), name
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4), overlap=st.floats(0.05, 1.0),
+           n=st.one_of(st.sampled_from([4096, 4097]), st.integers(256, 2048)), sigma=st.sampled_from([1.0, 0.37, 3e-5]),
+           reach=st.floats(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_momentum_reads_the_stored_frequencies_bit_for_bit(self, seed, dim, overlap, n, sigma, reach):
+        pre, post, obs = _selections(seed, dim, overlap)
+        pointer = make_gaussian_pointer(sigma, n, 32 * sigma)
+        joint = couple(pre, pointer, CouplingSpec(reach * sigma, obs))
+        weights = np.abs(np.fft.fft(post.amps.conj() @ joint.amps)) ** 2
+        momenta = 2 * np.pi * np.fft.fftfreq(n, d=pointer.spacing)
+        expected = float(np.sum(momenta * weights) / weights.sum())
+        assert _bits(post_selected_momentum_mean(joint, post)) == _bits(expected)
+
+    @pytest.mark.parametrize("n", [256, 1024, 4097])
+    def test_positions_are_derived_from_the_spacing(self, n):
+        p = make_gaussian_pointer(1.0, n, 20.0)
+        assert np.array_equal(_bits(PointerState(p.amps, p.spacing, p.sigma).positions), _bits(p.positions))
+        assert -p.positions[0] == p.positions[-1] >= 8 * p.sigma
+        assert not p.positions.flags.writeable
 
 
 class TestCouple:
@@ -173,9 +239,9 @@ class TestCouple:
         assert np.array_equal(p.phases.view(np.uint64), phases.view(np.uint64))
         assert p.phases.base is None  # its own 8 bytes a point, not a view into a complex array
         assert not p.spectrum.flags.writeable and not p.phases.flags.writeable
-        assert [f.name for f in dataclasses.fields(p) if f.init] == ["positions", "amps", "spacing", "sigma"]
+        assert [f.name for f in dataclasses.fields(p) if f.init] == ["amps", "spacing", "sigma"]
         assert "spectrum" not in repr(p) and "phases" not in repr(p)
-        twin = copy.copy(p)  # shares the four compared fields
+        twin = copy.copy(p)  # shares the three compared fields
         object.__setattr__(twin, "spectrum", -p.spectrum)
         object.__setattr__(twin, "phases", -p.phases)
         assert twin == p
@@ -418,7 +484,7 @@ class TestExactGaussianPointer:
 
 
 GRID = make_gaussian_pointer(1.0, 1024, 32.0)
-Q, DQ = GRID.positions, GRID.spacing
+DQ = GRID.spacing
 
 
 class TestJointOwnership:
@@ -448,12 +514,14 @@ class TestJointOwnership:
 
 
 @pytest.mark.parametrize("build, error, match", [
-    pytest.param(lambda: PointerState(Q, GRID.amps[:-1], DQ, 1.0), ValueError,
-                 "positions and amps must be matching 1-d arrays", id="mismatched-arrays"),
-    pytest.param(lambda: PointerState(Q[:255], GRID.amps[:255], DQ, 1.0), PointerGridError,
+    pytest.param(lambda: PointerState(np.stack([GRID.amps, GRID.amps]), DQ, 1.0), ValueError,
+                 r"^amps must be a 1-d array, got shape \(2, 1024\)$", id="mismatched-arrays"),
+    pytest.param(lambda: PointerState(GRID.amps[:255], DQ, 1.0), PointerGridError,
                  "grid has 255 points; need >= 256", id="under-256-points"),
-    pytest.param(lambda: PointerState(Q, GRID.amps, DQ, 3.0), PointerGridError,
+    pytest.param(lambda: PointerState(GRID.amps, DQ, 3.0), PointerGridError,
                  "at least 8 sigma on each side", id="under-8-sigma-margin"),
+    pytest.param(lambda: PointerState(GRID.amps, DQ, 0.2), PointerGridError,
+                 r"^grid too coarse: dq = 0\.03125 > sigma/8 = 0\.025$", id="coarser-than-sigma-over-8"),
     pytest.param(lambda: make_gaussian_pointer(sigma=0), ValueError, "sigma must be positive", id="zero-sigma"),
     pytest.param(lambda: JointState(np.stack([GRID.amps, GRID.amps]), GRID), PointerGridError,
                  "joint norm is", id="joint-norm"),

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,22 @@ class TestLoader:
         with pytest.raises(ScenarioFormatError) as info:
             load_scenario(dict(MINIMAL, **fields))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param({"pre": [1e308, 1e308]}, "pre: state norm is inf; expected 1 within 1e-10", id="pre"),
+        pytest.param({"timeline": [{"unitary": [[1e308, 0], [0, 1]]}]},
+                     "timeline[0].unitary: matrix is not unitary: max |U†U - 1| = inf", id="unitary"),
+        pytest.param({"post": {"observable": {"explicit": [
+            {"eigenvalue": 1, "projector": [[1e308, 0], [0, 0]]}, {"eigenvalue": -1, "projector": [[0, 0], [0, 1]]},
+        ]}, "select": 1}}, "post.observable: branch 0: projector is not idempotent", id="projector"),
+    ])
+    def test_huge_entries_are_refused_without_a_warning(self, fields, message):
+        # the constructor's check overflows, and it is the check's verdict, not numpy's warning, that is seen
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioFormatError) as info:
+                load_scenario(dict(MINIMAL, **fields))
+        assert str(info.value).startswith(message)
 
     def test_empty_which_path_and_bell_basis_bodies_load(self):
         spec = load_scenario(dict(MINIMAL, post={"observable": {"which_path": {}}, "select": -1}))
