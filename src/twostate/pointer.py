@@ -104,8 +104,7 @@ def make_gaussian_pointer(sigma: float = 1.0, n: int = DEFAULT_N, span: float | 
     if n < 256:
         raise PointerGridError(f"n = {n} < 256")
     dq = span / n
-    q = _grid(n, dq, sigma)
-    amps = np.exp(-((q / sigma) ** 2) / 4).astype(complex)  # in units of sigma: no overflow
+    amps = np.exp(-((_grid(n, dq, sigma) / sigma) ** 2) / 4).astype(complex)  # in units of sigma: no overflow
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2) * dq)
     return PointerState(amps, dq, sigma)
 
