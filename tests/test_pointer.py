@@ -143,7 +143,7 @@ class TestPointerOwnsItsGrid:
         # spans far too coarse for sigma/8 underflow the Gaussian's norm sum, so they must be refused before it
         if isinstance(reach, tuple):
             floor = 16 * n / (n - 1)
-            reach = float(np.nextafter(floor, np.inf) if reach[1] > 0 else np.nextafter(floor, 0) if reach[1] else floor)
+            reach = float(floor if reach[1] == 0 else np.nextafter(floor, reach[1] * np.inf))
         expected = _parent_pointer(sigma, n, reach * sigma)
         try:
             pointer = make_gaussian_pointer(sigma, n, reach * sigma)
@@ -156,12 +156,13 @@ class TestPointerOwnsItsGrid:
 
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4), overlap=st.floats(0.05, 1.0),
            n=st.one_of(st.sampled_from([4096, 4097]), st.integers(256, 2048)), sigma=st.sampled_from([1.0, 0.37, 3e-5]),
-           reach=st.floats(0, 4))
+           lam=st.floats(0, 4))
     @settings(max_examples=100, deadline=None)
-    def test_momentum_reads_the_stored_frequencies_bit_for_bit(self, seed, dim, overlap, n, sigma, reach):
+    def test_momentum_reads_the_stored_frequencies_bit_for_bit(self, seed, dim, overlap, n, sigma, lam):
+        # λ in units of sigma, up to the grid's span/4 = 8σ
         pre, post, obs = _selections(seed, dim, overlap)
         pointer = make_gaussian_pointer(sigma, n, 32 * sigma)
-        joint = couple(pre, pointer, CouplingSpec(reach * sigma, obs))
+        joint = couple(pre, pointer, CouplingSpec(lam * sigma, obs))
         weights = np.abs(np.fft.fft(post.amps.conj() @ joint.amps)) ** 2
         momenta = 2 * np.pi * np.fft.fftfreq(n, d=pointer.spacing)
         expected = float(np.sum(momenta * weights) / weights.sum())
