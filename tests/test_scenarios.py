@@ -450,6 +450,19 @@ class TestBuiltins:
             "reality-pair",
         }
 
+    def test_documents_are_pinned(self):
+        """Every builtin's document and notes, byte for byte: the report
+        digests see neither the order of ``params`` nor the serialized spec."""
+        specs = [builtin(name) for name in builtin_names()] + [
+            builtin("mach-zehnder", which_path_stage=False),
+            builtin("tandem-mz", which_path_stage=False),
+            builtin("tandem-mz", theta_1a=0.1, theta_2b=1.5),
+        ]
+        payload = json.dumps([[to_document(spec), list(spec.notes)] for spec in specs])
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "8bd307b64718e281de01499bc7ccdde3ed463da1b3bc7490bf0bcfef238e1c09"
+        )
+
     def test_spin_zz_xi_aligned_probe(self):
         report = run_scenario(builtin("spin-zz-xi", theta=0.0), mode="analytic")
         assert report.stages[0].analytic[0] == pytest.approx(1.0, abs=1e-12)
