@@ -292,6 +292,13 @@ def _resolve_operator(spec, path: str) -> LinearOperator:
     return resolve_observable(spec, path).operator
 
 
+def _entries(document: Mapping, key: str):
+    """``(path, entry)`` for each entry of the optional list ``document[key]``, checked to be an object."""
+    for i, entry in enumerate(_list_from(document.get(key, []), key)):
+        path = f"{key}[{i}]"
+        yield path, _mapping_from(entry, path)
+
+
 def load_scenario(document) -> ScenarioSpec:
     """Validate a scenario document (dict or JSON text) into a ScenarioSpec."""
     if isinstance(document, (str, bytes)):
@@ -348,22 +355,11 @@ def load_scenario(document) -> ScenarioSpec:
 
     params = _mapping_from(document.get("params", {}), "params")
     params = {str(k): _number_from(v, f"params.{k}") for k, v in params.items()}
-    counterfactuals = []
-    for i, entry in enumerate(_list_from(document.get("counterfactuals", []), "counterfactuals")):
-        path = f"counterfactuals[{i}]"
-        entry = _mapping_from(entry, path)
-        counterfactuals.append(
-            (_label_from(entry, path), resolve_observable(entry.get("observable"), f"{path}.observable"))
-        )
-    products = []
-    for i, entry in enumerate(_list_from(document.get("products", []), "products")):
-        path = f"products[{i}]"
-        entry = _mapping_from(entry, path)
-        products.append((
-            _label_from(entry, path),
-            _resolve_operator(entry.get("left"), f"{path}.left"),
-            _resolve_operator(entry.get("right"), f"{path}.right"),
-        ))
+    counterfactuals = [(_label_from(entry, path), resolve_observable(entry.get("observable"), f"{path}.observable"))
+                       for path, entry in _entries(document, "counterfactuals")]
+    products = [(_label_from(entry, path), _resolve_operator(entry.get("left"), f"{path}.left"),
+                 _resolve_operator(entry.get("right"), f"{path}.right"))
+                for path, entry in _entries(document, "products")]
 
     return ScenarioSpec(
         name=name,
@@ -447,12 +443,23 @@ def _check_angle(name: str, value: float, low: float, high: float) -> float:
     return value
 
 
-def _detector_observable() -> SpectralObservable:
-    # D1 <-> port d (index 1), D2 <-> port u (index 0); for the balanced
-    # interferometer fed through port u, all amplitude exits at D1.
-    proj_d = np.array([[0, 0], [0, 1]], dtype=complex)
-    proj_u = np.array([[1, 0], [0, 0]], dtype=complex)
-    return SpectralObservable(np.array([1.0, 2.0]), np.array([proj_d, proj_u]))
+def _interferometer(name: str, before, after, which_path_stage: float | bool, params: dict[str, float],
+                    notes: str) -> ScenarioSpec:
+    """Light in at port u through the splitters ``before``, the optional path
+    detector, the splitters ``after``, and post-selected at detector D1."""
+    path = (MeasureStage(which_path(), "path"),) if which_path_stage else ()
+    return ScenarioSpec(
+        name=name,
+        dim=2,
+        pre=basis_state(2, 0),
+        timeline=(*map(UnitaryStage, before), *path, *map(UnitaryStage, after)),
+        # D1 <-> port d (index 1), D2 <-> port u (index 0); for the balanced
+        # interferometer fed through port u, all amplitude exits at D1.
+        post_observable=detector_basis(Unitary([[0, 1], [1, 0]])),
+        post_select=1.0,
+        params={**params, "which_path": 1.0 if which_path_stage else 0.0},
+        notes=(notes,),
+    )
 
 
 def _builtin_spin_zz_xi(theta: float = np.pi / 3) -> ScenarioSpec:
@@ -493,23 +500,11 @@ def _builtin_sharp_shanks(theta_ab: float = np.pi / 3, theta_bc: float = np.pi /
 
 
 def _builtin_mach_zehnder(which_path_stage: float | bool = True) -> ScenarioSpec:
-    timeline: list[TimelineEntry] = [UnitaryStage(beamsplitter())]
-    if which_path_stage:
-        timeline.append(MeasureStage(which_path(), "path"))
-    timeline.append(UnitaryStage(beamsplitter()))
-    return ScenarioSpec(
-        name="mach-zehnder",
-        dim=2,
-        pre=basis_state(2, 0),
-        timeline=tuple(timeline),
-        post_observable=_detector_observable(),
-        post_select=1.0,
-        params={"which_path": 1.0 if which_path_stage else 0.0},
-        notes=(
-            "balanced interferometer reconstruction: input port u, 50/50 "
-            "splitters (1/sqrt2)[[1,i],[i,1]], optional path detector between "
-            "them; detector D1 sits on the bright output port",
-        ),
+    return _interferometer(
+        "mach-zehnder", [beamsplitter()], [beamsplitter()], which_path_stage, {},
+        "balanced interferometer reconstruction: input port u, 50/50 "
+        "splitters (1/sqrt2)[[1,i],[i,1]], optional path detector between "
+        "them; detector D1 sits on the bright output port",
     )
 
 
@@ -522,31 +517,12 @@ def _builtin_tandem_mz(
 ) -> ScenarioSpec:
     given = {"theta_1a": theta_1a, "theta_1b": theta_1b, "theta_2a": theta_2a, "theta_2b": theta_2b}
     angles = {name: _check_angle(name, value, 0.0, np.pi / 2) for name, value in given.items()}
-    timeline: list[TimelineEntry] = [
-        UnitaryStage(beamsplitter(angles["theta_1a"])),
-        UnitaryStage(beamsplitter(angles["theta_1b"])),
-    ]
-    if which_path_stage:
-        timeline.append(MeasureStage(which_path(), "path"))
-    timeline += [
-        UnitaryStage(beamsplitter(angles["theta_2a"])),
-        UnitaryStage(beamsplitter(angles["theta_2b"])),
-    ]
-    params = dict(angles)
-    params["which_path"] = 1.0 if which_path_stage else 0.0
-    return ScenarioSpec(
-        name="tandem-mz",
-        dim=2,
-        pre=basis_state(2, 0),
-        timeline=tuple(timeline),
-        post_observable=_detector_observable(),
-        post_select=1.0,
-        params=params,
-        notes=(
-            "two cascaded two-mode interferometers on one path space with an "
-            "optional which-path detector between them; generic reconstruction "
-            "parameterized by both splitter-angle pairs",
-        ),
+    splitters = [beamsplitter(angle) for angle in angles.values()]
+    return _interferometer(
+        "tandem-mz", splitters[:2], splitters[2:], which_path_stage, angles,
+        "two cascaded two-mode interferometers on one path space with an "
+        "optional which-path detector between them; generic reconstruction "
+        "parameterized by both splitter-angle pairs",
     )
 
 
