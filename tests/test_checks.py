@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from twostate.checks import (
     check_swap_symmetry,
     run_paper_checks,
 )
+from twostate.errors import InsufficientAcceptedTrialsError
 from twostate.montecarlo import derive_seed
 
 
@@ -62,6 +64,24 @@ def test_builtin_scenarios_starvation_warns():
     result = check_builtin_scenarios(7, trials=1_000)
     assert result.status == "warn"
     assert "tandem-mz" in result.summary
+
+
+def test_oracle_agreement_fails_at_a_seed_the_battery_size_allows():
+    # README's example: 50 z-tests at z = 4 fail a correct build at about one seed in 100
+    assert check_oracle_agreement(derive_seed(1047, 5), 100_000) == checks.CheckResult(
+        "oracle-agreement", "fail", "scenario 17: |z| = 4.05 exceeds 4.0")
+
+
+@pytest.mark.parametrize("failing, starved", [(0, 1), (1, 0)])
+def test_builtin_scenarios_failure_wins_over_starvation(monkeypatch, failing, starved):
+    names = checks.builtin_names()
+    def stub(spec, **kwargs):
+        if spec.name == names[starved]:
+            raise InsufficientAcceptedTrialsError("below the floor")
+        return types.SimpleNamespace(passed=spec.name != names[failing])
+    monkeypatch.setattr(checks, "run_scenario", stub)
+    assert check_builtin_scenarios(7, 100_000) == checks.CheckResult(
+        "builtin-scenarios", "fail", f"failing scenario(s): {names[failing]}")
 
 
 def test_product_rule_row_is_deterministic():
