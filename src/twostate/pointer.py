@@ -50,13 +50,13 @@ def _grid(n: int, spacing: float, sigma: float) -> np.ndarray:
     if n < 256:
         raise PointerGridError(f"grid has {n} points; need >= 256")
     _check_finite(spacing=spacing, sigma=sigma)
+    if abs(spacing) < np.finfo(float).tiny:  # zero or subnormal: overflows the norm sums; named before reach fails
+        raise PointerGridError(f"sigma {sigma!r} too small: grid spacing {spacing!r} is subnormal")
     positions = (np.arange(n) - (n - 1) / 2) * spacing
     if not positions[-1] >= 8 * sigma:  # the first point is its negation
         raise PointerGridError("grid must span at least 8 sigma on each side of center")
     if not spacing <= sigma / 8:
         raise PointerGridError(f"grid too coarse: dq = {spacing} > sigma/8 = {sigma / 8}")
-    if spacing < np.finfo(float).tiny:  # a subnormal spacing overflows the norm sums and the phase ramp
-        raise PointerGridError(f"sigma {sigma!r} too small: grid spacing {spacing!r} is subnormal")
     return positions
 
 

@@ -524,6 +524,8 @@ class TestJointOwnership:
     pytest.param(lambda: PointerState(GRID.amps, DQ, 0.2), PointerGridError,
                  r"^grid too coarse: dq = 0\.03125 > sigma/8 = 0\.025$", id="coarser-than-sigma-over-8"),
     pytest.param(lambda: make_gaussian_pointer(sigma=0), ValueError, "sigma must be positive", id="zero-sigma"),
+    pytest.param(lambda: make_gaussian_pointer(sigma=5e-324), PointerGridError,
+                 r"^sigma 5e-324 too small: grid spacing 0\.0 is subnormal$", id="zero-spacing"),
     pytest.param(lambda: JointState(np.stack([GRID.amps, GRID.amps]), GRID), PointerGridError,
                  "joint norm is", id="joint-norm"),
     pytest.param(lambda: JointState(GRID.amps, GRID), ValueError,
@@ -536,6 +538,8 @@ class TestJointOwnership:
                  "system dim 3 vs observable dim 2", id="couple-dims"),
     pytest.param(lambda: post_selected_pointer(couple(UP_Z, GRID, CouplingSpec(0.1, pauli("z"))), basis_state(3, 0)),
                  DimensionMismatchError, "post dim 3 vs system dim 2", id="post-selected-dims"),
+    pytest.param(lambda: gaussian_pointer_means(UP_Z, basis_state(3, 0), CouplingSpec(0.1, pauli("z")), 1.0),
+                 DimensionMismatchError, r"^pre dim 2, post dim 3 vs observable dim 2$", id="exact-means-dims"),
 ])
 def test_grid_and_dimension_guards(build, error, match):
     with pytest.raises(error, match=match):
