@@ -333,6 +333,8 @@ class TestSpectralObservable:
                  "matrix is not Hermitian", id="non-hermitian"),
     pytest.param(lambda: LinearOperator(np.eye(2)) @ LinearOperator(np.eye(3)), DimensionMismatchError,
                  "operator dims differ: 2 vs 3", id="matmul-dims"),
+    pytest.param(lambda: LinearOperator(np.eye(2)) @ 2, TypeError,
+                 r"unsupported operand type\(s\) for @: 'LinearOperator' and 'int'", id="matmul-non-operator"),
     pytest.param(lambda: LinearOperator(np.eye(3) + np.eye(2)), ValueError,
                  "could not be broadcast", id="add-dims"),
 ])
@@ -479,10 +481,15 @@ class TestStackedConstructors:
     @settings(max_examples=100, deadline=None)
     def test_hermitian_branches_match_from_hermitian_bits(self, seed, dim):
         rng = np.random.default_rng(seed)
-        mats = np.array([random_observable(rng, dim).operator.matrix for _ in range(4)])
+        mats = np.array([random_observable(rng, dim).operator.matrix for _ in range(5)])
         mats[3] = np.diag([1.0] * 2 + list(range(2, dim)))  # a degenerate pair: from_hermitian merges it
-        eigs, projs, regular = _hermitian_branches(mats)
-        assert regular.tolist() == [True, True, True, False]
+        mats[4, 0, 1] = np.nan  # non-finite: outside the mask, and no other row sees it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eigs, projs, regular = _hermitian_branches(mats)
+        assert regular.tolist() == [True, True, True, False, False]
+        finite = _hermitian_branches(mats[:4])
+        assert eigs[:4].tobytes() == finite[0].tobytes() and projs[:4].tobytes() == finite[1].tobytes()
         assert _spectra_ok(eigs[:3], projs[:3]).all()
         for mat, e, p in zip(mats[:3], eigs, projs):
             obs = SpectralObservable.from_hermitian(mat)
