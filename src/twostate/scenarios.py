@@ -443,8 +443,8 @@ def _check_angle(name: str, value: float, low: float, high: float) -> float:
     return value
 
 
-def _interferometer(name: str, before, after, which_path_stage: float | bool, params: dict[str, float],
-                    notes: str) -> ScenarioSpec:
+def _interferometer(name: str, before: list[Unitary], after: list[Unitary], which_path_stage: float | bool,
+                    params: dict[str, float], notes: str) -> ScenarioSpec:
     """Light in at port u through the splitters ``before``, the optional path
     detector, the splitters ``after``, and post-selected at detector D1."""
     path = (MeasureStage(which_path(), "path"),) if which_path_stage else ()
