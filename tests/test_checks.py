@@ -53,6 +53,32 @@ def test_statistical_rows_pass_or_warn_at_any_budget(trials, seed):
     assert {r.name: r.status for r in rows if r.status not in ("pass", "warn")} == {}
 
 
+def test_statistical_rows_at_every_budget_are_pinned():
+    # byte-level pin of the 84 results above, WARN summaries included; the
+    # battery digests run only where every row passes
+    rows = [
+        dataclasses.astuple(row)
+        for seed in (0, 7, 2**64 - 1)
+        for trials in (1, 2, 5, 10, 50, 100, 1000)
+        for row in (
+            check_conditional_counterexample(derive_seed(seed, 2), trials),
+            check_oracle_agreement(derive_seed(seed, 5), trials),
+            check_erasure_retrodiction(derive_seed(seed, 6), trials),
+            check_builtin_scenarios(derive_seed(seed, 8), trials),
+        )
+    ]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "6a0771b1720c10664a48675161dfc0a8473b5182998e9fb963a4bfd68a1a2908"
+    )
+
+
+def test_erasure_starvation_wins_over_a_failing_branch():
+    # a branch above the floor exceeds z, yet a starved branch makes the row warn
+    assert check_erasure_retrodiction(derive_seed(2**64 - 1, 6), 1000) == checks.CheckResult(
+        "erasure-retrodiction", "warn",
+        "35 branch(es) below the accepted-trials floor at trials=1000; max |z| = 4.61")
+
+
 def test_counterexample_separation_required_at_scale():
     result = check_conditional_counterexample(3, trials=100_000)
     assert result.status == "pass"
