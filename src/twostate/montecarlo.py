@@ -461,8 +461,10 @@ def compare_counts(
     is degenerate (0 or 1, hence SE = 0): an exactly degenerate prediction
     must match exactly; otherwise the prediction's own binomial SE is used.
     Raises InsufficientAcceptedTrialsError below MIN_ACCEPTED accepted trials,
-    ValueError when there is not one count per predicted outcome.
+    ValueError unless ``z`` is a finite number > 0 and there is one count per
+    predicted outcome.
     """
+    z = _threshold(z)
     if len(counts) != len(predicted.eigenvalues):
         raise ValueError(f"{len(counts)} counts for {len(predicted.eigenvalues)} predicted outcomes")
     if total < MIN_ACCEPTED:

@@ -158,6 +158,12 @@ def test_z_must_be_finite_and_positive(z):
     assert str(info.value) == f"z must be a finite number > 0, got {z!r}"
 
 
+def test_a_row_called_directly_refuses_a_bad_z():
+    # the erasure row compares through compare_counts alone; with nan it warned
+    with pytest.raises(ValueError, match="z must be a finite number > 0, got nan"):
+        check_erasure_retrodiction(3, 1000, z=float("nan"))
+
+
 @pytest.mark.parametrize("field, value", [("seed", True), ("seed", 2.5), ("trials", True), ("trials", 2.5)])
 def test_non_integer_trials_or_seed_is_named_as_given(field, value):
     # a bool seed ran as 1 and reported seed=True; a float seed died naming a derived sub-seed

@@ -504,6 +504,13 @@ class TestCompareCounts:
         assert [o.z_score for o in outcomes] == [0.0, 0.0]
         assert all(o.passed for o in outcomes)
 
+    @pytest.mark.parametrize("z", [float("nan"), float("inf"), -1.0, 0, True, "4"])
+    def test_z_must_be_finite_and_positive(self, z):
+        # nan or -1 failed both outcomes at z-score 0.0, and True ran as 1
+        with pytest.raises(ValueError) as info:
+            compare_counts(HALF, (50, 50), 100, z)
+        assert str(info.value) == f"z must be a finite number > 0, got {z!r}"
+
     @pytest.mark.parametrize("counts", [(300,), (200, 200, 200)])
     def test_one_count_per_predicted_outcome(self, counts):
         with pytest.raises(ValueError, match=f"{len(counts)} counts for 2 predicted outcomes"):
