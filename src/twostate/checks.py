@@ -49,6 +49,7 @@ from .algebra import (
 from .errors import InsufficientAcceptedTrialsError
 from .montecarlo import (
     MeasureStage,
+    Verdict,
     Z_THRESHOLD,
     _integer,
     _threshold,
@@ -440,8 +441,7 @@ def check_oracle_agreement(seed: int, trials: int, z: float = Z_THRESHOLD) -> Ch
     """Sampled conditionals match the analytic rule across random scenarios."""
     n = 50
     rng = _seed_stream(seed)
-    max_z = 0.0
-    warns = 0
+    compared = []
     for i in range(n):
         while True:
             pre = _random_state(rng, 2)
@@ -455,28 +455,21 @@ def check_oracle_agreement(seed: int, trials: int, z: float = Z_THRESHOLD) -> Ch
             f"oracle-agreement-{i}", 2, pre, (MeasureStage(obs, "m"),), state_projector_observable(post), 1.0
         )
         try:
-            stage = run_scenario(spec, trials=trials, seed=int(rng.integers(0, 2**32)), z=z).stages[0]
+            stats = simulate(spec.pre, spec.timeline, (spec.post_observable, spec.post_select), trials,
+                             int(rng.integers(0, 2**32)))
+            compared.append(compare_to_abl(stats, analytic_predictions(spec).distributions[0], z).outcomes)
         except InsufficientAcceptedTrialsError:
-            warns += 1
-            continue
-        max_z = max(max_z, max(abs(zs) for zs in stage.z_scores))
-        if not stage.passed:
-            return CheckResult(
-                "oracle-agreement",
-                "fail",
-                f"scenario {i}: |z| = {max_z:.2f} exceeds {z}",
-            )
-    if warns:
-        return CheckResult(
-            "oracle-agreement",
-            "warn",
-            f"{warns}/{n} scenarios below the accepted-trials floor at trials={trials}",
-        )
-    return CheckResult(
-        "oracle-agreement",
-        "pass",
-        f"max |z| = {max_z:.2f} over {n} random scenarios x {trials} trials (threshold {z})",
-    )
+            compared.append(None)
+    verdict = Verdict(tuple(compared))
+    failing = verdict.first_failure
+    if failing is not None:  # failure wins over starvation
+        own_z = max(abs(o.z_score) for o in verdict.compared[failing])
+        return CheckResult("oracle-agreement", "fail", f"scenario {failing}: |z| = {own_z:.2f} exceeds {z}")
+    if verdict.starved:
+        return CheckResult("oracle-agreement", "warn",
+                           f"{verdict.starved}/{n} scenarios below the accepted-trials floor at trials={trials}")
+    return CheckResult("oracle-agreement", "pass",
+                       f"max |z| = {verdict.max_z:.2f} over {n} random scenarios x {trials} trials (threshold {z})")
 
 
 def check_erasure_retrodiction(seed: int, trials: int, z: float = Z_THRESHOLD) -> CheckResult:
@@ -484,8 +477,7 @@ def check_erasure_retrodiction(seed: int, trials: int, z: float = Z_THRESHOLD) -
     in every branch, for any prepared particle state."""
     n = 20
     rng = _seed_stream(seed)
-    max_z = 0.0
-    low_power = 0
+    compared = []
     for _ in range(n):
         theta = float(rng.uniform(np.pi / 6, 5 * np.pi / 6))
         phi = float(rng.uniform(0, 2 * np.pi))
@@ -500,29 +492,22 @@ def check_erasure_retrodiction(seed: int, trials: int, z: float = Z_THRESHOLD) -
                 sub_seed,
             )
         except InsufficientAcceptedTrialsError:
-            low_power += 4
+            compared += [None] * 4
             continue
         for branch in (1.0, 2.0, 3.0, 4.0):
             try:
                 cond = stats.conditional_given("sy", {"bell": branch})
                 half = OutcomeDistribution(tuple(s.eigenvalue for s in cond), (0.5, 0.5))
-                outcomes = compare_counts(half, [s.count for s in cond], sum(s.count for s in cond), z)
+                compared.append(compare_counts(half, [s.count for s in cond], sum(s.count for s in cond), z))
             except InsufficientAcceptedTrialsError:
-                low_power += 1
-                continue
-            max_z = max(max_z, *(abs(o.z_score) for o in outcomes))
-    if low_power:
-        return CheckResult(
-            "erasure-retrodiction",
-            "warn",
-            f"{low_power} branch(es) below the accepted-trials floor at trials={trials}; max |z| = {max_z:.2f}",
-        )
-    return CheckResult(
-        "erasure-retrodiction",
-        _status(max_z <= z),
-        f"max |z| vs 1/2 = {max_z:.2f} over {n} prepared states x 4 branches "
-        f"(threshold {z})",
-    )
+                compared.append(None)
+    verdict = Verdict(tuple(compared))
+    if verdict.starved:  # starvation wins over failure
+        return CheckResult("erasure-retrodiction", "warn",
+                           f"{verdict.starved} branch(es) below the accepted-trials floor at trials={trials}; "
+                           f"max |z| = {verdict.max_z:.2f}")
+    return CheckResult("erasure-retrodiction", _status(verdict.passed),
+                       f"max |z| vs 1/2 = {verdict.max_z:.2f} over {n} prepared states x 4 branches (threshold {z})")
 
 
 def check_pointer_strong(seed: int, z: float = Z_THRESHOLD) -> CheckResult:
@@ -539,14 +524,10 @@ def check_pointer_strong(seed: int, z: float = Z_THRESHOLD) -> CheckResult:
     lobes = coupling.strength * obs.eigenvalues
     nearest = np.argmin(np.abs(sampled[:, None] - lobes[None, :]), axis=1)
     predicted = abl_probabilities(TwoStateVector(pre, post), obs)
-    outcomes = compare_counts(predicted, np.bincount(nearest, minlength=lobes.size), samples, z)
-    max_z = max(abs(o.z_score) for o in outcomes)
-    return CheckResult(
-        "pointer-strong-lobes",
-        _status(all(o.passed for o in outcomes)),
-        f"max |z| = {max_z:.2f} between lobe frequencies ({samples} readouts) "
-        f"and the conditional rule (threshold {z})",
-    )
+    verdict = Verdict((compare_counts(predicted, np.bincount(nearest, minlength=lobes.size), samples, z),))
+    return CheckResult("pointer-strong-lobes", _status(verdict.passed),
+                       f"max |z| = {verdict.max_z:.2f} between lobe frequencies ({samples} readouts) "
+                       f"and the conditional rule (threshold {z})")
 
 
 def check_pointer_weak_convergence() -> CheckResult:

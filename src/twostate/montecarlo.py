@@ -443,12 +443,32 @@ class OutcomeComparison:
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
-    stage: str
-    accepted: int
-    z_threshold: float
-    outcomes: tuple[OutcomeComparison, ...]
-    passed: bool
+class Verdict:
+    """One z-gate: per distribution compared, in order, its ``compare_counts``
+    outcomes, or None when it had fewer than MIN_ACCEPTED accepted trials."""
+
+    compared: tuple[tuple[OutcomeComparison, ...] | None, ...]
+
+    @property
+    def outcomes(self) -> tuple[OutcomeComparison, ...]:
+        return tuple(o for entry in self.compared if entry is not None for o in entry)
+
+    @property
+    def starved(self) -> int:
+        return self.compared.count(None)
+
+    @property
+    def first_failure(self) -> int | None:
+        """The position of the first compared distribution with an outcome outside the gate."""
+        return next((i for i, entry in enumerate(self.compared) if entry and not all(o.passed for o in entry)), None)
+
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
+
+    @property
+    def max_z(self) -> float:
+        return max((abs(o.z_score) for o in self.outcomes), default=0.0)
 
 
 def compare_counts(
@@ -488,9 +508,9 @@ def compare_to_abl(
     predicted: OutcomeDistribution,
     z: float = Z_THRESHOLD,
     stage_label: str | None = None,
-) -> ComparisonReport:
+) -> Verdict:
     """``compare_counts`` of one stage's accepted tallies, matched to
-    ``predicted`` by eigenvalue."""
+    ``predicted`` by eigenvalue, as a one-entry Verdict."""
     stage = stats._stage(stage_label)
     counts = []
     for eig in predicted.eigenvalues:
@@ -498,5 +518,4 @@ def compare_to_abl(
             counts.append(stage.counts_accepted[_branch_of(stage.eigenvalues, eig, f"stage {stage.label!r}")])
         except ValueError as exc:
             raise ValueError(f"predicted eigenvalue {eig!r} does not match the sampled stage") from exc
-    outcomes = compare_counts(predicted, counts, stats.accepted, z)
-    return ComparisonReport(stage.label, stats.accepted, z, outcomes, all(o.passed for o in outcomes))
+    return Verdict((compare_counts(predicted, counts, stats.accepted, z),))

@@ -22,7 +22,7 @@ from twostate.checks import (
     run_paper_checks,
 )
 from twostate.errors import InsufficientAcceptedTrialsError
-from twostate.montecarlo import derive_seed
+from twostate.montecarlo import OutcomeComparison, Verdict, derive_seed
 
 
 def test_all_rows_pass_at_moderate_trials():
@@ -108,6 +108,41 @@ def test_builtin_scenarios_failure_wins_over_starvation(monkeypatch, failing, st
     monkeypatch.setattr(checks, "run_scenario", stub)
     assert check_builtin_scenarios(7, 100_000) == checks.CheckResult(
         "builtin-scenarios", "fail", f"failing scenario(s): {names[failing]}")
+
+
+def _gate(z_score):
+    """A one-entry verdict at z = 4 whose two outcomes have |z| = ``z_score``."""
+    return Verdict((tuple(
+        OutcomeComparison(eig, 0.5, 0.5, 0.05, sign * z_score, z_score <= 4) for eig, sign in ((1.0, 1), (-1.0, -1))
+    ),))
+
+
+def test_oracle_agreement_failure_wins_over_starvation(monkeypatch):
+    # scenario 0 starves, 2 and 3 fail: the row names 2 with its own |z|
+    runs = iter(range(50))
+    def simulate(*args):
+        run = next(runs)
+        if run == 0:
+            raise InsufficientAcceptedTrialsError("below the floor")
+        return run
+    monkeypatch.setattr(checks, "simulate", simulate)
+    monkeypatch.setattr(checks, "compare_to_abl", lambda run, predicted, z: _gate({2: 5.0, 3: 7.0}.get(run, 1.0)))
+    assert check_oracle_agreement(7, 100_000) == checks.CheckResult(
+        "oracle-agreement", "fail", "scenario 2: |z| = 5.00 exceeds 4.0")
+
+
+def test_erasure_starvation_wins_over_failure(monkeypatch):
+    # the first branch compared starves and the second fails
+    calls, real = iter(range(80)), checks.compare_counts
+    def compare_counts(*args):
+        call = next(calls)
+        if call == 0:
+            raise InsufficientAcceptedTrialsError("below the floor")
+        return _gate(5.0).outcomes if call == 1 else real(*args)
+    monkeypatch.setattr(checks, "compare_counts", compare_counts)
+    assert check_erasure_retrodiction(derive_seed(7, 6), 20_000) == checks.CheckResult(
+        "erasure-retrodiction", "warn",
+        "1 branch(es) below the accepted-trials floor at trials=20000; max |z| = 5.00")
 
 
 def test_product_rule_row_is_deterministic():

@@ -31,7 +31,9 @@ from twostate.errors import (
 from twostate.montecarlo import (
     MIN_ACCEPTED,
     MeasureStage,
+    OutcomeComparison,
     UnitaryStage,
+    Verdict,
     _chunk_rngs,
     chunk_rng,
     compare_counts,
@@ -549,6 +551,37 @@ class TestCompareCounts:
         outcomes = compare_counts(predicted, counts, total)
         assert [o.z_score for o in outcomes] == [0.0] * len(counts)
         assert all(o.passed for o in outcomes)
+
+
+def _entry(*z_scores):
+    """compare_counts-shaped outcomes with the given z-scores, gated at z = 4."""
+    return tuple(OutcomeComparison(float(j), 0.5, 0.5, 0.05, zs, abs(zs) <= 4) for j, zs in enumerate(z_scores))
+
+
+class TestVerdict:
+    def test_first_failure_skips_starved_entries(self):
+        verdict = Verdict((None, _entry(1.0, -1.0), None, _entry(4.5, -4.5), _entry(9.0, -9.0)))
+        assert verdict.first_failure == 3
+        assert not verdict.passed
+        assert verdict.starved == 2
+        assert verdict.max_z == 9.0
+        assert [o.z_score for o in verdict.outcomes] == [1.0, -1.0, 4.5, -4.5, 9.0, -9.0]
+
+    def test_every_entry_starved(self):
+        verdict = Verdict((None, None))
+        assert (verdict.first_failure, verdict.passed, verdict.starved, verdict.max_z) == (None, True, 2, 0.0)
+        assert verdict.outcomes == ()
+
+    def test_gate_width_at_the_default_threshold(self):
+        # 5200 of 10,000 against 1/2 is |z| = 4.003, one count fewer is 3.983
+        above, below = (Verdict((compare_counts(HALF, (k, 10_000 - k), 10_000),)) for k in (5200, 5199))
+        assert round(above.max_z, 3) == 4.003 and not above.passed and above.first_failure == 0
+        assert round(below.max_z, 3) == 3.983 and below.passed and below.first_failure is None
+
+    def test_a_z_score_equal_to_the_threshold_passes(self):
+        z_score = compare_counts(HALF, (60, 40), 100)[0].z_score
+        assert Verdict((compare_counts(HALF, (60, 40), 100, z_score),)).passed
+        assert not Verdict((compare_counts(HALF, (60, 40), 100, np.nextafter(z_score, 0)),)).passed
 
 
 class TestInterpretationB:
