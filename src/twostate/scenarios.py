@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Union
 
@@ -436,17 +437,26 @@ def to_document(spec: ScenarioSpec) -> dict[str, Any]:
 # builtin catalog
 
 
+def _parameter(name: str, value: float) -> float:
+    """A catalog parameter as a float; ValueError unless it is a real number (a bool is not), as in the loader."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"parameter {name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_angle(name: str, value: float, low: float, high: float) -> float:
-    value = float(value)
+    value = _parameter(name, value)
     if not np.isfinite(value) or not (low <= value <= high):
         raise ValueError(f"parameter {name}={value!r} outside documented range [{low}, {high}]")
     return value
 
 
-def _interferometer(name: str, before: list[Unitary], after: list[Unitary], which_path_stage: float | bool,
+def _interferometer(name: str, before: list[Unitary], after: list[Unitary], which_path_stage: bool,
                     params: dict[str, float], notes: str) -> ScenarioSpec:
     """Light in at port u through the splitters ``before``, the optional path
     detector, the splitters ``after``, and post-selected at detector D1."""
+    if which_path_stage not in (True, False):
+        raise ValueError(f"parameter which_path_stage must be a bool, 0 or 1, got {which_path_stage!r}")
     path = (MeasureStage(which_path(), "path"),) if which_path_stage else ()
     return ScenarioSpec(
         name=name,
@@ -499,7 +509,7 @@ def _builtin_sharp_shanks(theta_ab: float = np.pi / 3, theta_bc: float = np.pi /
     )
 
 
-def _builtin_mach_zehnder(which_path_stage: float | bool = True) -> ScenarioSpec:
+def _builtin_mach_zehnder(which_path_stage: bool = True) -> ScenarioSpec:
     return _interferometer(
         "mach-zehnder", [beamsplitter()], [beamsplitter()], which_path_stage, {},
         "balanced interferometer reconstruction: input port u, 50/50 "
@@ -513,7 +523,7 @@ def _builtin_tandem_mz(
     theta_1b: float = 1.1,
     theta_2a: float = 0.8,
     theta_2b: float = 0.5,
-    which_path_stage: float | bool = True,
+    which_path_stage: bool = True,
 ) -> ScenarioSpec:
     given = {"theta_1a": theta_1a, "theta_1b": theta_1b, "theta_2a": theta_2a, "theta_2b": theta_2b}
     angles = {name: _check_angle(name, value, 0.0, np.pi / 2) for name, value in given.items()}
@@ -528,7 +538,7 @@ def _builtin_tandem_mz(
 
 def _builtin_erasure(theta: float = 0.7, phi: float = 1.1) -> ScenarioSpec:
     theta = _check_angle("theta", theta, 0.0, np.pi)
-    phi = float(phi)
+    phi = _parameter("phi", phi)
     if not np.isfinite(phi):
         raise ValueError("parameter phi must be finite")
     particle = spin_state(theta, phi)

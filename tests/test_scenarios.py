@@ -440,6 +440,26 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="range"):
             builtin("spin-zz-xi", theta=7.0)
 
+    @pytest.mark.parametrize("name", ["mach-zehnder", "tandem-mz"])
+    @pytest.mark.parametrize("value", [0.5, "no", 2, float("nan")])
+    def test_which_path_stage_is_a_bool_0_or_1(self, name, value):
+        # it was read by truthiness: 0.5, "no" and 2 built the path detector
+        with pytest.raises(ValueError) as info:
+            builtin(name, which_path_stage=value)
+        assert str(info.value) == f"parameter which_path_stage must be a bool, 0 or 1, got {value!r}"
+        assert [builtin(name, which_path_stage=v).params["which_path"] for v in (0, 1, False, True)] == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("name, parameter", [
+        ("spin-zz-xi", "theta"), ("sharp-shanks", "theta_bc"), ("tandem-mz", "theta_1a"), ("erasure", "phi"),
+    ])
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_angle_refuses_what_is_not_a_number(self, name, parameter, value):
+        # theta=True reported theta: 1.0 and theta="0.5" theta: 0.5, where the
+        # document loader refuses both for a number
+        with pytest.raises(ValueError) as info:
+            builtin(name, **{parameter: value})
+        assert str(info.value) == f"parameter {parameter} must be a number, got {value!r}"
+
     def test_catalog_complete(self):
         assert set(builtin_names()) == {
             "spin-zz-xi",
