@@ -18,9 +18,20 @@ one named, independently runnable check:
 A report renders deterministically for a fixed (trials, seed): two runs are
 byte-identical.  Statistical checks hold no z arithmetic of their own: every
 sampled distribution goes through ``montecarlo.compare_counts`` (directly, via
-``compare_to_abl`` or via ``run_scenario``), and a check degrades to "warn"
-when one of them has fewer than ``MIN_ACCEPTED`` accepted trials (per Bell
-branch for erasure) or when every trial is rejected.
+``compare_to_abl`` or via ``run_scenario``), which refuses a ``z`` that is not
+a finite number > 0.  A distribution with fewer than ``MIN_ACCEPTED`` accepted
+trials (per Bell branch for erasure), or whose every trial is rejected, is
+starved and not compared.  oracle-agreement (all 50 scenarios),
+erasure-retrodiction and pointer-strong-lobes each gather their comparisons
+in one ``montecarlo.Verdict``.  Each row's precedence:
+
+* oracle-agreement and builtin-scenarios: a failure gives "fail", else a
+  starved comparison gives "warn";
+* erasure-retrodiction: a starved branch gives "warn", even when another
+  branch fails;
+* conditional-vs-unconditioned: starved gives "warn", as does a sample of
+  fewer than 20,000 accepted trials that does not show the 50-SE separation;
+* pointer-strong-lobes draws a fixed 10,000 readouts and cannot starve.
 """
 
 from __future__ import annotations

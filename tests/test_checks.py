@@ -131,7 +131,7 @@ def test_oracle_agreement_failure_wins_over_starvation(monkeypatch):
         "oracle-agreement", "fail", "scenario 2: |z| = 5.00 exceeds 4.0")
 
 
-def test_erasure_starvation_wins_over_failure(monkeypatch):
+def test_erasure_warns_with_a_starved_and_a_failing_branch(monkeypatch):
     # the first branch compared starves and the second fails
     calls, real = iter(range(80)), checks.compare_counts
     def compare_counts(*args):
