@@ -43,6 +43,9 @@ from twostate.scenarios import (
     to_document,
 )
 
+from test_benchmark_gates import WORKLOADS
+from test_montecarlo import BOUNDARY_TIMELINES, random_timeline
+
 MINIMAL = {
     "dim": 2,
     "pre": [1, 0],
@@ -868,6 +871,43 @@ def _report_digest(reports) -> str:
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
+def weak_probe_spec() -> ScenarioSpec:
+    return ScenarioSpec(
+        name="weak-probe",
+        dim=2,
+        pre=spin_state(2 * np.pi / 3, 0.4),
+        timeline=(
+            UnitaryStage(Unitary(pauli("x").operator.matrix)),
+            WeakStage(pauli("y").operator, 0.05, "wy"),
+        ),
+        post_observable=pauli("x"),
+        post_select=1.0,
+        counterfactuals=(("sz", pauli("z")),),
+        products=(("sz*sy", pauli("z").operator, pauli("y").operator),),
+    )
+
+
+def two_weak_probes_spec() -> ScenarioSpec:
+    phase = Unitary(np.diag([1.0, np.exp(0.5j)]))
+    return ScenarioSpec(
+        name="two-weak-probes",
+        dim=2,
+        pre=spin_state(1.1, 0.3),
+        timeline=(
+            UnitaryStage(beamsplitter(0.7)),
+            WeakStage(pauli("z").operator, 0.05, "wz"),
+            UnitaryStage(phase),
+            UnitaryStage(beamsplitter(0.2)),
+            WeakStage(pauli("y").operator, 0.04, "wy"),
+            UnitaryStage(phase),
+        ),
+        post_observable=pauli("x"),
+        post_select=1.0,
+        counterfactuals=(("sz", pauli("z")), ("sy", pauli("y"))),
+        products=(("sz*sy", pauli("z").operator, pauli("y").operator),),
+    )
+
+
 class TestReportDigests:
     """Byte-level pins of ``to_dict`` and ``csv_rows``, values and types;
     any change to a number, a field or a container type moves them."""
@@ -889,47 +929,63 @@ class TestReportDigests:
         assert _report_digest(reports) == self.PINNED[name]
 
     def test_weak_stage(self):
-        spec = ScenarioSpec(
-            name="weak-probe",
-            dim=2,
-            pre=spin_state(2 * np.pi / 3, 0.4),
-            timeline=(
-                UnitaryStage(Unitary(pauli("x").operator.matrix)),
-                WeakStage(pauli("y").operator, 0.05, "wy"),
-            ),
-            post_observable=pauli("x"),
-            post_select=1.0,
-            counterfactuals=(("sz", pauli("z")),),
-            products=(("sz*sy", pauli("z").operator, pauli("y").operator),),
-        )
+        spec = weak_probe_spec()
         reports = [run_scenario(spec, mode="analytic"), run_scenario(spec, mode="both", trials=5_000, seed=3)]
         assert _report_digest(reports) == (
             "d033620fc5697cae13faa6645630d634cfdb8a585fa773e014cf56eb04a3a94a"
         )
 
     def test_two_weak_stages_between_unitaries(self):
-        phase = Unitary(np.diag([1.0, np.exp(0.5j)]))
-        spec = ScenarioSpec(
-            name="two-weak-probes",
-            dim=2,
-            pre=spin_state(1.1, 0.3),
-            timeline=(
-                UnitaryStage(beamsplitter(0.7)),
-                WeakStage(pauli("z").operator, 0.05, "wz"),
-                UnitaryStage(phase),
-                UnitaryStage(beamsplitter(0.2)),
-                WeakStage(pauli("y").operator, 0.04, "wy"),
-                UnitaryStage(phase),
-            ),
-            post_observable=pauli("x"),
-            post_select=1.0,
-            counterfactuals=(("sz", pauli("z")), ("sy", pauli("y"))),
-            products=(("sz*sy", pauli("z").operator, pauli("y").operator),),
-        )
+        spec = two_weak_probes_spec()
         reports = [run_scenario(spec, mode="analytic"), run_scenario(spec, mode="both", trials=5_000, seed=3)]
         assert _report_digest(reports) == (
             "2467f5f486ce351a3576a0d6f959344955d603d61a8484f4a17075940523e66f"
         )
+
+
+def _analytic_bytes(spec: ScenarioSpec) -> bytes:
+    """The raw bytes of every number ``analytic_predictions`` returns for ``spec``."""
+    predictions = analytic_predictions(spec)
+    parts = [np.array(d.probabilities).tobytes() for d in predictions.distributions]
+    parts.append(np.float64(predictions.acceptance).tobytes())
+    for position, tsv in predictions.two_state.items():
+        parts += [np.int64(position).tobytes(), tsv.pre.amps.tobytes(), tsv.post.amps.tobytes(),
+                  np.complex128(tsv.overlap).tobytes()]
+    return b"".join(parts)
+
+
+def _analytic_inputs(group: str) -> list[ScenarioSpec]:
+    if group == "builtins":
+        return [builtin(name) for name in builtin_names()] + [
+            builtin(name, which_path_stage=False) for name in ("mach-zehnder", "tandem-mz")]
+    if group == "deep-timeline":
+        return [load_scenario(WORKLOADS.scenario_document(shape, entry))
+                for shape in range(len(WORKLOADS.SHAPES)) for entry in range(8)]
+    if group == "boundary":
+        specs = []
+        for name, shape in BOUNDARY_TIMELINES.items():
+            pre, stages, (post_obs, select) = random_timeline(*shape)
+            specs.append(ScenarioSpec(name, pre.dim, pre, tuple(stages), post_obs, select))
+        return specs
+    return [weak_probe_spec(), two_weak_probes_spec()]
+
+
+class TestAnalyticPin:
+    """The bits of the analytic pass on inputs whose analytic numbers no
+    report pin holds: deep and degenerate timelines and the two-state
+    amplitudes, beside the builtins and the weak-stage documents."""
+
+    PINNED = {
+        "builtins": "5609a7e16a38488673d6cddc6dfbe4623c8e913abc6090e8e222fc4dd4cbbdd6",
+        "deep-timeline": "a57259e67218f8056cf22daaae548166e00fdd96ed409468e9b56e29d7f0bf39",
+        "boundary": "45f70b5ec806d7871e17396ba51b55e1a277e19f6acade2dcee66fbb01232b28",
+        "weak": "1283c7ded65893acabbda2801daa79cf6ee4280a19712ddd2e85147f299e9aab",
+    }
+
+    @pytest.mark.parametrize("group", sorted(PINNED))
+    def test_analytic_predictions_are_pinned(self, group):
+        digest = hashlib.sha256(b"".join(_analytic_bytes(spec) for spec in _analytic_inputs(group))).hexdigest()
+        assert digest == self.PINNED[group]
 
 
 class TestToText:
