@@ -2,8 +2,9 @@
 
 A scenario names a preparation, an ordered timeline of unitary segments and
 measurement stages, and a single post-selection outcome.  Each scenario can
-run in analytic mode (conditional probabilities from one forward pass of the
-prepared state and one backward pass of the post-selection, every other
+run in analytic mode (conditional probabilities from one walk of the prepared
+state forward and of the post-selection backward, the backward pass being the
+forward walk of the reversed timeline with every U replaced by U†, every other
 measurement dephased), oracle mode (the seeded Monte-Carlo sampler), or
 both, in which case the report carries per-outcome agreement verdicts.
 
@@ -766,70 +767,67 @@ class AnalyticPredictions:
     two_state: dict[int, TwoStateVector]  # by timeline position
 
 
+def _walk(rho: np.ndarray, ket: np.ndarray, timeline, adjoint: bool = False) -> list[tuple]:
+    """(ρ, ket, stack) arriving at each entry of ``timeline``, then past its
+    end: ρ → UρU† and ket → U ket at a unitary, with U† for U when ``adjoint``;
+    ρ → Σ_j P_j ρ P_j at a measurement, whose stack P_j ρ P_j is kept (else
+    None); a weak stage leaves both unchanged."""
+    walked = []
+    for entry in timeline:
+        stack = None
+        if isinstance(entry, MeasureStage):
+            projs = entry.observable.projectors
+            stack = projs @ rho @ projs
+        walked.append((rho, ket, stack))
+        if isinstance(entry, UnitaryStage):
+            u = entry.unitary.matrix.conj().T if adjoint else entry.unitary.matrix
+            rho, ket = u @ rho @ u.conj().T, u @ ket
+        elif stack is not None:
+            rho = stack.sum(axis=0)
+    return walked + [(rho, ket, None)]
+
+
 def analytic_predictions(spec: ScenarioSpec) -> AnalyticPredictions:
     """Conditional outcome distributions per measurement stage, the acceptance
     probability, and the two-state vector wherever the spec reads it.
 
-    One forward and one backward pass (the two-state, or past-quantum-state,
-    form): the prepared ρ is carried forward through the unitaries with every
-    measurement dephased, ρ → Σ_j P_j ρ P_j, and the selected post projector
-    Q backward the same way as an effect E.  At a stage, with ρ from the
-    stages before it and E from those after it,
+    One walk, run in each time direction (the two-state, or past-quantum-state,
+    form): forward, the prepared ρ through the unitaries with every
+    measurement dephased, ρ → Σ_j P_j ρ P_j; backward, the selected post
+    projector Q as an effect E by the same walk over the reversed timeline
+    with every U replaced by U†.  At a stage, with ρ from the stages before
+    it and E from those after it,
 
         Prob(a_j | post) = Tr(P_j ρ P_j E) / Σ_k Tr(P_k ρ P_k E),
 
     the two-state conditional rule when the stage is the only one.  The
     acceptance probability is Tr(Q ρ) at the end.
 
-    The passes also carry the pure factors of ρ and E, the prepared and the
+    The walks also carry the pure factors of ρ and E, the prepared and the
     selected kets.  ``two_state`` maps each weak stage's position, and the
     end's when the spec has counterfactuals or products, to the
     ``TwoStateVector`` at that position, where ``ScenarioSpec`` guarantees
     that ρ and E are pure.
     """
-    q_sel = spec.post_observable.projectors[
-        spec.post_observable.branch_index(spec.post_select)
-    ]
+    q_sel = spec.post_observable.projectors[spec.post_observable.branch_index(spec.post_select)]
     end = len(spec.timeline)
-    rho = np.outer(spec.pre.amps, spec.pre.amps.conj())
-    ket, kets = spec.pre.amps, {}
-    branch_states = []  # P_j ρ P_j at each measurement stage, in timeline order
-    for position, entry in enumerate(spec.timeline):
-        if isinstance(entry, UnitaryStage):
-            rho = entry.unitary.matrix @ rho @ entry.unitary.matrix.conj().T
-            ket = entry.unitary.matrix @ ket
-        elif isinstance(entry, MeasureStage):
-            projs = entry.observable.projectors
-            branch_states.append(projs @ rho @ projs)
-            rho = branch_states[-1].sum(axis=0)
-        else:
-            kets[position] = StateVector(ket)
-    if spec.counterfactuals or spec.products:
-        kets[end] = StateVector(ket)
-    acceptance = float(np.trace(q_sel @ rho).real)
+    forward = _walk(np.outer(spec.pre.amps, spec.pre.amps.conj()), spec.pre.amps, spec.timeline)
+    acceptance = float(np.trace(q_sel @ forward[end][0]).real)
     if acceptance <= DENOMINATOR_FLOOR:
-        raise ZeroDenominatorError(
-            f"scenario {spec.name!r}: post-selection unreachable through every branch"
-        )
-    effect, bra = q_sel, _rank_one_vector(q_sel).amps
-    bras = {end: StateVector(bra)} if end in kets else {}
-    distributions = []
-    for position in reversed(range(end)):
-        entry = spec.timeline[position]
-        if isinstance(entry, UnitaryStage):
-            effect = entry.unitary.matrix.conj().T @ effect @ entry.unitary.matrix
-            bra = entry.unitary.matrix.conj().T @ bra
-        elif isinstance(entry, MeasureStage):
-            weights = np.einsum("kab,ba->k", branch_states.pop(), effect).real
-            distributions.append(
-                OutcomeDistribution(tuple(entry.observable.eigenvalues), tuple(weights / weights.sum()))
-            )
-            projs = entry.observable.projectors
-            effect = (projs @ effect @ projs).sum(axis=0)
-        else:
-            bras[position] = StateVector(bra)
-    two_state = {position: TwoStateVector(ket, bras[position]) for position, ket in kets.items()}
-    return AnalyticPredictions(distributions[::-1], acceptance, two_state)
+        raise ZeroDenominatorError(f"scenario {spec.name!r}: post-selection unreachable through every branch")
+    backward = _walk(q_sel, _rank_one_vector(q_sel).amps, reversed(spec.timeline), adjoint=True)[::-1]
+    distributions, two_state = [], {}
+    # ρ arriving at each stage, E leaving it: backward[position + 1] has walked back through the later stages
+    for position, ((_, ket, stack), (effect, bra, _), entry) in enumerate(zip(forward, backward[1:], spec.timeline)):
+        if stack is not None:
+            weights = np.einsum("kab,ba->k", stack, effect).real
+            distributions.append(OutcomeDistribution(tuple(entry.observable.eigenvalues),
+                                                     tuple(weights / weights.sum())))
+        elif isinstance(entry, WeakStage):
+            two_state[position] = TwoStateVector(StateVector(ket), StateVector(bra))
+    if spec.counterfactuals or spec.products:
+        two_state[end] = TwoStateVector(StateVector(forward[end][1]), StateVector(backward[end][1]))
+    return AnalyticPredictions(distributions, acceptance, two_state)
 
 
 def _weak_report(position: int, stage: WeakStage, tsv: TwoStateVector, validate: bool) -> WeakValueReport:
