@@ -481,12 +481,16 @@ def compare_counts(
     is degenerate (0 or 1, hence SE = 0): an exactly degenerate prediction
     must match exactly; otherwise the prediction's own binomial SE is used.
     Raises InsufficientAcceptedTrialsError below MIN_ACCEPTED accepted trials,
-    ValueError unless ``z`` is a finite number > 0 and there is one count per
-    predicted outcome.
+    ValueError unless ``z`` is a finite number > 0 and the counts, one per
+    predicted outcome, are integers >= 0 that sum to the integer ``total``.
     """
     z = _threshold(z)
     if len(counts) != len(predicted.eigenvalues):
         raise ValueError(f"{len(counts)} counts for {len(predicted.eigenvalues)} predicted outcomes")
+    _integer("total", total)
+    given = [_integer(f"counts[{j}]", c) for j, c in enumerate(counts)]
+    if min(given) < 0 or sum(given) != total:
+        raise ValueError(f"counts {given} must be >= 0 and sum to total {total}")
     if total < MIN_ACCEPTED:
         raise InsufficientAcceptedTrialsError(f"{total} accepted trials < floor {MIN_ACCEPTED}")
     outcomes = []

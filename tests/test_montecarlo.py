@@ -518,6 +518,27 @@ class TestCompareCounts:
         with pytest.raises(ValueError, match=f"{len(counts)} counts for 2 predicted outcomes"):
             compare_counts(HALF, counts, 600)
 
+    @pytest.mark.parametrize("counts, total, message", [
+        ((500, 500), 100, "counts [500, 500] must be >= 0 and sum to total 100"),
+        ((150, -50), 100, "counts [150, -50] must be >= 0 and sum to total 100"),
+        ((50, 50), 1000, "counts [50, 50] must be >= 0 and sum to total 1000"),
+        ((50.5, 49.5), 100, "counts[0] must be an integer, got 50.5"),
+        ((50, True), 51, "counts[1] must be an integer, got True"),
+        ((50, 50), 100.0, "total must be an integer, got 100.0"),
+        ((50, 49.5), 99.5, "total must be an integer, got 99.5"),  # refused before the accepted-trials floor
+    ])
+    def test_counts_are_integers_that_sum_to_total(self, counts, total, message):
+        # (500, 500) and (150, -50) of 100 leaked numpy's sqrt warning, (50, 50) of 1000 failed at |z| = 65.3,
+        # and a count of 50.5 was kept as 50 beside a frequency of 0.505
+        with pytest.raises(ValueError) as info:
+            compare_counts(HALF, counts, total)
+        assert str(info.value) == message
+
+    def test_numpy_integer_counts_and_total(self):
+        given = compare_counts(HALF, np.array([48, 52]), np.int64(100))
+        assert given == compare_counts(HALF, (48, 52), 100)
+        assert [o.passed for o in given] == [True, True]
+
     def test_degenerate_frequency_and_prediction_must_match_exactly(self):
         certain = OutcomeDistribution((1.0, -1.0), (1.0, 0.0))
         outcomes = compare_counts(certain, (100, 0), 100)
