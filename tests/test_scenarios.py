@@ -634,6 +634,60 @@ class TestTwoStatePass:
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
 
 
+def time_reversed(spec: ScenarioSpec) -> ScenarioSpec:
+    """The timeline run backward: prepared in the selected post ket, the
+    stages in reverse order with every U replaced by U†, and post-selected on
+    the prepared state."""
+    vals, vecs = np.linalg.eigh(spec.post_observable.projectors[spec.post_observable.branch_index(spec.post_select)])
+    timeline = tuple(UnitaryStage(Unitary(e.unitary.matrix.conj().T)) if isinstance(e, UnitaryStage) else e
+                     for e in reversed(spec.timeline))
+    return ScenarioSpec(f"{spec.name}-reversed", spec.dim, StateVector(vecs[:, np.argmax(vals)]), timeline,
+                        state_projector_observable(spec.pre), 1.0)
+
+
+class TestTimeReversal:
+    """The two-state description is time symmetric (Aharonov, Bergmann &
+    Lebowitz 1964): the reversed timeline yields the same conditionals and
+    acceptance, and the conjugate of every weak value."""
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3, 4]), n_stages=st.integers(1, 4),
+           degenerate=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_reversed_timeline_has_the_same_marginals(self, seed, dim, n_stages, degenerate):
+        pre, stages, (post, select) = random_timeline(seed, dim, n_stages, (dim - 1, 1) if degenerate else (1,) * dim)
+        spec = ScenarioSpec("forward", dim, pre, tuple(stages), post, select)
+        forward, backward = analytic_predictions(spec), analytic_predictions(time_reversed(spec))
+        assert abs(forward.acceptance - backward.acceptance) <= 1e-12
+        for ahead, behind in zip(forward.distributions, backward.distributions[::-1], strict=True):
+            assert ahead.eigenvalues == behind.eigenvalues
+            np.testing.assert_allclose(ahead.probabilities, behind.probabilities, rtol=0, atol=1e-12)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 4]),
+        kinds=st.tuples(st.integers(0, 4), st.integers(1, 3)).flatmap(
+            lambda counts: st.permutations(["unitary"] * counts[0] + ["weak"] * counts[1])
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reversed_timeline_conjugates_weak_values(self, seed, dim, kinds):
+        rng = np.random.default_rng(seed)
+        pre, post = random_state(rng, dim), random_state(rng, dim)
+        timeline = []
+        for i, kind in enumerate(kinds):
+            if kind == "unitary":
+                timeline.append(UnitaryStage(random_unitary(rng, dim)))
+            else:
+                m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                timeline.append(WeakStage(LinearOperator((m + m.conj().T) / 2), 0.05, f"w{i}"))
+        spec = ScenarioSpec("forward", dim, pre, tuple(timeline), state_projector_observable(post), 1.0)
+        forward, backward = analytic_predictions(spec).two_state, analytic_predictions(time_reversed(spec)).two_state
+        for p, entry in enumerate(timeline):
+            if isinstance(entry, WeakStage):
+                value = rules.weak_value(forward[p], entry.operator)
+                mirrored = rules.weak_value(backward[len(timeline) - 1 - p], entry.operator)
+                assert abs(value - mirrored.conjugate()) <= 1e-12 * max(1.0, abs(value))
+
 class TestRunScenario:
     def test_both_mode_attaches_verdicts(self):
         report = run_scenario(builtin("spin-zz-xi"), mode="both", trials=40_000, seed=2)
