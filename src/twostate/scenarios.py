@@ -780,8 +780,9 @@ def _walk(rho: np.ndarray, ket: np.ndarray, timeline, adjoint: bool = False) -> 
             stack = projs @ rho @ projs
         walked.append((rho, ket, stack))
         if isinstance(entry, UnitaryStage):
-            u = entry.unitary.matrix.conj().T if adjoint else entry.unitary.matrix
-            rho, ket = u @ rho @ u.conj().T, u @ ket
+            pair = (entry.unitary.matrix, entry.unitary.matrix.conj().T)
+            u, u_dagger = pair[::-1] if adjoint else pair
+            rho, ket = u @ rho @ u_dagger, u @ ket
         elif stack is not None:
             rho = stack.sum(axis=0)
     return walked + [(rho, ket, None)]
