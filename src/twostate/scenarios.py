@@ -2,11 +2,11 @@
 
 A scenario names a preparation, an ordered timeline of unitary segments and
 measurement stages, and a single post-selection outcome.  Each scenario can
-run in analytic mode (conditional probabilities from one walk of the prepared
-state forward and of the post-selection backward, the backward pass being the
-forward walk of the reversed timeline with every U replaced by U†, every other
-measurement dephased), oracle mode (the seeded Monte-Carlo sampler), or
-both, in which case the report carries per-outcome agreement verdicts.
+run in analytic mode (conditional probabilities from one walk, run forward
+from the prepared state and backward, over the reversed timeline with U† for
+every U, from the post-selection, every other measurement dephased), oracle
+mode (the seeded Monte-Carlo sampler), or both, in which case the report
+carries per-outcome agreement verdicts.
 
 Document format (JSON object)::
 
