@@ -688,6 +688,7 @@ class TestTimeReversal:
                 mirrored = rules.weak_value(backward[len(timeline) - 1 - p], entry.operator)
                 assert abs(value - mirrored.conjugate()) <= 1e-12 * max(1.0, abs(value))
 
+
 class TestRunScenario:
     def test_both_mode_attaches_verdicts(self):
         report = run_scenario(builtin("spin-zz-xi"), mode="both", trials=40_000, seed=2)
