@@ -398,6 +398,72 @@ class TestGoldenEnsembles:
         assert ensemble_digest(stats) == "3f61f1005bf893086ed871a32cb8fd715add80a358d5f478d5926923408d9b04"
 
 
+def eigenstate_timeline(seed, dim, n_stages):
+    """A rank-1 timeline whose pre is an eigenstate of its first measurement, so
+    that measurement reaches one branch and leaves the others unreached."""
+    _, stages, post = random_timeline(seed, dim, n_stages, (1,) * dim)
+    projector = stages[1].observable.projectors[1]  # rank 1: each column is a multiple of its eigenvector
+    column = projector[:, np.argmax(np.linalg.norm(projector, axis=0))]
+    return StateVector.normalized(column), stages[1:], post
+
+
+def sampler_digest(stats):
+    """sha256 of the sampler's integers: the accepted count, every stage's
+    counts over all trials, the final outcome's counts and the joint tallies' bytes."""
+    doc = [stats.accepted, [list(st.counts_all) for st in stats.stages], list(stats.post_counts),
+           stats.joint_paths.hex(), stats.joint_counts.hex()]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+# Qubit timelines with 14 and 15 stages have 2**15 and 2**16 paths counting
+# the final outcome; rank1-d8-4 has 8**5 = 2**15.  eigen-d3-6 never reaches
+# two branches of its first measurement; mixed-d4-5 has rank-1 and rank-2
+# branches in every stage.
+SAMPLER_TIMELINES = {
+    "qubit-14": lambda: random_timeline(21, 2, 14, (1, 1)),
+    "qubit-15": lambda: random_timeline(22, 2, 15, (1, 1)),
+    "eigen-d3-6": lambda: eigenstate_timeline(23, 3, 6),
+    "rank1-d8-4": lambda: random_timeline(24, 8, 4, (1,) * 8),
+    "mixed-d4-5": lambda: random_timeline(25, 4, 5, (1, 2, 1)),
+}
+SAMPLER_DIGESTS = {
+    ("qubit-14", 4_095): "56c1cff18969dce8c3728351bbfa02b9d714474cbd10f5bf582760561cca2bfe",
+    ("qubit-14", 4_096): "558ae337060ca191b00087a41daad447c8bab1c2344cc77990922df2525603a2",
+    ("qubit-14", 4_097): "3d2215650a62a854d870618519c132cd2d26302d7f5176f810e8f29a4993988c",
+    ("qubit-14", 100_000): "a257737c1a0b8270bfc50287269c493e84288b5a81df80dd6d6926829ee93194",
+    ("qubit-15", 4_095): "8374f9acd4d56605f1cd9d1a01169622837b09c1c12af409df9ca33bb251ebad",
+    ("qubit-15", 4_096): "e398c0ca67c06b940a048f29ff6235b9a38f45131df491eb7cb8be3921b496b7",
+    ("qubit-15", 4_097): "f43a9efdbd7f7f31e443215cfdbb4f94f0858113069e48f8a1d7f5cddcc931ec",
+    ("qubit-15", 100_000): "2dd48fcadf14af10556565b445ae384bdc20ca4172e4a9d580f830f3bb854661",
+    ("eigen-d3-6", 4_095): "2f9067ad9cc96041432341318a86569a2d7db1db14f9991e6a086917f61f9200",
+    ("eigen-d3-6", 4_096): "9076fc1b45709e1030859d7e59e1832ae37f9873049194a8ddf2254b6b28793d",
+    ("eigen-d3-6", 4_097): "d16cd4b24a0d642dea17870a92e455937390e96d5ab1676fb26b991c0165716e",
+    ("eigen-d3-6", 100_000): "8d52b94aee56f3588120d1e5047bc0a0ae2a45f495fab09f7768a0ce94722679",
+    ("rank1-d8-4", 4_095): "6230ee917344bab3f17cf93590a786d5943b61a83b34a11414bfa424d77f016d",
+    ("rank1-d8-4", 4_096): "8a173eb0cfb7574cd2ee9bd3096599a3035329e8b17e3269e0c926796482f043",
+    ("rank1-d8-4", 4_097): "8f93d1db3b9f55880d137e4e769544a18e459aa1b32bb310b7eaa85d5d9e0273",
+    ("rank1-d8-4", 100_000): "2bbb84bc5f872a283ace49106113525259582deca2ad7613ca46829bf043f411",
+    ("mixed-d4-5", 4_095): "482a5643b58a130a724b2c2c5a0cb4a5d9b83ce591ae1548d35047566bd6d5ce",
+    ("mixed-d4-5", 4_096): "b392696e6ac02efc49400c6e8f5d795a40ab97f5b8e8123316e074b008790f14",
+    ("mixed-d4-5", 4_097): "e539793971a48461a11eb86325bcc815e328a4dcffd695c704f47187d8311ce0",
+    ("mixed-d4-5", 100_000): "a55321df71c234041f0f55ecc6e10737a11de81e8252a719952629dfb24bd9b7",
+}
+
+
+class TestSamplerPin:
+    """The sampler's integer output on timelines either side of every table
+    and tally bound, at trial counts either side of a chunk."""
+
+    def test_eigenstate_pre_leaves_branches_unreached(self):
+        stats = simulate(*eigenstate_timeline(23, 3, 6), 4097, 1)
+        assert stats.stages[0].counts_all == (0, 4097, 0)
+
+    @pytest.mark.parametrize(("name", "trials"), list(SAMPLER_DIGESTS))
+    def test_tallies(self, name, trials):
+        stats = simulate(*SAMPLER_TIMELINES[name](), trials, 31)
+        assert sampler_digest(stats) == SAMPLER_DIGESTS[name, trials]
+
+
 class TestJointTally:
     """The (outcome tuple, count) tuple is derived from the compact joint
     tally on first read; nothing on the scenario path reads it."""
