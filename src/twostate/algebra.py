@@ -123,8 +123,9 @@ def _spectra_ok(eigs: np.ndarray, projs: np.ndarray) -> np.ndarray:
     """Rows of an (eigenvalue, projector) stack that ``SpectralObservable`` accepts.
 
     For eigenvalues (..., k) and projectors (..., k, d, d): the constructor's
-    checks with its arithmetic and tolerance, max |P_j P_l - δ_jl P_j| taken
-    one branch at a time so that a stack's temporaries stay small.
+    checks with its arithmetic and tolerance, max |P_j P_l - δ_jl P_j| over l ≥ j
+    (the constructor checks each pair j < l once) taken one branch at a time
+    so that a stack's temporaries stay small.
     """
     ok = np.isfinite(eigs).all(axis=-1) & np.isfinite(projs).all(axis=(-3, -2, -1))
     if not ok.all():
@@ -132,8 +133,8 @@ def _spectra_ok(eigs: np.ndarray, projs: np.ndarray) -> np.ndarray:
     k, dim = eigs.shape[-1], projs.shape[-1]
     for j in range(k):
         branch = projs[..., j, :, :]
-        products = branch[..., None, :, :] @ projs
-        products[..., j, :, :] -= branch
+        products = branch[..., None, :, :] @ projs[..., j:, :, :]
+        products[..., 0, :, :] -= branch
         ok &= ~(np.abs(products).max(axis=(-3, -2, -1)) > VALIDATE_TOL)
         ok &= ~(np.abs(branch - branch.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > VALIDATE_TOL)
     coincide = np.abs(eigs[..., :, None] - eigs[..., None, :]) <= VALIDATE_TOL

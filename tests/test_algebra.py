@@ -14,6 +14,7 @@ from twostate.algebra import (
     _spectra_ok,
     _spin_projectors,
     _unit_rows,
+    VALIDATE_TOL,
     SpectralObservable,
     StateVector,
     Unitary,
@@ -458,6 +459,18 @@ class TestStackedConstructors:
     def test_spectra_ok_is_the_constructor_verdict(self, stack):
         eigs, projs = stack
         assert bool(_spectra_ok(eigs[None], projs[None])[0]) == (_outcome(SpectralObservable, eigs, projs) is None)
+
+    def test_spectra_ok_checks_each_pair_once(self):
+        # |P0 P1| = 6.4e-11 is within the tolerance and |P1 P0| = 1.005e-10 is not;
+        # the constructor checks the pair j < l alone, so it accepts the stack
+        rng = np.random.default_rng(195)
+        basis = random_unitary(rng, 4).matrix
+        projs = np.array([basis[:, :2] @ basis[:, :2].conj().T, basis[:, 2:] @ basis[:, 2:].conj().T])
+        projs = projs + 3e-11 * (rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4)))
+        eigs = np.array([1.0, -1.0])
+        assert np.abs(projs[0] @ projs[1]).max() <= VALIDATE_TOL < np.abs(projs[1] @ projs[0]).max()
+        assert _outcome(SpectralObservable, eigs, projs) is None
+        assert _spectra_ok(eigs[None], projs[None]).tolist() == [True]
 
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
