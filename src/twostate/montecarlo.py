@@ -35,14 +35,18 @@ at most min(chunk, reached).  Born weights are collapsed chunk / branches
 states at a time; a child is formed only for a distinct reached (parent,
 branch) pair, by collapsing the parent onto that branch's projector alone,
 chunk rows at a time, so no (branch, state, dim) tensor over a table is built.
+A tabulated measurement whose every child is its branch's own index (every
+branch rank 1 and reached from every state) stores no child table: the
+sampled branch is the trial's next state.
 
 Each trial also carries a mixed-radix path code: stage 0 is the most
 significant digit, the final outcome the least, and past 2**63 paths it is a
 Python integer.  Tallies are integer sums over the codes, so a result does
-not depend on how chunks are scheduled.  Up to 4096 paths, a bincount per
-chunk fills a table of every path whose marginals and accepted slice give
-every tally; beyond, each chunk's accepted codes are sorted and summed, then
-merged.  Cost grows with the stages, not the paths, and neither is capped.
+not depend on how chunks are scheduled.  Up to DENSE_PATHS = 2**15 paths,
+the final outcome included, a bincount per chunk fills one int64 table of
+every path (256 KiB) whose marginals and accepted slice give every tally;
+beyond, each chunk's accepted codes are sorted and summed, then merged.  Cost
+grows with the stages, not the paths, and neither is capped.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .errors import AllRejectedError, DimensionMismatchError, InsufficientAccept
 from .rules import ZERO_WEIGHT, OutcomeDistribution
 
 CHUNK_SIZE = 4096
+DENSE_PATHS = 2**15  # up to this many paths, final outcome included, one int64 table holds every tally
 MIN_ACCEPTED = 100  # accepted trials below which a distribution is not compared
 Z_THRESHOLD = 4.0  # default agreement threshold, in standard errors
 
@@ -243,9 +248,10 @@ def _born_weights(states: np.ndarray, observable: SpectralObservable) -> np.ndar
 def _sample(cum: np.ndarray, node: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per trial, the number of CDF entries of its state at or below its
     uniform; the last entry is 1 and never counts."""
-    branch = np.zeros(u.size, dtype=np.intp)
-    for column in cum.T[:-1]:
-        branch += u >= (column[node] if len(column) > 1 else column[0])
+    columns = (column[node] if len(column) > 1 else column[0] for column in cum.T[:-1])
+    branch = (u >= next(columns, 1.0)).astype(np.intp)  # one branch: no uniform reaches 1
+    for column in columns:
+        branch += u >= column
     return branch
 
 
@@ -283,8 +289,9 @@ def _tally(codes: np.ndarray, counts: np.ndarray):
 def _static_tables(pre: StateVector, stages: Sequence[Stage], bound: int):
     """Branch tables shared by every chunk, built while each measurement's
     states × branches is at most ``bound``: one (cum, child) pair per stage
-    covered, ``child`` flat over (state, branch) and None for the final stage;
-    the state table where the walk stopped; the stages left for live tables."""
+    covered, ``child`` flat over (state, branch), or None where every child
+    is its branch's own index and for the final stage; the state table where
+    the walk stopped; the stages left for live tables."""
     states = pre.amps[None, :]
     tables = []
     for i, stage in enumerate(stages):
@@ -302,7 +309,8 @@ def _static_tables(pre: StateVector, stages: Sequence[Stage], bound: int):
         states, index = _children(states, weights, stage.observable, parent, branch)
         child = np.zeros(weights.shape, dtype=np.intp)
         child[parent, branch] = index
-        tables.append((_born_cdf(weights), child.ravel()))
+        identity = (child == np.arange(child.shape[1])).all()  # rank 1, every branch reached from every state
+        tables.append((_born_cdf(weights), None if identity else child.ravel()))
     return tables, states, []
 
 
@@ -322,8 +330,7 @@ def _branches(tables, states, tail, rng, m: int):
     node = np.zeros(m, dtype=np.intp)
     for cum, child in tables:
         br = _sample(cum, node, rng.random(m))
-        if child is not None:
-            node = child[node * cum.shape[1] + br]
+        node = br if child is None else child[node * cum.shape[1] + br]
         yield br
     if tail:  # live-state table: one row per distinct state some trial of this chunk holds
         used, node = np.unique(node, return_inverse=True)
@@ -378,7 +385,7 @@ def simulate(
     # the state table holds no more amplitudes than one chunk's widest collapse
     tables, static_states, tail = _static_tables(pre, walk, min(trials, CHUNK_SIZE * max(radix)))
     size = math.prod(radix)  # path codes: mixed radix, stage 0 most significant
-    dense = size <= CHUNK_SIZE  # then one table of every path per call
+    dense = size <= DENSE_PATHS  # then one table of every path per call
     table = np.zeros(size if dense else 0, dtype=np.int64)
     counts_all = [np.zeros(n, dtype=np.int64) for n in radix]
     joint = []

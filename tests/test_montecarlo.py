@@ -29,19 +29,23 @@ from twostate.errors import (
     InsufficientAcceptedTrialsError,
 )
 from twostate.montecarlo import (
+    CHUNK_SIZE,
     MIN_ACCEPTED,
     MeasureStage,
     OutcomeComparison,
     UnitaryStage,
     Verdict,
+    _born_cdf,
     _chunk_rngs,
+    _sample,
+    _static_tables,
     chunk_rng,
     compare_counts,
     compare_to_abl,
     derive_seed,
     simulate,
 )
-from twostate import checks, scenarios
+from twostate import checks, montecarlo, scenarios
 from twostate.checks import check_conditional_counterexample
 from twostate.rules import OutcomeDistribution, TwoStateVector, abl_probabilities, born_probabilities
 from twostate.scenarios import ScenarioSpec, WeakStage, builtin, run_scenario
@@ -462,6 +466,49 @@ class TestSamplerPin:
     def test_tallies(self, name, trials):
         stats = simulate(*SAMPLER_TIMELINES[name](), trials, 31)
         assert sampler_digest(stats) == SAMPLER_DIGESTS[name, trials]
+
+    @pytest.mark.parametrize(("name", "identity"), [
+        ("rank1-d8-4", [True] * 4), ("eigen-d3-6", [False] + [True] * 5), ("mixed-d4-5", [False] * 5),
+    ])
+    def test_a_child_table_that_is_the_branch_is_not_stored(self, name, identity):
+        pre, stages, (post, _) = SAMPLER_TIMELINES[name]()
+        tables, _, tail = _static_tables(pre, [*stages, MeasureStage(post, "post")], CHUNK_SIZE * 8)
+        assert not tail
+        assert [child is None for _, child in tables] == identity + [True]
+
+
+class TestSamplerKernels:
+    @given(seed=st.integers(0, 2**32 - 1), branches=st.integers(1, 8), states=st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_sample_counts_the_cdf_entries_at_or_below_each_uniform(self, seed, branches, states):
+        rng = np.random.default_rng(seed)
+        weights = rng.random((states, branches))
+        weights[rng.random((states, branches)) < 0.3] = 0.0  # zero-width branches
+        weights[np.arange(states), rng.integers(branches, size=states)] += 0.5
+        cum = _born_cdf(weights)
+        for row in np.flatnonzero(rng.random(states) < 0.2):  # interior entries rounded above the final 1.0
+            cum[row, rng.integers(branches):-1] = np.nextafter(1.0, 2.0)
+        node = rng.integers(states, size=300)
+        # uniforms on the CDF entries themselves, at 0 and just below 1, and between
+        u = np.concatenate([cum[node[:100], rng.integers(branches, size=100)].clip(max=np.nextafter(1.0, 0.0)),
+                            [0.0, np.nextafter(1.0, 0.0)], rng.random(198)])
+        expected = [np.searchsorted(cum[n, :-1], x, side="right") for n, x in zip(node, u)]
+        assert _sample(cum, node, u).tolist() == expected
+
+    @given(seed=st.integers(0, 2**16), ranks=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+           n_stages=st.integers(0, 5), trials=st.integers(1, 9000))
+    @settings(max_examples=40, deadline=None)
+    def test_dense_and_sparse_tallies_are_equal(self, seed, ranks, n_stages, trials):
+        timeline = random_timeline(seed, sum(ranks), n_stages, tuple(ranks))
+        runs = []
+        for bound in (0, 2**20):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(montecarlo, "DENSE_PATHS", bound)
+                try:
+                    runs.append(simulate(*timeline, trials, seed))
+                except AllRejectedError:
+                    runs.append(None)
+        assert runs[0] == runs[1]
 
 
 class TestJointTally:
