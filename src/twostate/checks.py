@@ -352,16 +352,12 @@ def _certain_scenario(rng: np.random.Generator, kind: int) -> _Scenario | None:
     if kind == 2 and k < 3:
         return None
     branch = int(rng.integers(0, k))
-    if kind == 0:  # prepared inside an eigenspace
-        pre = StateVector.normalized(projs[branch] @ _random_state(rng, dim).amps)
-        post = _random_state(rng, dim)
-        while abs(np.vdot(post.amps, pre.amps)) < 0.1:
-            post = _random_state(rng, dim)
-    elif kind == 1:  # post-selected inside an eigenspace
-        post = StateVector.normalized(projs[branch] @ _random_state(rng, dim).amps)
-        pre = _random_state(rng, dim)
-        while abs(np.vdot(post.amps, pre.amps)) < 0.1:
-            pre = _random_state(rng, dim)
+    if kind < 2:  # kind 0 is prepared, kind 1 post-selected, inside an eigenspace
+        inside = StateVector.normalized(projs[branch] @ _random_state(rng, dim).amps)
+        other = _random_state(rng, dim)
+        while abs(np.vdot(other.amps, inside.amps)) < 0.1:
+            other = _random_state(rng, dim)
+        pre, post = (inside, other) if kind == 0 else (other, inside)
     else:  # neither boundary state is an eigenstate, yet one branch is certain
         others = [j for j in range(k) if j != branch]
         j_pre, j_post = rng.choice(others, size=2, replace=False)

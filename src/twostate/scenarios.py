@@ -194,18 +194,18 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)  # JSON true/false are not numbers
 
 
-def _complex_from(value, path: str) -> complex:
+def _complex_from(value, path: str, i: int) -> complex:
     if _is_number(value):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(_is_number(x) for x in value):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and _is_number(value[0]) and _is_number(value[1]):
         return complex(value[0], value[1])
-    raise ScenarioFormatError(f"{path}: expected a number or [re, im] pair, got {value!r}")
+    raise ScenarioFormatError(f"{path}[{i}]: expected a number or [re, im] pair, got {value!r}")
 
 
 def _vector_from(values, path: str) -> np.ndarray:
     if not isinstance(values, (list, tuple)) or not values:
         raise ScenarioFormatError(f"{path}: expected a nonempty amplitude list")
-    return np.array([_complex_from(v, f"{path}[{i}]") for i, v in enumerate(values)])
+    return np.array([_complex_from(v, path, i) for i, v in enumerate(values)])
 
 
 def _matrix_from(values, path: str) -> np.ndarray:
@@ -858,15 +858,14 @@ def _weak_report(position: int, stage: WeakStage, tsv: TwoStateVector, validate:
 
 
 def _stage_report(
-    label: str,
     stage: MeasureStage,
     predicted: OutcomeDistribution | None,
     stats: EnsembleStats | None,
     z: float,
 ) -> StageReport:
-    """The report of one measurement: its analytic distribution, its sampled
-    conditional frequencies in ``stats``, and their comparison at ``z``,
-    each when there is something to report."""
+    """The report of one measurement, labelled as its stage: its analytic
+    distribution, its sampled conditional frequencies in ``stats``, and their
+    comparison at ``z``, each when there is something to report."""
     analytic = freqs = errs = zs = passed = None
     if predicted is not None:
         analytic = tuple(predicted.probabilities)
@@ -879,7 +878,17 @@ def _stage_report(
             zs = tuple(o.z_score for o in comparison.outcomes)
             passed = comparison.passed
     eigenvalues = tuple(float(e) for e in stage.observable.eigenvalues)
-    return StageReport(label, eigenvalues, analytic, freqs, errs, zs, passed)
+    return StageReport(stage.label, eigenvalues, analytic, freqs, errs, zs, passed)
+
+
+def _sampled(spec: ScenarioSpec, trials: int, seed: int, *extra: MeasureStage) -> EnsembleStats:
+    """The oracle's run of the timeline without its weak stages, then ``extra``: every run
+    a scenario makes goes through here, and one that rejects every trial names the scenario."""
+    stages = [e for e in spec.timeline if not isinstance(e, WeakStage)]
+    try:
+        return simulate(spec.pre, [*stages, *extra], (spec.post_observable, spec.post_select), trials, seed)
+    except AllRejectedError as exc:
+        raise AllRejectedError(f"scenario {spec.name!r}: {exc}") from exc
 
 
 def run_scenario(
@@ -908,34 +917,17 @@ def run_scenario(
     reality = elements_of_reality(tsv_end, spec.counterfactuals) if spec.counterfactuals else None
     audits = tuple((label, product_rule_audit(tsv_end, left, right)) for label, left, right in spec.products)
 
-    stats: EnsembleStats | None = None
-    mc_stages = [e for e in spec.timeline if isinstance(e, (UnitaryStage, MeasureStage))]
-    if want_oracle:
-        try:
-            stats = simulate(
-                spec.pre, mc_stages, (spec.post_observable, spec.post_select), trials, seed
-            )
-        except AllRejectedError as exc:
-            raise AllRejectedError(f"scenario {spec.name!r}: {exc}") from exc
-
-    stage_reports = [
-        _stage_report(stage.label, stage, predictions.distributions[i] if want_analytic else None, stats, z)
-        for i, stage in enumerate(e for e in mc_stages if isinstance(e, MeasureStage))
-    ]
+    stats = _sampled(spec, trials, seed) if want_oracle else None
+    stage_reports = [_stage_report(stage, predictions.distributions[i] if want_analytic else None, stats, z)
+                     for i, stage in enumerate(e for e in spec.timeline if isinstance(e, MeasureStage))]
     # counterfactual observables are validated one at a time by appending the
     # alternative measurement at the end of the (unitary-only) timeline
     if want_oracle:
         for j, (label, obs) in enumerate(spec.counterfactuals):
-            stage = MeasureStage(obs, label)
-            alt_stats = simulate(
-                spec.pre,
-                mc_stages + [stage],
-                (spec.post_observable, spec.post_select),
-                trials,
-                derive_seed(seed, 1 + j),
-            )
+            stage = MeasureStage(obs, f"counterfactual:{label}")
+            alt_stats = _sampled(spec, trials, derive_seed(seed, 1 + j), stage)
             predicted = abl_probabilities(tsv_end, obs) if want_analytic else None
-            stage_reports.append(_stage_report(f"counterfactual:{label}", stage, predicted, alt_stats, z))
+            stage_reports.append(_stage_report(stage, predicted, alt_stats, z))
 
     verdicts = [r.passed for r in (*stage_reports, *weak) if r.passed is not None]
     return ScenarioReport(

@@ -48,12 +48,14 @@ WORKLOADS = _workloads()
 REFERENCE = json.loads((BENCH / "reference.json").read_text())
 
 
+@pytest.mark.pin
 def test_battery_report_digest_at_100000_trials():
     argv = WORKLOADS.battery_argv(0)
     assert argv == ["paper-checks", "--trials", "100000", "--seed", "0"]
     WORKLOADS.battery_check(argv, WORKLOADS.run_cli(argv), REFERENCE)
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("shape", range(len(WORKLOADS.SHAPES)), ids=[s.name for s in WORKLOADS.SHAPES])
 def test_deep_timeline_tallies(shape):
     item = (f"{shape}:0", WORKLOADS.scenario_document(shape, 0))

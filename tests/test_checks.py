@@ -53,6 +53,7 @@ def test_statistical_rows_pass_or_warn_at_any_budget(trials, seed):
     assert {r.name: r.status for r in rows if r.status not in ("pass", "warn")} == {}
 
 
+@pytest.mark.pin
 def test_statistical_rows_at_every_budget_are_pinned():
     # byte-level pin of the 84 results above, WARN summaries included; the
     # battery digests run only where every row passes
@@ -156,6 +157,7 @@ def test_report_text_is_stable():
     assert a.endswith("overall: PASS\n")
 
 
+@pytest.mark.pin
 def test_report_text_digest_is_pinned():
     # byte-level pin of the whole battery report; any change to a number,
     # a verdict or the rendering moves it
@@ -165,6 +167,7 @@ def test_report_text_digest_is_pinned():
     )
 
 
+@pytest.mark.pin
 def test_report_json_digest_is_pinned():
     # the same pin for the structured report that --format json prints
     doc = run_paper_checks(trials=20_000, seed=7).to_dict()
@@ -237,6 +240,7 @@ ANALYTIC_ROWS = {
 }
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("seed", sorted(ANALYTIC_ROWS))
 def test_analytic_rows_are_pinned(seed):
     rows = (

@@ -219,6 +219,11 @@ class TestScenario:
         assert code == 0
         assert "verdict: pass" in out
 
+    def test_all_rejected_counterfactual_run_names_the_scenario(self, capsys):
+        code, _, err = run(capsys, "scenario", "--builtin", "reality-pair", "--trials", "1", "--seed", "3")
+        assert code == 4
+        assert "scenario 'reality-pair': zero accepted" in err
+
     @pytest.mark.parametrize("strength", [0, -0.1, float("nan")])
     def test_bad_weak_strength_exit_code(self, capsys, tmp_path, strength):
         doc = dict(MZ_DOC, timeline=[

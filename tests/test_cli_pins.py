@@ -138,6 +138,7 @@ PINS = {
 }
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stdout_bytes_are_pinned(capsys, tmp_path, case):
     path = tmp_path / "weak.json"
@@ -148,6 +149,7 @@ def test_stdout_bytes_are_pinned(capsys, tmp_path, case):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINS[case]
 
 
+@pytest.mark.pin
 def test_pointer_sweep_on_a_fine_grid_is_pinned(capsys):
     # 65,536 points, strong and weak couplings, a complex weak value: every shift the grid makes
     code = main(["pointer-sweep", "--pre", "spin:1.1:0.2", "--post", "spin:2.0:-0.7", "--obs", "pauli-z",

@@ -336,6 +336,7 @@ BOUNDARY_DIGESTS = {
 }
 
 
+@pytest.mark.pin
 class TestGoldenEnsembles:
     """Complete tallies of four fixed runs, pinned so that any change to the
     sampler's use of the random stream or to its collapse bookkeeping shows."""
@@ -454,6 +455,7 @@ SAMPLER_DIGESTS = {
 }
 
 
+@pytest.mark.pin
 class TestSamplerPin:
     """The sampler's integer output on timelines either side of every table
     and tally bound, at trial counts either side of a chunk."""

@@ -318,6 +318,7 @@ JOINT_PINS = {
 }
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("name, strength", sorted(JOINT_PINS))
 def test_joint_bytes_are_pinned(name, strength):
     obs = which_path() if name == "which_path" else state_projector_observable(spin_state(1.2, 0.4))

@@ -26,8 +26,8 @@ from twostate.algebra import (
 )
 from twostate import pointer as pointer_model
 from twostate import rules
-from twostate.errors import ScenarioFormatError, ZeroDenominatorError
-from twostate.montecarlo import MeasureStage, OutcomeStat, UnitaryStage
+from twostate.errors import AllRejectedError, ScenarioFormatError, ZeroDenominatorError
+from twostate.montecarlo import MeasureStage, OutcomeStat, UnitaryStage, derive_seed, simulate
 from twostate.rules import ProductRuleReport, RealityEntry, RealityReport, TwoStateVector, abl_probabilities
 from twostate.scenarios import (
     ScenarioReport,
@@ -35,6 +35,7 @@ from twostate.scenarios import (
     StageReport,
     WeakValueReport,
     WeakStage,
+    _sampled,
     analytic_predictions,
     builtin,
     builtin_names,
@@ -473,6 +474,7 @@ class TestBuiltins:
             "reality-pair",
         }
 
+    @pytest.mark.pin
     def test_documents_are_pinned(self):
         """Every builtin's document and notes, byte for byte: the report
         digests see neither the order of ``params`` nor the serialized spec."""
@@ -877,6 +879,25 @@ class TestRunScenario:
         rows = [r for r in report.stages if r.label.startswith("counterfactual:")]
         assert [max(r.analytic) for r in rows] == [e.probability for e in report.reality.entries]
 
+    def test_an_all_rejected_counterfactual_run_names_the_scenario(self):
+        # at seed 3 the main run accepts its one trial and a counterfactual run does not
+        with pytest.raises(AllRejectedError) as info:
+            run_scenario(builtin("reality-pair"), trials=1, seed=3)
+        assert str(info.value).startswith("scenario 'reality-pair': ")
+
+    def test_a_run_samples_the_strong_timeline_then_the_counterfactual(self):
+        # the weak stage is left out of every oracle run, and a counterfactual is measured last
+        spec = weak_probe_spec()
+        strong = [e for e in spec.timeline if not isinstance(e, WeakStage)]
+        post = (spec.post_observable, spec.post_select)
+        stage = MeasureStage(pauli("z"), "counterfactual:sz")
+        assert _sampled(spec, 5000, 11) == simulate(spec.pre, strong, post, 5000, 11)
+        expected = simulate(spec.pre, [*strong, stage], post, 5000, derive_seed(11, 1))
+        assert _sampled(spec, 5000, derive_seed(11, 1), stage) == expected
+        row = run_scenario(spec, mode="oracle", trials=5000, seed=11).stages[-1]
+        assert row.label == "counterfactual:sz"
+        assert row.frequencies == tuple(s.frequency for s in expected.conditional())
+
     def test_numpy_integer_seed_reaches_the_counterfactual_runs(self):
         # the counterfactual runs derive their seeds from the given one
         report = run_scenario(builtin("reality-pair"), trials=1000, seed=np.int64(3))
@@ -963,6 +984,7 @@ def two_weak_probes_spec() -> ScenarioSpec:
     )
 
 
+@pytest.mark.pin
 class TestReportDigests:
     """Byte-level pins of ``to_dict`` and ``csv_rows``, values and types;
     any change to a number, a field or a container type moves them."""
@@ -1025,6 +1047,7 @@ def _analytic_inputs(group: str) -> list[ScenarioSpec]:
     return [weak_probe_spec(), two_weak_probes_spec()]
 
 
+@pytest.mark.pin
 class TestAnalyticPin:
     """The bits of the analytic pass on inputs whose analytic numbers no
     report pin holds: deep and degenerate timelines and the two-state
