@@ -19,11 +19,13 @@ A report renders deterministically for a fixed (trials, seed): two runs are
 byte-identical.  Statistical checks hold no z arithmetic of their own: every
 sampled distribution goes through ``montecarlo.compare_counts`` (directly, via
 ``compare_to_abl`` or via ``run_scenario``), which refuses a ``z`` that is not
-a finite number > 0.  A distribution with fewer than ``MIN_ACCEPTED`` accepted
-trials (per Bell branch for erasure), or whose every trial is rejected, is
-starved and not compared.  oracle-agreement (all 50 scenarios),
-erasure-retrodiction and pointer-strong-lobes each gather their comparisons
-in one ``montecarlo.Verdict``.  Each row's precedence:
+a finite number > 0.  Rows that run a builtin scenario sample it through
+``scenarios._sampled``; oracle-agreement's random triples are no scenarios and
+check ``abl_probabilities`` against ``simulate`` directly.  A distribution with
+fewer than ``MIN_ACCEPTED`` accepted trials (per Bell branch for erasure), or
+whose every trial is rejected, is starved and not compared.  oracle-agreement
+(all 50 triples), erasure-retrodiction and pointer-strong-lobes each gather
+their comparisons in one ``montecarlo.Verdict``.  Each row's precedence:
 
 * oracle-agreement and builtin-scenarios: a failure gives "fail", else a
   starved comparison gives "warn";
@@ -85,7 +87,7 @@ from .rules import (
     weak_value,
 )
 from .scenarios import (
-    DEFAULT_SEED, DEFAULT_TRIALS, ScenarioSpec, _fmt, _record, analytic_predictions, builtin, builtin_names,
+    DEFAULT_SEED, DEFAULT_TRIALS, _fmt, _record, _sampled, analytic_predictions, builtin, builtin_names,
     run_scenario,
 )
 
@@ -248,9 +250,7 @@ def check_conditional_counterexample(seed: int, trials: int, z: float = Z_THRESH
     exact_ok = abs(born - 0.75) <= 1e-12 and abs(abl - 0.9) <= 1e-12
     summary = f"unconditioned {_fmt(born)} vs conditional {_fmt(abl)}; "
     try:
-        stats = simulate(
-            spec.pre, spec.timeline, (spec.post_observable, spec.post_select), trials, derive_seed(seed, 1)
-        )
+        stats = _sampled(spec, trials, derive_seed(seed, 1))
         vs_abl, vs_born = (compare_to_abl(stats, dist, z=z).outcomes[plus] for dist in predictions)
     except InsufficientAcceptedTrialsError as exc:
         status = "warn" if exact_ok else "fail"
@@ -449,7 +449,7 @@ def check_oracle_agreement(seed: int, trials: int, z: float = Z_THRESHOLD) -> Ch
     n = 50
     rng = _seed_stream(seed)
     compared = []
-    for i in range(n):
+    for _ in range(n):
         while True:
             pre = _random_state(rng, 2)
             post = _random_state(rng, 2)
@@ -458,13 +458,10 @@ def check_oracle_agreement(seed: int, trials: int, z: float = Z_THRESHOLD) -> Ch
             acceptance = float(sum(abs(a) ** 2 for a in amps))
             if acceptance >= 0.05:
                 break
-        spec = ScenarioSpec(
-            f"oracle-agreement-{i}", 2, pre, (MeasureStage(obs, "m"),), state_projector_observable(post), 1.0
-        )
         try:
-            stats = simulate(spec.pre, spec.timeline, (spec.post_observable, spec.post_select), trials,
+            stats = simulate(pre, (MeasureStage(obs, "m"),), (state_projector_observable(post), 1.0), trials,
                              int(rng.integers(0, 2**32)))
-            compared.append(compare_to_abl(stats, analytic_predictions(spec).distributions[0], z).outcomes)
+            compared.append(compare_to_abl(stats, abl_probabilities(TwoStateVector(pre, post), obs), z).outcomes)
         except InsufficientAcceptedTrialsError:
             compared.append(None)
     verdict = Verdict(tuple(compared))
@@ -489,15 +486,8 @@ def check_erasure_retrodiction(seed: int, trials: int, z: float = Z_THRESHOLD) -
         theta = float(rng.uniform(np.pi / 6, 5 * np.pi / 6))
         phi = float(rng.uniform(0, 2 * np.pi))
         spec = builtin("erasure", theta=theta, phi=phi)
-        sub_seed = int(rng.integers(0, 2**32))
         try:
-            stats = simulate(
-                spec.pre,
-                list(spec.timeline),
-                (spec.post_observable, spec.post_select),
-                trials,
-                sub_seed,
-            )
+            stats = _sampled(spec, trials, int(rng.integers(0, 2**32)))
         except InsufficientAcceptedTrialsError:
             compared += [None] * 4
             continue

@@ -73,6 +73,7 @@ from .algebra import (
 )
 from .errors import (
     AllRejectedError,
+    InsufficientAcceptedTrialsError,
     ObservableError,
     NormalizationError,
     PointerGridError,
@@ -858,14 +859,15 @@ def _weak_report(position: int, stage: WeakStage, tsv: TwoStateVector, validate:
 
 
 def _stage_report(
+    scenario: str,
     stage: MeasureStage,
     predicted: OutcomeDistribution | None,
     stats: EnsembleStats | None,
     z: float,
 ) -> StageReport:
-    """The report of one measurement, labelled as its stage: its analytic
-    distribution, its sampled conditional frequencies in ``stats``, and their
-    comparison at ``z``, each when there is something to report."""
+    """The report of one measurement of ``scenario``, labelled as its stage: its analytic
+    distribution, its sampled conditional frequencies in ``stats``, and their comparison at
+    ``z``, each when there is something to report; one below the floor names both."""
     analytic = freqs = errs = zs = passed = None
     if predicted is not None:
         analytic = tuple(predicted.probabilities)
@@ -874,7 +876,10 @@ def _stage_report(
         freqs = tuple(s.frequency for s in cond)
         errs = tuple(s.std_error for s in cond)
         if predicted is not None:
-            comparison = compare_to_abl(stats, predicted, z=z, stage_label=stage.label)
+            try:
+                comparison = compare_to_abl(stats, predicted, z=z, stage_label=stage.label)
+            except InsufficientAcceptedTrialsError as exc:
+                raise InsufficientAcceptedTrialsError(f"scenario {scenario!r}, stage {stage.label!r}: {exc}") from exc
             zs = tuple(o.z_score for o in comparison.outcomes)
             passed = comparison.passed
     eigenvalues = tuple(float(e) for e in stage.observable.eigenvalues)
@@ -918,7 +923,7 @@ def run_scenario(
     audits = tuple((label, product_rule_audit(tsv_end, left, right)) for label, left, right in spec.products)
 
     stats = _sampled(spec, trials, seed) if want_oracle else None
-    stage_reports = [_stage_report(stage, predictions.distributions[i] if want_analytic else None, stats, z)
+    stage_reports = [_stage_report(spec.name, stage, predictions.distributions[i] if want_analytic else None, stats, z)
                      for i, stage in enumerate(e for e in spec.timeline if isinstance(e, MeasureStage))]
     # counterfactual observables are validated one at a time by appending the
     # alternative measurement at the end of the (unitary-only) timeline
@@ -927,7 +932,7 @@ def run_scenario(
             stage = MeasureStage(obs, f"counterfactual:{label}")
             alt_stats = _sampled(spec, trials, derive_seed(seed, 1 + j), stage)
             predicted = abl_probabilities(tsv_end, obs) if want_analytic else None
-            stage_reports.append(_stage_report(stage, predicted, alt_stats, z))
+            stage_reports.append(_stage_report(spec.name, stage, predicted, alt_stats, z))
 
     verdicts = [r.passed for r in (*stage_reports, *weak) if r.passed is not None]
     return ScenarioReport(

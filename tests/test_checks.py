@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from twostate import checks
+from twostate import checks, scenarios
 from twostate.checks import (
     check_builtin_scenarios,
     check_certain_outcome_weak_value,
@@ -130,6 +130,24 @@ def test_oracle_agreement_failure_wins_over_starvation(monkeypatch):
     monkeypatch.setattr(checks, "compare_to_abl", lambda run, predicted, z: _gate({2: 5.0, 3: 7.0}.get(run, 1.0)))
     assert check_oracle_agreement(7, 100_000) == checks.CheckResult(
         "oracle-agreement", "fail", "scenario 2: |z| = 5.00 exceeds 4.0")
+
+
+@pytest.mark.parametrize("row, through_scenario, direct", [
+    (check_conditional_counterexample, 1, 0),
+    (check_erasure_retrodiction, 20, 0),
+    (check_oracle_agreement, 0, 50),
+])
+def test_scenario_rows_sample_through_the_scenario_entry_point(monkeypatch, row, through_scenario, direct):
+    # builtin scenarios run through scenarios._sampled; oracle-agreement's random
+    # triples are no scenarios and check the conditional rule at their own call
+    calls = {checks: 0, scenarios: 0}
+    for module in calls:
+        def counted(*args, _module=module, _real=module.simulate):
+            calls[_module] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, "simulate", counted)
+    row(7, 2_000)
+    assert calls == {checks: direct, scenarios: through_scenario}
 
 
 def test_erasure_warns_with_a_starved_and_a_failing_branch(monkeypatch):

@@ -224,6 +224,15 @@ class TestScenario:
         assert code == 4
         assert "scenario 'reality-pair': zero accepted" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (("reality-pair", "--trials", "1", "--seed", "8"), "scenario 'reality-pair', stage 'counterfactual:sz': 1 "),
+        (("spin-zz-xi", "--trials", "120", "--seed", "2"), "scenario 'spin-zz-xi', stage 'probe': 71 "),
+    ], ids=["counterfactual-row", "stage-row"])
+    def test_comparison_below_the_floor_names_the_scenario_and_stage(self, capsys, argv, named):
+        code, _, err = run(capsys, "scenario", "--builtin", *argv)
+        assert code == 4
+        assert err == f"error: {named}accepted trials < floor 100\n"
+
     @pytest.mark.parametrize("strength", [0, -0.1, float("nan")])
     def test_bad_weak_strength_exit_code(self, capsys, tmp_path, strength):
         doc = dict(MZ_DOC, timeline=[

@@ -45,7 +45,7 @@ from twostate.montecarlo import (
     derive_seed,
     simulate,
 )
-from twostate import checks, montecarlo, scenarios
+from twostate import montecarlo, scenarios
 from twostate.checks import check_conditional_counterexample
 from twostate.rules import OutcomeDistribution, TwoStateVector, abl_probabilities, born_probabilities
 from twostate.scenarios import ScenarioSpec, WeakStage, builtin, run_scenario
@@ -757,9 +757,10 @@ class TestInterpretationB:
         # the battery row reads the probe's +1 row by eigenvalue, so a tally
         # listing the branches in the other order reports the same numbers
         expected = check_conditional_counterexample(21, 20_000)
-        real = checks.simulate
+        real, calls = scenarios.simulate, []
 
         def reversed_branches(*args, **kwargs):
+            calls.append(args)
             stats = real(*args, **kwargs)
             stages = tuple(
                 dataclasses.replace(
@@ -772,9 +773,9 @@ class TestInterpretationB:
             )
             return dataclasses.replace(stats, stages=stages)
 
-        monkeypatch.setattr(checks, "simulate", reversed_branches)
+        monkeypatch.setattr(scenarios, "simulate", reversed_branches)  # the row samples through _sampled
         assert check_conditional_counterexample(21, 20_000) == expected
-        assert expected.status == "pass"
+        assert len(calls) == 1 and expected.status == "pass"
 
 
 class TestSymmetryExperiment:
