@@ -69,7 +69,7 @@ def test_statistical_rows_at_every_budget_are_pinned():
         )
     ]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "6a0771b1720c10664a48675161dfc0a8473b5182998e9fb963a4bfd68a1a2908"
+        "4ce116e4a9a8bde7b11ac22538c8a5bb4b704d2406091b09d1e4debb20e9b867"
     )
 
 
