@@ -11,7 +11,11 @@ divides them by that norm; only :meth:`StateVector.normalized` scales an
 arbitrary nonzero vector.  Inputs that violate an invariant raise.  Each
 value is validated once, when it is built: a state in one pass that takes
 ``np.linalg.norm``'s own arithmetic, an observable by whole-stack maxima,
-with its branches examined one by one only to name a failure.  Every
+with its branches examined one by one only to name a failure.  The stacked
+builders (``_unit_rows``, ``_hermitian_branches``, ``_spin_projectors``)
+repeat the constructors' arithmetic over inputs the constructors accept
+(finite entries, Hermitian matrices, acceptable norms) and check nothing
+but the eigenvalue gaps that ``from_hermitian`` merges.  Every
 eigenvalue given by value in the package names the one branch within
 ``EIGENVALUE_TOL`` of it; none or several raise ValueError.  The constant
 observables (:func:`pauli`, :func:`which_path`, :func:`bell_basis`) are shared
@@ -99,68 +103,32 @@ def _norms(amps: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(amps.real, amps.real) + _dot(amps.imag, amps.imag))
 
 
-def _unit_rows(amps, normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _unit_rows(amps, normalize: bool = False) -> np.ndarray:
     """``StateVector`` (or ``StateVector.normalized``) over the rows of a (..., d) stack.
 
-    Returns the unit amplitudes and a mask of the rows that pass the
-    constructor's checks, with the same arithmetic and tolerances; a row
-    outside the mask is to be rebuilt through the constructor, which raises.
+    The constructor's arithmetic and nothing more: each row is assumed finite
+    with a norm the constructor accepts (1 within ``VALIDATE_TOL``, or above
+    ``ZERO_NORM_FLOOR`` to normalize), and no row is checked.
     """
     amps = np.asarray(amps, dtype=complex)
-    ok = np.isfinite(amps).all(axis=-1)
-    if not ok.all():
-        amps = np.where(ok[..., None], amps, 0)
     if normalize:
-        norm = _norms(amps)
-        ok &= ~(norm < ZERO_NORM_FLOOR)
-        amps = amps / np.where(ok, norm, 1.0)[..., None]
-    norm = _norms(amps)
-    ok &= ~(np.abs(norm - 1.0) > VALIDATE_TOL)
-    return amps / np.where(ok, norm, 1.0)[..., None], ok
-
-
-def _spectra_ok(eigs: np.ndarray, projs: np.ndarray) -> np.ndarray:
-    """Rows of an (eigenvalue, projector) stack that ``SpectralObservable`` accepts.
-
-    For eigenvalues (..., k) and projectors (..., k, d, d): the constructor's
-    checks with its arithmetic and tolerance, max |P_j P_l - δ_jl P_j| over l ≥ j
-    (the constructor checks each pair j < l once) taken one branch at a time
-    so that a stack's temporaries stay small.
-    """
-    ok = np.isfinite(eigs).all(axis=-1) & np.isfinite(projs).all(axis=(-3, -2, -1))
-    if not ok.all():
-        eigs, projs = np.where(ok[..., None], eigs, 0.0), np.where(ok[..., None, None, None], projs, 0.0)
-    k, dim = eigs.shape[-1], projs.shape[-1]
-    for j in range(k):
-        branch = projs[..., j, :, :]
-        products = branch[..., None, :, :] @ projs[..., j:, :, :]
-        products[..., 0, :, :] -= branch
-        ok &= ~(np.abs(products).max(axis=(-3, -2, -1)) > VALIDATE_TOL)
-        ok &= ~(np.abs(branch - branch.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > VALIDATE_TOL)
-    coincide = np.abs(eigs[..., :, None] - eigs[..., None, :]) <= VALIDATE_TOL
-    ok &= ~np.triu(coincide, 1).any(axis=(-2, -1))
-    return ok & ~(np.abs(projs.sum(axis=-3) - np.eye(dim)).max(axis=(-2, -1)) > VALIDATE_TOL)
+        amps = amps / _norms(amps)[..., None]
+    return amps / _norms(amps)[..., None]
 
 
 def _hermitian_branches(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``SpectralObservable.from_hermitian``'s arithmetic over a (..., d, d) stack.
 
-    Returns eigenvalues (..., d), rank-1 projectors (..., d, d, d) and the
-    mask of rows that ``from_hermitian`` builds exactly so: finite, Hermitian
-    and every eigenvalue gap above ``DEGENERACY_TOL``.  A row outside the
-    mask is to be rebuilt through ``from_hermitian``, which merges its
-    near-degenerate branches or raises; ``_spectra_ok`` applies the
-    constructor's branch checks to the rest.
+    The matrices are assumed finite and Hermitian; only the eigenvalue gaps
+    are checked.  Returns eigenvalues (..., d), rank-1 projectors
+    (..., d, d, d) and the mask of rows whose every gap is above
+    ``DEGENERACY_TOL``.  A row outside it is to be rebuilt through
+    ``from_hermitian``, which merges its near-degenerate branches.
     """
-    mats = np.asarray(mats, dtype=complex)
-    ok = np.isfinite(mats).all(axis=(-2, -1))
-    if not ok.all():
-        mats = np.where(ok[..., None, None], mats, 0)
-    ok &= ~(np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > VALIDATE_TOL)
-    vals, vecs = np.linalg.eigh(mats)
-    ok &= (np.diff(vals, axis=-1) > DEGENERACY_TOL).all(axis=-1)
+    vals, vecs = np.linalg.eigh(np.asarray(mats, dtype=complex))
+    regular = (np.diff(vals, axis=-1) > DEGENERACY_TOL).all(axis=-1)
     columns = vecs.swapaxes(-1, -2)
-    return vals, columns[..., :, :, None] @ columns[..., :, None, :].conj(), ok
+    return vals, columns[..., :, :, None] @ columns[..., :, None, :].conj(), regular
 
 
 @dataclass(frozen=True)
@@ -408,19 +376,17 @@ def spin_observable(theta: float, phi: float = 0.0) -> SpectralObservable:
     return SpectralObservable.from_eigenbasis([1.0, -1.0], [up, down])
 
 
-def _spin_projectors(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spin_projectors(theta: np.ndarray) -> np.ndarray:
     """``spin_observable(θ)`` over an array of polar angles, op for op.
 
-    Returns the up and down projectors (..., 2, 2, 2) and the mask of angles
-    whose states and branches pass the constructors' checks.
+    Returns the up and down projectors (..., 2, 2, 2).  The angles are
+    assumed finite, which gives unit kets and valid branches; nothing is checked.
     """
-    def kets(theta, phi):
+    def ket(theta, phi):
         return _unit_rows(np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1))
 
-    (up, up_ok), (down, down_ok) = kets(theta, 0.0), kets(np.pi - theta, 0.0 + np.pi)
-    vectors = np.stack([up, down], axis=-2)
-    projs = vectors[..., :, None] * vectors.conj()[..., None, :]
-    return projs, up_ok & down_ok & _spectra_ok(np.array([1.0, -1.0]), projs)
+    vectors = np.stack([ket(theta, 0.0), ket(np.pi - theta, 0.0 + np.pi)], axis=-2)
+    return vectors[..., :, None] * vectors.conj()[..., None, :]
 
 
 @cache

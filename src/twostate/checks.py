@@ -47,7 +47,6 @@ from .algebra import (
     SpectralObservable,
     StateVector,
     _hermitian_branches,
-    _spectra_ok,
     _spin_projectors,
     _unit_rows,
     basis_state,
@@ -138,10 +137,9 @@ def check_spin_chain_recombination(seed: int) -> CheckResult:
     samples = 200
     t_ab, t_bc = _seed_stream(seed).uniform(0.05, np.pi - 0.05, size=(samples, 2)).T
     up_a = basis_state(2, 0)
-    middle, middle_ok = _spin_projectors(t_ab)
-    final, final_ok = _spin_projectors(t_ab + t_bc)
+    middle, final = _spin_projectors(t_ab), _spin_projectors(t_ab + t_bc)
     r = _recombination(np.repeat(up_a.amps[None], samples, axis=0), middle, final)
-    for i in np.flatnonzero(~(middle_ok & final_ok) | r.suspect):  # the scalar path raises its usual error
+    for i in np.flatnonzero(r.suspect):  # the scalar path raises its usual error
         total_probability_check(up_a, spin_observable(t_ab[i]), spin_observable(t_ab[i] + t_bc[i]))
     # float_power squares through libm's pow, as ``x ** 2`` of a float scalar does;
     # an array's ``** 2`` multiplies, which rounds otherwise in about 1 case in 1000
@@ -185,14 +183,12 @@ def check_recombination_random(seed: int) -> CheckResult:
         m = block[:, 4:].reshape(-1, 2, 2, 2, 2)  # (triple, middle/final, re/im, 2, 2)
         m = m[:, :, 0] + 1j * m[:, :, 1]
         mats = (m + m.conj().swapaxes(-1, -2)) / 2
-        pre, pre_ok = _unit_rows(pre_amps, normalize=True)
-        eigs, projs, regular = _hermitian_branches(mats)
-        obs_ok = regular & _spectra_ok(eigs, projs)
-        r = _recombination(pre, projs[:, 0], projs[:, 1])
+        _, projs, regular = _hermitian_branches(mats)
+        r = _recombination(_unit_rows(pre_amps, normalize=True), projs[:, 0], projs[:, 1])
         errors = r.error
         # near-degenerate and guarded triples go through the scalar rule, as does
         # the first failing one, whose report ends the check
-        for i in np.flatnonzero(~(pre_ok & obs_ok.all(axis=1)) | r.suspect | ~(errors <= 1e-10)):
+        for i in np.flatnonzero(~regular.all(axis=1) | r.suspect | ~(errors <= 1e-10)):
             report = total_probability_check(
                 StateVector.normalized(pre_amps[i]),
                 SpectralObservable.from_hermitian(mats[i, 0]),
@@ -307,7 +303,7 @@ def check_swap_symmetry(seed: int) -> CheckResult:
             eigs, projs, regular = _hermitian_branches(np.array([cases[i][2] for i in rows]))
             pre, post = (_amps(cases[i][side] for i in rows) for side in (0, 1))
             abl_dev[rows], weak_dev[rows], ok[rows] = _swap_deviations(pre, post, eigs, projs)
-            ok[rows] &= regular & _spectra_ok(eigs, projs)
+            ok[rows] &= regular
         for i in np.flatnonzero(~ok):  # in case order, through the scalar constructors and rules
             pre, post, mat = cases[i]
             obs = SpectralObservable.from_hermitian(mat)  # merges near-degenerate branches, or raises
@@ -397,9 +393,9 @@ def check_certain_outcome_weak_value(seed: int) -> CheckResult:
             weak, weak_ok = _weak_values(post, np.einsum("nj,njkl->nkl", eigs, projs), pre)
             certainty[rows] = np.clip(probs[:, 0][picked], 0.0, 1.0)
             deviation[rows] = _modulus(weak - eigs[picked])
-            ok[rows] = _spectra_ok(eigs, projs) & abl_ok[:, 0] & weak_ok
+            ok[rows] = abl_ok[:, 0] & weak_ok
         for i in np.flatnonzero(~ok | (certainty < 1 - 1e-12)):  # in scenario order, through the scalar path
-            obs = SpectralObservable.from_hermitian(cases[i].matrix)  # raises where the branch checks failed
+            obs = SpectralObservable.from_hermitian(cases[i].matrix)
             tsv = TwoStateVector(cases[i].pre, cases[i].post)
             if not ok[i]:  # the scalar rules raise their usual error
                 abl_probabilities(tsv, obs)

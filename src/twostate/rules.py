@@ -281,7 +281,7 @@ class _Recombination(NamedTuple):
 
     final: np.ndarray  # (n, m) Prob(f) with the intermediate measurement performed
     live: np.ndarray  # (n, m) final branches with weight above ZERO_WEIGHT
-    unreachable: np.ndarray  # (n, m) live rank-1 branches that StateVector or the ABL rule may reject
+    unreachable: np.ndarray  # (n, m) live rank-1 branches the ABL rule may reject; post kets are unit eigh columns
     conditionals: np.ndarray  # (n, m, k)
     recombined: np.ndarray  # (n, k)
     direct: np.ndarray  # (n, k)
@@ -306,10 +306,9 @@ def _recombination(pre: np.ndarray, mid_projs: np.ndarray, fin_projs: np.ndarray
         rank_one = np.rint(np.trace(fin_projs, axis1=-2, axis2=-1).real) == 1
         vals, vecs = np.linalg.eigh(fin_projs)
         posts = np.take_along_axis(vecs, vals.argmax(axis=-1)[..., None, None], axis=-1)[..., 0]
-        posts, post_ok = _unit_rows(posts)
-        abl, abl_ok = _abl_rows(posts, mid_projs, pre)
+        abl, abl_ok = _abl_rows(_unit_rows(posts), mid_projs, pre)
         conditionals = np.where(rank_one[..., None], abl, weights / final[..., None])
-        unreachable = live & rank_one & ~(post_ok & abl_ok)
+        unreachable = live & rank_one & ~abl_ok
         contributions = np.where(live[..., None], final[..., None] * np.clip(conditionals, 0.0, 1.0), 0.0)
         recombined = np.zeros(mid_projs.shape[:2])
         for f in range(fin_projs.shape[1]):

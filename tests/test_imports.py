@@ -2,9 +2,11 @@
 
 In-process tests cannot see a missing import inside a subcommand: by the
 time they run, earlier tests have loaded every module.  Each case here starts
-its own interpreter.
+its own interpreter.  One more test reads the source alone: every private
+module-level name has a caller.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -95,3 +97,38 @@ def test_each_subcommand_runs_alone_as_it_runs_in_process(name, capsysbinary, mo
         code = exc.code
     assert (proc.returncode, proc.stdout) == (code, capsysbinary.readouterr().out)
     assert proc.stderr == b""
+
+
+def test_every_private_module_name_is_used_outside_its_definition():
+    # a stacked helper left without a caller fails here; only code counts,
+    # as a name or an attribute read, not an import or a docstring
+    trees = {path: ast.parse(path.read_text()) for path in sorted(Path(SRC, "twostate").glob("*.py"))}
+    defined = {}  # name -> (defining file, first line, last line)
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    assert name not in defined, f"{name} is defined twice"
+                    defined[name] = (path, node.lineno, node.end_lineno)
+    used = set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name in defined:
+                where, first, last = defined[name]
+                if where != path or not first <= node.lineno <= last:
+                    used.add(name)
+    assert len(defined) > 50  # the walk found the package's private names
+    assert sorted(set(defined) - used) == []

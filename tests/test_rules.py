@@ -27,6 +27,7 @@ from twostate.rules import (
     OutcomeDistribution,
     TwoStateVector,
     _abl_rows,
+    _modulus,
     _recombination,
     _weak_values,
     abl_probabilities,
@@ -448,6 +449,14 @@ class TestStackedRecombination:
             tsv = TwoStateVector(a, b)
             assert bits(abl_probabilities(tsv, obs).probabilities) == bits(np.clip(probs[i, 0], 0.0, 1.0))
             assert weak[i] == weak_value(tsv, obs.operator)  # Python's complex division, to the bit
+
+    def test_modulus_is_the_scalar_abs_bit_for_bit(self):
+        # weak_value's |z| is abs of a Python complex; np.abs of a complex array
+        # differs from it in the last bit for about a third of these values
+        rng = np.random.default_rng(16)
+        n = 100_000
+        z = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-300, 300, size=n)
+        assert bits(_modulus(z)) == bits([abs(complex(v)) for v in z.tolist()])
 
     def test_unreachable_final_branch_is_flagged_and_raises(self):
         # the down branch of spin(θ) weighs sin²(θ/2): live above 1e-15, but at
