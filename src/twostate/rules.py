@@ -258,18 +258,17 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _weak_values(post: np.ndarray, matrices: np.ndarray, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _weak_values(post: np.ndarray, matrices: np.ndarray, pre: np.ndarray) -> np.ndarray:
     """``weak_value`` for n inputs: unit ``post`` and ``pre`` (n, d), operators (n, d, d).
 
-    Returns the values and the mask of inputs whose overlap clears the floor.
-    Each row divides with Python's own complex ``/``, as ``weak_value`` does,
-    so the two round alike; numpy's complex division rounds otherwise.
+    Assumes every overlap ⟨post|pre⟩ is well clear of ``OVERLAP_FLOOR``, which
+    the caller's draws guarantee; nothing is checked, and a zero overlap raises
+    ``ZeroDivisionError``.  Each row divides with Python's own complex ``/``, as
+    ``weak_value`` does, so the two round alike; numpy's rounds otherwise.
     """
     overlap = _dot(post.conj(), pre)
-    ok = _modulus(overlap) > OVERLAP_FLOOR
     numerator = _dot(post.conj(), (matrices @ pre[..., None])[..., 0])
-    quotients = [a / b for a, b in zip(numerator.tolist(), np.where(ok, overlap, 1.0).tolist())]
-    return np.array(quotients, dtype=complex), ok
+    return np.array([a / b for a, b in zip(numerator.tolist(), overlap.tolist())], dtype=complex)
 
 
 class _Recombination(NamedTuple):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import types
 
 import numpy as np
@@ -352,21 +353,20 @@ def test_analytic_rows_are_pinned(seed):
 
 
 def test_analytic_rows_are_unchanged_through_the_scalar_fallback(monkeypatch):
-    # every mask the sweeps read refuses: each case of each row goes through the
-    # scalar constructors and rules, which must give the same rows
-    def refuse_last_mask(name):  # _hermitian_branches' regular, the ok mask of _abl_rows and _weak_values
-        real = getattr(checks, name)
-        def patched(*args):
-            *values, mask = real(*args)
-            return (*values, np.zeros_like(mask, dtype=bool))
-        monkeypatch.setattr(checks, name, patched)
-
-    for name in ("_hermitian_branches", "_abl_rows", "_weak_values"):
-        refuse_last_mask(name)
+    # every mask that sends a case to a scalar path refuses: each draw is merged through
+    # from_hermitian and each random triple runs total_probability_check, which must give
+    # the same rows; the swap and certain-outcome cases and the spin chain's angle pairs
+    # have no scalar path, since their draws keep every denominator and overlap clear
+    real = checks._hermitian_branches
+    def irregular(mats):
+        eigs, projs, regular = real(mats)
+        return eigs, projs, np.zeros_like(regular, dtype=bool)
+    monkeypatch.setattr(checks, "_hermitian_branches", irregular)
     recombination = checks._recombination
     monkeypatch.setattr(checks, "_recombination",
                         lambda *args: (r := recombination(*args))._replace(suspect=np.ones_like(r.suspect)))
-    calls = {name: TestScalarFallbacks._counted(monkeypatch, name) for name in ("total_probability_check", "weak_value")}
+    calls = {name: TestScalarFallbacks._counted(monkeypatch, name)
+             for name in ("total_probability_check", "abl_probabilities", "weak_value")}
     seed = 7
     rows = (
         check_spin_chain_recombination(seed),
@@ -375,10 +375,69 @@ def test_analytic_rows_are_unchanged_through_the_scalar_fallback(monkeypatch):
         check_certain_outcome_weak_value(derive_seed(seed, 4)),
     )
     assert tuple(r.summary for r in rows) == ANALYTIC_ROWS[seed]
-    # spin chain: 200 pairs and the pin; random recombination: 1000 triples;
-    # swap: both orders of 500 cases; certain outcome: 500 scenarios
+    # the spin chain's (pi/3, pi/2) pin and random recombination's 1000 triples
     assert {name: len(seen) for name, seen in calls.items()} == {
-        "total_probability_check": 200 + 1 + 1000, "weak_value": 2 * 500 + 500}
+        "total_probability_check": 1 + 1000, "abl_probabilities": 0, "weak_value": 0}
+
+
+def test_the_draws_keep_every_denominator_and_overlap_clear_of_the_floors(monkeypatch):
+    # why the swap, certain-outcome and spin-chain rows need no scalar path: their draws
+    # keep each ABL denominator and weak-value overlap far above the rules' 1e-14 floors,
+    # by the bounds stated at each row; checked here at the benchmark's 16 pool seeds
+    seen = {"denominator": [], "overlap": []}
+    real_abl, real_weak = checks._abl_rows, checks._weak_values
+    def abl_rows(posts, projs, pre):
+        weights = np.abs(np.einsum("nfi,nkij,nj->nfk", posts.conj(), projs, pre)) ** 2
+        seen["denominator"].append(weights.sum(axis=-1).min())
+        return real_abl(posts, projs, pre)
+    def weak_values(post, matrices, pre):
+        seen["overlap"].append(np.abs(np.einsum("ni,ni->n", post.conj(), pre)).min())
+        return real_weak(post, matrices, pre)
+    monkeypatch.setattr(checks, "_abl_rows", abl_rows)
+    monkeypatch.setattr(checks, "_weak_values", weak_values)
+
+    def minima(row, seed):
+        for values in seen.values():
+            values.clear()
+        row(seed)
+        return min(seen["denominator"]), min(seen["overlap"])
+
+    pool = range(16)
+    swap = np.min([minima(check_swap_symmetry, derive_seed(seed, 3)) for seed in pool], axis=0)
+    certain = np.min([minima(check_certain_outcome_weak_value, derive_seed(seed, 4)) for seed in pool], axis=0)
+    assert swap[0] >= 0.05**2 / 3 and swap[1] >= 0.05  # the overlap floor of _swap_case, Cauchy-Schwarz over k <= 3
+    assert certain[0] >= 0.01 and certain[1] >= 0.1  # kinds 0 and 1 reject an overlap under 0.1; kind 2's is 0.64
+    spin = []
+    for seed in pool:  # ABL denominators of both final branches, from the row's own angles
+        t_ab, t_bc = checks._seed_stream(seed).uniform(0.05, np.pi - 0.05, size=(200, 2)).T
+        c_ab, c_bc, s_ab, s_bc = np.cos(t_ab / 2) ** 2, np.cos(t_bc / 2) ** 2, np.sin(t_ab / 2) ** 2, np.sin(t_bc / 2) ** 2
+        spin.append(min((c_ab * c_bc + s_ab * s_bc).min(), (c_ab * s_bc + s_ab * c_bc).min()))
+    assert min(spin) >= 2 * np.sin(0.025) ** 2 * np.cos(0.025) ** 2  # both angles in [0.05, pi - 0.05]
+
+
+def _first_nan(values):
+    return np.where(np.arange(values.size) == 0, np.nan, values)
+
+
+def test_swap_symmetry_fails_a_nan_deviation(monkeypatch):
+    # each stack's first case deviates by NaN; Python's max(0.0, nan) is 0.0, so a
+    # fold through it would drop the whole stack and pass
+    real = checks._swap_deviations
+    def first_nan(*args):
+        abl_dev, *rest = real(*args)
+        return (_first_nan(abl_dev), *rest)
+    monkeypatch.setattr(checks, "_swap_deviations", first_nan)
+    assert check_swap_symmetry(derive_seed(7, 3)) == checks.CheckResult(
+        "swap-symmetry", "fail",
+        re.sub(r"^max conditional deviation [^,]*,", "max conditional deviation nan,", ANALYTIC_ROWS[7][2]))
+
+
+def test_certain_outcome_fails_a_nan_deviation(monkeypatch):
+    real = checks._modulus
+    monkeypatch.setattr(checks, "_modulus", lambda z: _first_nan(real(z)))
+    assert check_certain_outcome_weak_value(derive_seed(7, 4)) == checks.CheckResult(
+        "certain-outcome-weak-value", "fail",
+        "max |weak value - certain eigenvalue| = nan over 500 scenarios (tol 1e-9)")
 
 
 class TestScalarFallbacks:
@@ -398,13 +457,6 @@ class TestScalarFallbacks:
             return r._replace(suspect=r.suspect | (np.arange(r.suspect.size) == 0))
         monkeypatch.setattr(checks, "_recombination", patched)
 
-    def test_spin_chain_rebuilds_a_suspect_row_through_the_scalar_rule(self, monkeypatch):
-        unpatched = check_spin_chain_recombination(7)
-        self._first_row_suspect(monkeypatch)
-        calls = self._counted(monkeypatch, "total_probability_check")
-        assert check_spin_chain_recombination(7) == unpatched
-        assert len(calls) == 2  # the suspect row, then the (pi/3, pi/2) pin
-
     def test_recombination_random_returns_the_scalar_rules_fail(self, monkeypatch):
         # the scalar rule passes every valid triple, so its FAIL is reached only with the rule itself patched
         real = checks.total_probability_check
@@ -414,16 +466,18 @@ class TestScalarFallbacks:
         assert check_recombination_random(derive_seed(7, 1)) == checks.CheckResult(
             "recombination-random-qubits", "fail", "recombination error 2.000e-10 exceeds 1e-10")
 
-    def test_swap_symmetry_runs_the_scalar_rules_where_the_stack_refuses(self, monkeypatch):
+    def test_swap_symmetry_merges_an_irregular_draw(self, monkeypatch):
         unpatched = check_swap_symmetry(derive_seed(7, 3))
-        real = checks._weak_values
-        def first_refused(post, matrices, pre):
-            weak, ok = real(post, matrices, pre)
-            return weak, ok & (np.arange(ok.size) > 0)
-        monkeypatch.setattr(checks, "_weak_values", first_refused)
-        calls = self._counted(monkeypatch, "weak_value")
+        real = checks._hermitian_branches
+        def first_irregular(mats):
+            eigs, projs, regular = real(mats)
+            return eigs, projs, regular & (np.arange(regular.size) > 0)
+        monkeypatch.setattr(checks, "_hermitian_branches", first_irregular)
+        merges, from_hermitian = [], checks.SpectralObservable.from_hermitian
+        monkeypatch.setattr(checks.SpectralObservable, "from_hermitian",
+                            staticmethod(lambda mat: merges.append(mat) or from_hermitian(mat)))
         assert check_swap_symmetry(derive_seed(7, 3)) == unpatched
-        assert len(calls) == 2 * 16  # both orders of each stack's first case: 500 cases in 8 stacks, 2 dimensions
+        assert len(merges) == 16  # each stack's first case of each dimension: 500 cases in 8 stacks, 2 dimensions
 
     def test_certain_outcome_merges_an_irregular_draw_through_from_hermitian(self, monkeypatch):
         unpatched = check_certain_outcome_weak_value(derive_seed(7, 4))
