@@ -156,19 +156,26 @@ class JointState:
         return self.amps.shape[0]
 
 
-def _phase_ramp(phases: np.ndarray, shift: float) -> np.ndarray:
-    """The ramp exp(i·phases·shift), bit for bit as ``np.exp(-2j * np.pi * freqs * shift)`` rounds it.
+def _phase_ramp(phases: np.ndarray, shift: float, out: np.ndarray) -> np.ndarray:
+    """The ramp exp(i·phases·shift) written into ``out``, bit for bit as ``np.exp(-2j * np.pi * freqs * shift)``
+    rounds it.
 
     That argument is purely imaginary, so a real cos and sin of its imaginary
     part give the complex exponential; the + 0.0 turns a -0 product into the +0
-    that the complex product makes.
+    that the complex product makes.  Trig runs on bins 0..n//2 only: ``fftfreq``
+    makes bin n−k the exact negation of bin k, so its ramp is bin k's conjugate,
+    and 0.0 − sin keeps the +0 imaginary part of a ±0 phase that a negation would flip.
     """
-    ramp = np.empty(phases.shape, dtype=complex)
-    np.multiply(phases, shift, out=ramp.imag)
-    np.add(ramp.imag, 0.0, out=ramp.imag)
-    np.cos(ramp.imag, out=ramp.real)
-    np.sin(ramp.imag, out=ramp.imag)
-    return ramp
+    n = phases.size
+    low = out[: n // 2 + 1]
+    np.multiply(phases[: n // 2 + 1], shift, out=low.imag)
+    np.add(low.imag, 0.0, out=low.imag)
+    np.cos(low.imag, out=low.real)
+    np.sin(low.imag, out=low.imag)
+    high = out[: n // 2 : -1]  # bins n−1, n−2, … down to n//2 + 1: the mirrors of bins 1, 2, …
+    high.real = low.real[1 : high.size + 1]
+    np.subtract(0.0, low.imag[1 : high.size + 1], out=high.imag)
+    return out
 
 
 def couple(system: StateVector, pointer: PointerState, coupling: CouplingSpec) -> JointState:
@@ -182,18 +189,19 @@ def couple(system: StateVector, pointer: PointerState, coupling: CouplingSpec) -
             f"max branch shift {np.max(np.abs(shifts)):.3g} exceeds span/4 = {pointer.span / 4:.3g}"
         )
     joint = np.zeros((system.dim, pointer.positions.size), dtype=complex)
+    wave = np.empty(pointer.positions.size, dtype=complex)  # each live branch's ramp, product and inverse in turn
     for proj, shift in zip(obs.projectors, shifts):
         branch = proj @ system.amps
         if not np.vdot(branch, branch).real >= 1e-30:
             continue
-        ramp = _phase_ramp(pointer.phases, shift)
+        _phase_ramp(pointer.phases, shift, out=wave)
         # np.multiply keeps the operand order, and complex products round by order
-        wave = np.fft.ifft(np.multiply(pointer.spectrum, ramp, out=ramp))
-        del ramp  # before the fill: the peak holds the joint, one ramp and its inverse
+        np.multiply(pointer.spectrum, wave, out=wave)
+        np.fft.ifft(wave, out=wave)
         for amp, row in zip(branch, joint):  # rounding as np.outer does, in blocks: no (grid,) temporary
             for start in range(0, wave.size, FILL_BLOCK):
                 row[start : start + FILL_BLOCK] += amp * wave[start : start + FILL_BLOCK]
-        del wave  # one wave alive at a time; the joint is handed over, not copied
+    del wave  # before the norm check's |joint|² temporary; the joint is handed over, not copied
     return JointState._adopt(joint, pointer)
 
 
@@ -224,21 +232,24 @@ def readout(joint: JointState) -> PointerReadout:
     return PointerReadout(joint.pointer.positions, probs, joint.amps)
 
 
-def _post_selected_wave(joint: JointState, post: StateVector) -> tuple[np.ndarray, float]:
-    """The pointer wave ⟨post|joint⟩ and its squared norm Σ|wave|²·dq."""
+def _post_selected_wave(joint: JointState, post: StateVector) -> tuple[np.ndarray, np.ndarray, float]:
+    """The pointer wave ⟨post|joint⟩, its density |wave|² and its squared norm Σ|wave|²·dq."""
     if post.dim != joint.system_dim:
         raise DimensionMismatchError(f"post dim {post.dim} vs system dim {joint.system_dim}")
     wave = post.amps.conj() @ joint.amps
-    norm = float(np.sum(np.abs(wave) ** 2) * joint.pointer.spacing)
+    density = np.abs(wave)
+    np.square(density, out=density)
+    norm = float(np.sum(density) * joint.pointer.spacing)
     if norm < POST_NORM_FLOOR:
         raise ZeroOverlapError("post-selection removes all amplitude; pointer undefined")
-    return wave, norm
+    return wave, density, norm
 
 
 def post_selected_pointer(joint: JointState, post: StateVector) -> tuple[np.ndarray, np.ndarray]:
     """Pointer wave after projecting the system side onto ⟨post|; (positions, probs)."""
-    wave, norm = _post_selected_wave(joint, post)
-    probs = np.abs(wave) ** 2 * joint.pointer.spacing / norm
+    _, probs, norm = _post_selected_wave(joint, post)
+    probs *= joint.pointer.spacing  # |wave|²·dq / norm, rounded in that order, in the density's own buffer
+    probs /= norm
     return joint.pointer.positions, probs
 
 
@@ -250,7 +261,8 @@ def post_selected_mean_shift(joint: JointState, post: StateVector) -> float:
     ``gaussian_pointer_means`` gives its exact value at every λ.
     """
     positions, probs = post_selected_pointer(joint, post)
-    return float(np.sum(positions * probs))
+    probs *= positions  # positions·probs, in the probabilities' own buffer
+    return float(np.sum(probs))
 
 
 def post_selected_momentum_mean(joint: JointState, post: StateVector) -> float:
@@ -260,7 +272,7 @@ def post_selected_momentum_mean(joint: JointState, post: StateVector) -> float:
     post-selected mean goes to λ·Im(A_w)/(2σ²).  ``gaussian_pointer_means``
     gives its exact value at every λ.
     """
-    wave, _ = _post_selected_wave(joint, post)
+    wave, _, _ = _post_selected_wave(joint, post)
     weights = np.abs(np.fft.fft(wave)) ** 2
     return float(np.sum(-joint.pointer.phases * weights) / weights.sum())
 

@@ -25,6 +25,7 @@ from twostate.errors import DimensionMismatchError, PointerGridError, ZeroOverla
 from twostate.montecarlo import chunk_rng
 from twostate.pointer import (
     FILL_BLOCK,
+    POST_NORM_FLOOR,
     CouplingSpec,
     JointState,
     PointerState,
@@ -289,14 +290,27 @@ def _couplings(draw):
 class TestCoupleArithmetic:
     """``couple`` rounds every point as the reference arithmetic does, compared bit for bit."""
 
-    @given(n=st.integers(256, 16384), span=st.floats(17, 32), data=st.data())
+    @given(n=st.one_of(st.sampled_from([256, 257, 4096, 4097]), st.integers(256, 16384)), span=st.floats(17, 32),
+           data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_ramp_is_the_complex_exponential(self, n, span, data):
+        # every bin is written, the Nyquist bin of an even n among them, whose mirror is itself
         pointer = make_gaussian_pointer(1.0, n, span)
         shift = data.draw(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-12]),
                                     st.floats(-pointer.span / 4, pointer.span / 4)))
         expected = np.exp(-2j * np.pi * np.fft.fftfreq(n, d=pointer.spacing) * float(shift))
-        assert np.array_equal(_phase_ramp(pointer.phases, shift).view(np.uint64), expected.view(np.uint64))
+        buf = np.full(n, np.nan + 1j * np.nan)
+        ramp = _phase_ramp(pointer.phases, shift, out=buf)
+        assert ramp is buf
+        assert np.array_equal(buf.view(np.uint64), expected.view(np.uint64))
+
+    @given(n=st.one_of(st.sampled_from([256, 257, 16383, 16384]), st.integers(256, 16384)), span=st.floats(17, 32))
+    @settings(max_examples=100, deadline=None)
+    def test_phases_mirror_bit_for_bit(self, n, span):
+        # the ramp computes trig on bins 0..n//2 and negates the phase of bin k into bin n-k, k = 1..(n-1)//2
+        phases = make_gaussian_pointer(1.0, n, span).phases
+        k = np.arange(1, (n - 1) // 2 + 1)
+        assert np.array_equal(phases[n - k].view(np.uint64), (-phases[k]).view(np.uint64))
 
     @given(case=_couplings(), n=st.integers(256, 2048))
     @settings(max_examples=150, deadline=None)
@@ -306,6 +320,27 @@ class TestCoupleArithmetic:
         joint = couple(system, pointer, coupling)
         expected = _couple_reference(system, pointer, coupling)
         assert np.array_equal(joint.amps.view(np.uint64), expected.view(np.uint64))
+
+    @given(case=_couplings(), n=st.integers(256, 2048), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_readings_are_the_reference(self, case, n, seed):
+        # the probabilities and the mean shift round as |wave|²·dq/norm and Σ positions·probs do
+        system, coupling = case
+        rng = np.random.default_rng(seed)
+        post = StateVector.normalized(rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim))
+        pointer = make_gaussian_pointer(1.0, n, 32.0)
+        joint = couple(system, pointer, coupling)
+        wave = post.amps.conj() @ joint.amps
+        norm = float(np.sum(np.abs(wave) ** 2) * pointer.spacing)
+        if norm < POST_NORM_FLOOR:
+            with pytest.raises(ZeroOverlapError):
+                post_selected_pointer(joint, post)
+            return
+        probs = np.abs(wave) ** 2 * pointer.spacing / norm
+        positions, got = post_selected_pointer(joint, post)
+        assert positions is pointer.positions
+        assert np.array_equal(got.view(np.uint64), probs.view(np.uint64))
+        assert _bits(post_selected_mean_shift(joint, post)) == _bits(float(np.sum(pointer.positions * probs)))
 
 
 # sha256 of couple(...).amps.tobytes() on the default grid: which_path's two branches shift by +0 and -0 at
@@ -509,10 +544,10 @@ class TestJointOwnership:
             tracemalloc.stop()
         wave = pointer.amps.nbytes
         assert joint.amps.nbytes == 2 * wave and not joint.amps.flags.writeable
-        # the peak is a branch's inverse transform: the joint, the shifted spectrum and its inverse; a copy of
-        # the joint or the spectrum, the frequencies, a second live wave or a grid-sized product while the
-        # joint fills would exceed this bound
-        assert peak <= 4 * wave + 2**16
+        # the peak is the joint, the one buffer that holds each branch's ramp, product and inverse in turn, and
+        # one FILL_BLOCK product while the joint fills; a copy of the joint or the spectrum, the frequencies, a
+        # second grid-sized buffer or a grid-sized product would exceed this bound
+        assert peak <= 3 * wave + 2**19
 
 
 @pytest.mark.parametrize("build, error, match", [
