@@ -772,7 +772,7 @@ def _walk(rho: np.ndarray, ket: np.ndarray, timeline, adjoint: bool = False) -> 
     """(ρ, ket, stack) arriving at each entry of ``timeline``, then past its
     end: ρ → UρU† and ket → U ket at a unitary, with U† for U when ``adjoint``;
     ρ → Σ_j P_j ρ P_j at a measurement, whose stack P_j ρ P_j is kept (else
-    None); a weak stage leaves both unchanged."""
+    None); a weak stage leaves both unchanged.  A None ket is not walked."""
     walked = []
     for entry in timeline:
         stack = None
@@ -783,7 +783,7 @@ def _walk(rho: np.ndarray, ket: np.ndarray, timeline, adjoint: bool = False) -> 
         if isinstance(entry, UnitaryStage):
             pair = (entry.unitary.matrix, entry.unitary.matrix.conj().T)
             u, u_dagger = pair[::-1] if adjoint else pair
-            rho, ket = u @ rho @ u_dagger, u @ ket
+            rho, ket = u @ rho @ u_dagger, None if ket is None else u @ ket
         elif stack is not None:
             rho = stack.sum(axis=0)
     return walked + [(rho, ket, None)]
@@ -809,15 +809,19 @@ def analytic_predictions(spec: ScenarioSpec) -> AnalyticPredictions:
     selected kets.  ``two_state`` maps each weak stage's position, and the
     end's when the spec has counterfactuals or products, to the
     ``TwoStateVector`` at that position, where ``ScenarioSpec`` guarantees
-    that ρ and E are pure.
+    that ρ and E are pure.  A spec that reads no two-state vector walks no
+    kets, and its selected ket is never built.
     """
     q_sel = spec.post_observable.projectors[spec.post_observable.branch_index(spec.post_select)]
     end = len(spec.timeline)
-    forward = _walk(np.outer(spec.pre.amps, spec.pre.amps.conj()), spec.pre.amps, spec.timeline)
+    reads_kets = spec.counterfactuals or spec.products or any(isinstance(e, WeakStage) for e in spec.timeline)
+    pre_ket = spec.pre.amps if reads_kets else None
+    forward = _walk(np.outer(spec.pre.amps, spec.pre.amps.conj()), pre_ket, spec.timeline)
     acceptance = float(np.trace(q_sel @ forward[end][0]).real)
     if acceptance <= DENOMINATOR_FLOOR:
         raise ZeroDenominatorError(f"scenario {spec.name!r}: post-selection unreachable through every branch")
-    backward = _walk(q_sel, _rank_one_vector(q_sel).amps, reversed(spec.timeline), adjoint=True)[::-1]
+    post_ket = _rank_one_vector(q_sel).amps if reads_kets else None
+    backward = _walk(q_sel, post_ket, reversed(spec.timeline), adjoint=True)[::-1]
     distributions, two_state = [], {}
     # ρ arriving at each stage, E leaving it: backward[position + 1] has walked back through the later stages
     for position, ((_, ket, stack), (effect, bra, _), entry) in enumerate(zip(forward, backward[1:], spec.timeline)):
