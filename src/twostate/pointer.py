@@ -17,7 +17,9 @@ reading take, so one coupling serves as many readings as a caller needs;
 Translations are performed spectrally (FFT phase ramp on the pointer's own
 transform, taken once), so sub-grid shifts are exact up to grid bandwidth;
 index rounding would bias weak shifts that are far smaller than the grid
-spacing.
+spacing.  A coupling computes each ramp's cos and sin on half the bins, the
+other half being their conjugates, and shifts every live branch in one
+grid-sized buffer of its own.
 """
 
 from __future__ import annotations
@@ -156,26 +158,23 @@ class JointState:
         return self.amps.shape[0]
 
 
-def _phase_ramp(phases: np.ndarray, shift: float, out: np.ndarray) -> np.ndarray:
-    """The ramp exp(i·phases·shift) written into ``out``, bit for bit as ``np.exp(-2j * np.pi * freqs * shift)``
-    rounds it.
+def _phase_ramp(phases: np.ndarray, shift: float, out: np.ndarray) -> None:
+    """``out`` set to the ramp exp(i·phases·shift), bit for bit as ``np.exp(-2j * np.pi * freqs * shift)`` rounds it.
 
     That argument is purely imaginary, so a real cos and sin of its imaginary
     part give the complex exponential; the + 0.0 turns a -0 product into the +0
-    that the complex product makes.  Trig runs on bins 0..n//2 only: ``fftfreq``
-    makes bin n−k the exact negation of bin k, so its ramp is bin k's conjugate,
-    and 0.0 − sin keeps the +0 imaginary part of a ±0 phase that a negation would flip.
+    that the complex product makes.  ``fftfreq`` makes bin n−k the negation of
+    bin k, so only bins 0..n//2 take trig and bin n−k is bin k's conjugate,
+    0.0 − sin: a negation would flip the +0 of a zero phase.
     """
-    n = phases.size
-    low = out[: n // 2 + 1]
-    np.multiply(phases[: n // 2 + 1], shift, out=low.imag)
+    half = phases.size // 2 + 1
+    low, high = out[:half], out[: half - 1 : -1]  # high: bins n−1, n−2, …, the mirrors of bins 1, 2, …
+    np.multiply(phases[:half], shift, out=low.imag)
     np.add(low.imag, 0.0, out=low.imag)
     np.cos(low.imag, out=low.real)
     np.sin(low.imag, out=low.imag)
-    high = out[: n // 2 : -1]  # bins n−1, n−2, … down to n//2 + 1: the mirrors of bins 1, 2, …
     high.real = low.real[1 : high.size + 1]
     np.subtract(0.0, low.imag[1 : high.size + 1], out=high.imag)
-    return out
 
 
 def couple(system: StateVector, pointer: PointerState, coupling: CouplingSpec) -> JointState:

@@ -768,7 +768,7 @@ class AnalyticPredictions:
     two_state: dict[int, TwoStateVector]  # by timeline position
 
 
-def _walk(rho: np.ndarray, ket: np.ndarray, timeline, adjoint: bool = False) -> list[tuple]:
+def _walk(rho: np.ndarray, ket: np.ndarray | None, timeline, adjoint: bool = False) -> list[tuple]:
     """(ρ, ket, stack) arriving at each entry of ``timeline``, then past its
     end: ρ → UρU† and ket → U ket at a unitary, with U† for U when ``adjoint``;
     ρ → Σ_j P_j ρ P_j at a measurement, whose stack P_j ρ P_j is kept (else
