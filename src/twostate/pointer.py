@@ -196,7 +196,7 @@ def couple(system: StateVector, pointer: PointerState, coupling: CouplingSpec) -
         _phase_ramp(pointer.phases, shift, out=wave)
         # np.multiply keeps the operand order, and complex products round by order
         np.multiply(pointer.spectrum, wave, out=wave)
-        np.fft.ifft(wave, out=wave)
+        np.fft.ifft(wave, out=wave)  # numpy >= 2.0 takes out= here
         for amp, row in zip(branch, joint):  # rounding as np.outer does, in blocks: no (grid,) temporary
             for start in range(0, wave.size, FILL_BLOCK):
                 row[start : start + FILL_BLOCK] += amp * wave[start : start + FILL_BLOCK]
@@ -272,7 +272,8 @@ def post_selected_momentum_mean(joint: JointState, post: StateVector) -> float:
     gives its exact value at every λ.
     """
     wave, _, _ = _post_selected_wave(joint, post)
-    weights = np.abs(np.fft.fft(wave)) ** 2
+    weights = np.abs(np.fft.fft(wave, out=wave))  # |transform|², in the wave's and then the moduli's own buffer
+    np.square(weights, out=weights)
     return float(np.sum(-joint.pointer.phases * weights) / weights.sum())
 
 

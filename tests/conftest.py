@@ -13,7 +13,7 @@ import numpy as np
 def _blas() -> str:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+    except KeyError:  # a build that names no BLAS
         return "unknown"
     config = blas.get("openblas configuration")
     return f"{blas.get('name')} {blas.get('version')}" + (f" ({config.strip()})" if config else "")
