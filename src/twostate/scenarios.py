@@ -814,25 +814,26 @@ def analytic_predictions(spec: ScenarioSpec) -> AnalyticPredictions:
     """
     q_sel = spec.post_observable.projectors[spec.post_observable.branch_index(spec.post_select)]
     end = len(spec.timeline)
-    reads_kets = spec.counterfactuals or spec.products or any(isinstance(e, WeakStage) for e in spec.timeline)
-    pre_ket = spec.pre.amps if reads_kets else None
-    forward = _walk(np.outer(spec.pre.amps, spec.pre.amps.conj()), pre_ket, spec.timeline)
+    # the positions whose two-state vector is read; with none, no ket is walked
+    reads = [position for position, entry in enumerate(spec.timeline) if isinstance(entry, WeakStage)]
+    if spec.counterfactuals or spec.products:
+        reads.append(end)
+    forward = _walk(np.outer(spec.pre.amps, spec.pre.amps.conj()), spec.pre.amps if reads else None, spec.timeline)
     acceptance = float(np.trace(q_sel @ forward[end][0]).real)
     if acceptance <= DENOMINATOR_FLOOR:
         raise ZeroDenominatorError(f"scenario {spec.name!r}: post-selection unreachable through every branch")
-    post_ket = _rank_one_vector(q_sel).amps if reads_kets else None
+    post_ket = _rank_one_vector(q_sel).amps if reads else None
     backward = _walk(q_sel, post_ket, reversed(spec.timeline), adjoint=True)[::-1]
-    distributions, two_state = [], {}
+    distributions = []
     # ρ arriving at each stage, E leaving it: backward[position + 1] has walked back through the later stages
-    for position, ((_, ket, stack), (effect, bra, _), entry) in enumerate(zip(forward, backward[1:], spec.timeline)):
+    for (_, _, stack), (effect, _, _), entry in zip(forward, backward[1:], spec.timeline):
         if stack is not None:
             weights = np.einsum("kab,ba->k", stack, effect).real
             distributions.append(OutcomeDistribution(tuple(entry.observable.eigenvalues),
                                                      tuple(weights / weights.sum())))
-        elif isinstance(entry, WeakStage):
-            two_state[position] = TwoStateVector(StateVector(ket), StateVector(bra))
-    if spec.counterfactuals or spec.products:
-        two_state[end] = TwoStateVector(StateVector(forward[end][1]), StateVector(backward[end][1]))
+    # a weak stage leaves both kets as they are, so backward[position] holds the ket leaving it too
+    two_state = {position: TwoStateVector(StateVector(forward[position][1]), StateVector(backward[position][1]))
+                 for position in reads}
     return AnalyticPredictions(distributions, acceptance, two_state)
 
 
